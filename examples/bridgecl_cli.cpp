@@ -7,19 +7,13 @@
 //   bridgecl --classify  main.cu            # Table 3-style triage
 //   bridgecl --to=opencl --emulate-atomics kernel.cu
 //   bridgecl --profile                      # trace a wrapped demo workload
-//   bridgecl --snapshot-out=ckpt.sgsnap     # image a demo workload midway
-//   bridgecl --snapshot-in=ckpt.sgsnap --snapshot-profile=hd7970
 //
 // Reads from stdin when no file is given. Prints translated source on
 // stdout; diagnostics on stderr. --profile takes no input: it runs a
 // built-in launch/copy workload through the CUDA→OpenCL wrapper on the
 // simulated device and prints the trace summary (docs/OBSERVABILITY.md);
 // BRIDGECL_TRACE=<file> additionally writes the Chrome trace JSON.
-// --snapshot-out/--snapshot-in run a built-in resumable workload and
-// demonstrate checkpoint/restore and cross-profile migration
-// (docs/SNAPSHOT.md).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -30,7 +24,6 @@
 #include "mcuda/cuda_api.h"
 #include "mocl/cl_api.h"
 #include "simgpu/device.h"
-#include "snapshot/snapshot.h"
 #include "trace/exporters.h"
 #include "trace/session.h"
 #include "translator/classifier.h"
@@ -45,8 +38,6 @@ int Usage() {
   fprintf(stderr,
           "usage: bridgecl [--to=cuda|opencl] [--host] [--classify]\n"
           "                [--profile] [--emulate-atomics] [file]\n"
-          "                [--snapshot-out=FILE] [--snapshot-in=FILE]\n"
-          "                [--snapshot-profile=titan|hd7970]\n"
           "exit codes: 0 ok, 2 usage, 3 i/o, 10+N translation failure\n"
           "            where N is the StatusCode (untranslatable = %d)\n",
           10 + static_cast<int>(StatusCode::kUntranslatable));
@@ -133,97 +124,6 @@ int ProfileDemo() {
   return 0;
 }
 
-/// --snapshot-out / --snapshot-in: device snapshot & live migration demo
-/// (docs/SNAPSHOT.md). A fixed 32-step CUDA workload accumulates into
-/// __device__ globals; the progress counter itself lives on the device,
-/// so a restored run knows where to resume without any host-side state.
-/// --snapshot-out images the context just before step 12 and then
-/// finishes in-process; --snapshot-in resumes from the image — optionally
-/// on a different device profile (--snapshot-profile=hd7970) — and runs
-/// the remaining steps. Both print the same "final:" line, so a
-/// same-profile resume can be diffed against the original run for
-/// bit-identity (the clock line differs across profiles: migration
-/// recomputes timing for the new device model).
-constexpr int kSnapTotalSteps = 32;
-constexpr int kSnapAtStep = 12;
-constexpr char kSnapSource[] = R"(
-__device__ int step_count;
-__device__ int acc[256];
-__global__ void step() {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  acc[i] = acc[i] + i + 1;
-  if (i == 0) step_count = step_count + 1;
-}
-)";
-
-int SnapshotFail(const Status& st) {
-  fprintf(stderr, "snapshot workload failed: %s\n", st.ToString().c_str());
-  return ExitCodeFor(st);
-}
-
-int SnapshotDemo(const std::string& out_path, const std::string& in_path,
-                 const std::string& profile_name) {
-  if (profile_name != "titan" && profile_name != "hd7970") {
-    fprintf(stderr, "unknown --snapshot-profile=%s (want titan or hd7970)\n",
-            profile_name.c_str());
-    return 2;
-  }
-  simgpu::Device device(profile_name == "hd7970" ? simgpu::HD7970Profile()
-                                                 : simgpu::TitanProfile());
-  auto cu = mcuda::CreateNativeCudaApi(device);
-
-  int start = 0;
-  if (!in_path.empty()) {
-    // The image carries the module cache and symbol layout, so no
-    // RegisterModule is needed — the restored context is ready to launch.
-    Status st = cu->Restore(in_path);
-    if (!st.ok()) return SnapshotFail(st);
-    // Every kernel this workload launches is one step, so the restored
-    // launch counter is the step counter. Reading it from device stats
-    // (rather than MemcpyFromSymbol) charges no simulated time, keeping a
-    // same-profile resume bit-identical to the uninterrupted run.
-    start = static_cast<int>(device.stats().kernels_launched);
-    printf("restored %s at step %d onto %s\n", in_path.c_str(), start,
-           device.profile().name.c_str());
-  } else {
-    Status st = cu->RegisterModule(kSnapSource);
-    if (!st.ok()) return SnapshotFail(st);
-    const std::vector<int> zeros(256, 0);
-    st = cu->MemcpyToSymbol("step_count", zeros.data(), sizeof(int));
-    if (!st.ok()) return SnapshotFail(st);
-    st = cu->MemcpyToSymbol("acc", zeros.data(), zeros.size() * sizeof(int));
-    if (!st.ok()) return SnapshotFail(st);
-  }
-
-  for (int s = start; s < kSnapTotalSteps; ++s) {
-    if (s == kSnapAtStep && !out_path.empty()) {
-      Status st = cu->Snapshot(out_path);
-      if (!st.ok()) return SnapshotFail(st);
-      printf("wrote %s at step %d\n", out_path.c_str(), s);
-    }
-    Status st = cu->LaunchKernel("step", simgpu::Dim3(4), simgpu::Dim3(64),
-                                 0, {});
-    if (!st.ok()) return SnapshotFail(st);
-  }
-  Status st = cu->DeviceSynchronize();
-  if (!st.ok()) return SnapshotFail(st);
-
-  int count = 0;
-  int acc[256] = {};
-  st = cu->MemcpyFromSymbol(&count, "step_count", sizeof(count));
-  if (!st.ok()) return SnapshotFail(st);
-  st = cu->MemcpyFromSymbol(acc, "acc", sizeof(acc));
-  if (!st.ok()) return SnapshotFail(st);
-  const uint64_t digest =
-      snapshot::Fnv1a(std::as_bytes(std::span<const int>(acc)));
-  printf("final: steps=%d acc=%016llx kernels=%llu\n", count,
-         static_cast<unsigned long long>(digest),
-         static_cast<unsigned long long>(device.stats().kernels_launched));
-  printf("device: profile=%s clock_us=%.3f\n", device.profile().name.c_str(),
-         cu->NowUs());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -232,7 +132,6 @@ int main(int argc, char** argv) {
   translator::TranslateOptions opts;
   std::string file;
   std::string out_dir;
-  std::string snap_out, snap_in, snap_profile = "titan";
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -248,12 +147,6 @@ int main(int argc, char** argv) {
       mode = Mode::kProfile;
     } else if (arg == "--emulate-atomics") {
       opts.allow_atomic_emulation = true;
-    } else if (arg.rfind("--snapshot-out=", 0) == 0) {
-      snap_out = arg.substr(strlen("--snapshot-out="));
-    } else if (arg.rfind("--snapshot-in=", 0) == 0) {
-      snap_in = arg.substr(strlen("--snapshot-in="));
-    } else if (arg.rfind("--snapshot-profile=", 0) == 0) {
-      snap_profile = arg.substr(strlen("--snapshot-profile="));
     } else if (arg == "-o") {
       if (i + 1 >= argc) return Usage();
       out_dir = argv[++i];
@@ -267,8 +160,6 @@ int main(int argc, char** argv) {
       file = arg;
     }
   }
-  if (!snap_out.empty() || !snap_in.empty())
-    return SnapshotDemo(snap_out, snap_in, snap_profile);
   if (mode == Mode::kNone) return Usage();
   if (mode == Mode::kProfile) return ProfileDemo();
 

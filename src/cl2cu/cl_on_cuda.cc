@@ -167,20 +167,6 @@ class ClOnCudaApi final : public OpenClApi {
   /// recorder, so forwarded native calls nest under them naturally.
   trace::TraceRecorder* Tracer() const override { return cu_.Tracer(); }
 
-  /// bridgeclSnapshot/bridgeclRestore forward to the inner CUDA runtime:
-  /// the image records the native layer actually driving the device, so a
-  /// snapshot taken through this wrapper restores through any CUDA-backed
-  /// binding. The inner cudaError annotation is re-sealed into the CL
-  /// vocabulary at the boundary, like every other forwarded call.
-  Status Snapshot(const std::string& path) override {
-    auto span = Span(TraceKind::kApiCall, "bridgeclSnapshot");
-    return span.Sealed(Seal(cu_.Snapshot(path), mocl::CL_OUT_OF_RESOURCES));
-  }
-  Status Restore(const std::string& path) override {
-    auto span = Span(TraceKind::kApiCall, "bridgeclRestore");
-    return span.Sealed(Seal(cu_.Restore(path), mocl::CL_OUT_OF_RESOURCES));
-  }
-
   StatusOr<std::string> QueryDeviceInfoString(ClDeviceAttr attr) override {
     auto span = Span(TraceKind::kApiCall, "clGetDeviceInfo");
     BRIDGECL_ASSIGN_OR_RETURN(mcuda::CudaDeviceProps p,

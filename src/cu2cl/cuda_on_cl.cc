@@ -110,22 +110,6 @@ class CudaOnClApi final : public CudaApi {
   /// recorder, so forwarded native calls nest under them naturally.
   trace::TraceRecorder* Tracer() const override { return cl_.Tracer(); }
 
-  /// bridgeclSnapshot/bridgeclRestore forward to the inner CL runtime:
-  /// the image records the native layer actually driving the device, so a
-  /// snapshot taken through this wrapper restores through any CL-backed
-  /// binding. The inner CL annotation is re-sealed into the cudaError
-  /// vocabulary at the boundary, like every other forwarded call.
-  Status Snapshot(const std::string& path) override {
-    auto span = Span(TraceKind::kApiCall, "bridgeclSnapshot");
-    return span.Sealed(
-        Seal(cl_.Snapshot(path), mcuda::cudaErrorMemoryAllocation));
-  }
-  Status Restore(const std::string& path) override {
-    auto span = Span(TraceKind::kApiCall, "bridgeclRestore");
-    return span.Sealed(
-        Seal(cl_.Restore(path), mcuda::cudaErrorMemoryAllocation));
-  }
-
   Status RegisterModule(const std::string& cuda_source) override {
     auto span = Span(TraceKind::kApiCall, "cudaRegisterFatBinary");
     // Translate now (static source-to-source step, Figure 3)...

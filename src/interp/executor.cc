@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -2372,13 +2371,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   // nw) sees the serial engine's canonical block order through memory.
   if (workers > 1) {
     GlobalAccessSummary acc = AnalyzeKernelGlobalAccesses(kernel);
-    if (std::getenv("BRIDGECL_DEBUG_HAZARD") != nullptr)
-      fprintf(stderr,
-              "[hazard] %s load=%llx store=%llx uload=%d ustore=%d atom=%d\n",
-              kernel_name.c_str(),
-              (unsigned long long)acc.load_params,
-              (unsigned long long)acc.store_params, acc.unknown_load,
-              acc.unknown_store, acc.uses_atomics);
     bool hazard = acc.uses_atomics || acc.unknown_store ||
                   (acc.unknown_load && acc.store_params != 0);
     if (!hazard && acc.store_params != 0) {
@@ -2485,10 +2477,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
       }
     }
   };
-  if (std::getenv("BRIDGECL_DEBUG_HAZARD") != nullptr)
-    fprintf(stderr, "[hazard] %s workers=%d blocks=%llu\n",
-            kernel_name.c_str(), workers,
-            (unsigned long long)total_blocks);
   WorkerPool::Instance().Run(workers, run_worker);
 
   // ---- canonical-order reduction ----

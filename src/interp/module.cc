@@ -1,6 +1,5 @@
 #include "interp/module.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -188,64 +187,6 @@ void SetModuleCacheEnabled(int enabled) {
                          std::memory_order_relaxed);
 }
 
-std::vector<ModuleCacheEntryState> ExportModuleCache() {
-  std::vector<ModuleCacheEntryState> out;
-  {
-    std::lock_guard<std::mutex> lock(g_cache_mu);
-    for (const auto& [key, entry] : CacheMap()) {
-      ModuleCacheEntryState s;
-      s.key = key;
-      // The composite key is source '\0' dialect-name '\0' options; split
-      // it back into the Compile inputs restore re-runs.
-      const std::string& fk = entry.full_key;
-      size_t first = fk.find('\0');
-      size_t second = fk.find('\0', first + 1);
-      if (first == std::string::npos || second == std::string::npos)
-        continue;  // never happens for entries Compile inserted
-      s.source = fk.substr(0, first);
-      s.dialect = fk.compare(first + 1, second - first - 1,
-                             lang::DialectName(Dialect::kCUDA)) == 0
-                      ? Dialect::kCUDA
-                      : Dialect::kOpenCL;
-      s.build_options = fk.substr(second + 1);
-      s.ok = entry.status.ok();
-      s.diags = entry.diags;
-      out.push_back(std::move(s));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ModuleCacheEntryState& a, const ModuleCacheEntryState& b) {
-              return a.key < b.key;
-            });
-  return out;
-}
-
-Status ImportModuleCache(const std::vector<ModuleCacheEntryState>& entries) {
-  for (const ModuleCacheEntryState& e : entries) {
-    DiagnosticEngine diags;
-    auto m = Module::Compile(e.source, e.dialect, diags, e.build_options);
-    if (m.ok() != e.ok)
-      return InvalidArgumentError(StrFormat(
-          "module cache entry %llx replayed with a different build outcome"
-          " (image: %s, now: %s)",
-          static_cast<unsigned long long>(e.key), e.ok ? "ok" : "failed",
-          m.ok() ? "ok" : "failed"));
-    const std::vector<Diagnostic>& now = diags.diagnostics();
-    bool same = now.size() == e.diags.size();
-    for (size_t i = 0; same && i < now.size(); ++i)
-      same = now[i].severity == e.diags[i].severity &&
-             now[i].loc.line == e.diags[i].loc.line &&
-             now[i].loc.column == e.diags[i].loc.column &&
-             now[i].message == e.diags[i].message;
-    if (!same)
-      return InvalidArgumentError(StrFormat(
-          "module cache entry %llx replayed with different diagnostics than"
-          " the image recorded",
-          static_cast<unsigned long long>(e.key)));
-  }
-  return OkStatus();
-}
-
 StatusOr<std::unique_ptr<Module>> Module::Compile(
     const std::string& source, Dialect dialect, DiagnosticEngine& diags,
     const std::string& build_options, ModuleCacheOutcome* outcome) {
@@ -363,30 +304,6 @@ Status Module::LoadOn(simgpu::Device& device) {
     BRIDGECL_ASSIGN_OR_RETURN(std::byte * p,
                               device.vm().Resolve(it->second, size));
     BRIDGECL_RETURN_IF_ERROR(EncodeInit(*v, p, size));
-  }
-  return OkStatus();
-}
-
-Status Module::RestoreLayout(simgpu::Device& device,
-                             const std::vector<SymbolBinding>& symbols) {
-  loaded_device_ = &device;
-  symbols_.clear();
-  var_vas_.clear();
-  for (const SymbolBinding& b : symbols) {
-    symbols_[b.name] = b.symbol;
-    // Re-link the evaluator's VarDecl → VA map by name; a symbol with no
-    // matching declaration means the image does not belong to this source.
-    bool bound = false;
-    for (auto& d : tu_->decls) {
-      if (d->kind != DeclKind::kVar || d->name != b.name) continue;
-      var_vas_[d->As<VarDecl>()] = b.symbol.va;
-      bound = true;
-      break;
-    }
-    if (!bound)
-      return InvalidArgumentError(
-          "snapshot image binds symbol '" + b.name +
-          "' that this module's source does not declare");
   }
   return OkStatus();
 }

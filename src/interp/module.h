@@ -66,26 +66,6 @@ uint64_t ModuleCacheKey(const std::string& source, lang::Dialect dialect,
 bool ModuleCacheEnabled();
 void SetModuleCacheEnabled(int enabled);
 
-/// One module-cache entry as captured in a snapshot image's MODC section
-/// (src/snapshot, docs/SNAPSHOT.md): the cache key inputs, whether the
-/// build succeeded, and the exact diagnostics the front end produced.
-struct ModuleCacheEntryState {
-  uint64_t key = 0;  // ModuleCacheKey(source, dialect, build_options)
-  std::string source;
-  lang::Dialect dialect = lang::Dialect::kOpenCL;
-  std::string build_options;
-  bool ok = false;
-  std::vector<Diagnostic> diags;
-};
-
-/// Every cache entry, sorted by key (deterministic image bytes).
-std::vector<ModuleCacheEntryState> ExportModuleCache();
-/// Repopulate the process-wide cache by re-running the (deterministic)
-/// front end over each entry, then verify the replayed diagnostics are
-/// byte-identical to the captured ones — the build-log determinism check
-/// restore relies on. No-op per entry when the cache already holds it.
-Status ImportModuleCache(const std::vector<ModuleCacheEntryState>& entries);
-
 class Module {
  public:
   /// Parse + analyze `source` in the given dialect. Results (including
@@ -123,24 +103,6 @@ class Module {
   };
   /// Module-scope variable lookup by name (constant or device-global).
   StatusOr<Symbol> FindSymbol(const std::string& name) const;
-  /// The whole symbol table (snapshot serialization).
-  const std::unordered_map<std::string, Symbol>& symbols() const {
-    return symbols_;
-  }
-
-  /// Snapshot restore: bind this module's module-scope symbols to the VAs
-  /// recorded in an image instead of laying them out afresh. LoadOn would
-  /// re-run the allocator and initializers, clobbering restored memory;
-  /// this adopts the image's layout (whose backing bytes were already
-  /// imported through VirtualMemory::ImportState) and only rebuilds the
-  /// name → VarDecl bindings the evaluator needs.
-  struct SymbolBinding {
-    std::string name;
-    Symbol symbol;
-  };
-  Status RestoreLayout(simgpu::Device& device,
-                       const std::vector<SymbolBinding>& symbols);
-
   /// VA of a module-scope variable (used by the evaluator for DeclRefs to
   /// file-scope state); 0 when unknown.
   uint64_t VaOf(const lang::VarDecl* v) const;
@@ -158,15 +120,6 @@ class Module {
   /// CUDA and OpenCL toolchains in the paper's cfd result).
   void SetRegisterOverride(const std::string& kernel, int regs);
   int RegistersFor(const lang::FunctionDecl* kernel) const;
-  /// All overrides (snapshot serialization).
-  const std::unordered_map<std::string, int>& register_overrides() const {
-    return register_overrides_;
-  }
-  /// All texture bindings (snapshot serialization).
-  const std::unordered_map<std::string, uint64_t>& texture_bindings() const {
-    return texture_bindings_;
-  }
-
   bool loaded() const { return loaded_device_ != nullptr; }
   simgpu::Device* loaded_device() const { return loaded_device_; }
 

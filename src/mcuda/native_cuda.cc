@@ -10,7 +10,6 @@
 #include "mcuda/cuda_errors.h"
 #include "sched/scheduler.h"
 #include "simgpu/fault_injector.h"
-#include "snapshot/snapshot.h"
 #include "support/strings.h"
 #include "trace/session.h"
 #include "trace/trace.h"
@@ -21,7 +20,6 @@ namespace {
 using interp::ImageDesc;
 using interp::KernelArg;
 using interp::Module;
-using lang::ScalarKind;
 using simgpu::Device;
 using simgpu::Dim3;
 using simgpu::FaultInjector;
@@ -460,178 +458,6 @@ class NativeCudaApi final : public CudaApi {
   }
 
   double NowUs() const override { return device_.now_us(); }
-
-  // -- bridgeclSnapshot / bridgeclRestore (src/snapshot) ---------------------
-  // Neither entry point charges simulated time or advances the clock: the
-  // clock is part of the captured state. Snapshot deliberately skips
-  // CheckUsable — a lost context can still be imaged for offline
-  // inspection and cross-device migration.
-  Status Snapshot(const std::string& path) override {
-    snapshot::ImageWriter w;
-    snapshot::AppendDeviceSections(device_, w);
-    snapshot::AppendModuleCacheSection(w);
-    snapshot::AppendSchedulerSection(sched_, w);
-
-    snapshot::ByteWriter b;
-    b.U64(next_event_);
-    // Modules in registration order (a vector — already deterministic).
-    b.U32(static_cast<uint32_t>(modules_.size()));
-    for (const auto& m : modules_) {
-      b.String(m->source());
-      snapshot::PutModuleLayout(b, *m);
-    }
-
-    std::vector<uint64_t> keys;
-    keys.reserve(arrays_.size());
-    for (const auto& [va, rec] : arrays_) keys.push_back(va);
-    std::sort(keys.begin(), keys.end());
-    b.U32(static_cast<uint32_t>(keys.size()));
-    for (uint64_t va : keys) {
-      const ArrayRec& rec = arrays_.at(va);
-      b.U64(va);
-      b.U64(rec.data_va);
-      b.U64(rec.width);
-      b.U64(rec.height);
-      b.U8(static_cast<uint8_t>(rec.desc.elem));
-      b.I32(rec.desc.channels);
-      b.U64(rec.byte_size);
-    }
-
-    std::vector<std::string> names;
-    names.reserve(textures_.size());
-    for (const auto& [name, rec] : textures_) names.push_back(name);
-    std::sort(names.begin(), names.end());
-    b.U32(static_cast<uint32_t>(names.size()));
-    for (const std::string& name : names) {
-      b.String(name);
-      b.U64(textures_.at(name).desc_va);
-    }
-
-    keys.clear();
-    keys.reserve(events_.size());
-    for (const auto& [handle, ev] : events_) keys.push_back(handle);
-    std::sort(keys.begin(), keys.end());
-    b.U32(static_cast<uint32_t>(keys.size()));
-    for (uint64_t handle : keys) {
-      b.U64(handle);
-      b.U64(events_.at(handle));
-    }
-    w.AddSection("MCUD", b.Take());
-    return Seal(w.WriteFile(path, device_.profile().name),
-                cudaErrorInvalidValue);
-  }
-
-  Status Restore(const std::string& path) override {
-    auto img_or = snapshot::ImageReader::Open(path);
-    if (!img_or.ok()) return Seal(img_or.status(), cudaErrorInvalidValue);
-    const snapshot::ImageReader& img = *img_or;
-    auto sec_or = img.Section("MCUD");
-    if (!sec_or.ok())
-      return AsCuda(InvalidArgumentError(
-                        "snapshot image was not taken by a CUDA context"),
-                    cudaErrorInvalidValue);
-
-    // Decode the whole layer section before touching any state: a corrupt
-    // image must leave the context exactly as it was.
-    snapshot::ByteReader b(*sec_or);
-    uint64_t next_event = 0;
-    struct ModuleImage {
-      std::string source;
-      snapshot::ModuleLayout layout;
-    };
-    std::vector<ModuleImage> module_images;
-    std::unordered_map<uint64_t, ArrayRec> arrays;
-    std::unordered_map<std::string, TextureRec> textures;
-    std::unordered_map<uint64_t, uint64_t> events;
-    {
-      Status st = [&]() -> Status {
-        BRIDGECL_ASSIGN_OR_RETURN(next_event, b.U64());
-        BRIDGECL_ASSIGN_OR_RETURN(uint32_t n, b.U32());
-        module_images.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(module_images[i].source, b.String());
-          BRIDGECL_RETURN_IF_ERROR(
-              snapshot::TakeModuleLayout(b, &module_images[i].layout));
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(n, b.U32());
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, b.U64());
-          ArrayRec rec;
-          BRIDGECL_ASSIGN_OR_RETURN(rec.data_va, b.U64());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t width, b.U64());
-          rec.width = width;
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t height, b.U64());
-          rec.height = height;
-          BRIDGECL_ASSIGN_OR_RETURN(uint8_t elem, b.U8());
-          rec.desc.elem = static_cast<ScalarKind>(elem);
-          BRIDGECL_ASSIGN_OR_RETURN(rec.desc.channels, b.I32());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t bytes, b.U64());
-          rec.byte_size = bytes;
-          arrays[va] = rec;
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(n, b.U32());
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(std::string name, b.String());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t desc_va, b.U64());
-          textures[name] = TextureRec{desc_va};
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(n, b.U32());
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t handle, b.U64());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t ev, b.U64());
-          events[handle] = ev;
-        }
-        if (!b.AtEnd())
-          return InvalidArgumentError(
-              "corrupt snapshot image: trailing bytes in MCUD section");
-        return OkStatus();
-      }();
-      if (!st.ok()) return Seal(std::move(st), cudaErrorInvalidValue);
-    }
-
-    // Shared state. The VM import is the only fallible mutation and it
-    // validates capacity before changing anything, so a cross-profile
-    // restore onto a too-small device fails cleanly
-    // (cudaErrorMemoryAllocation).
-    BRIDGECL_RETURN_IF_ERROR(Seal(snapshot::RestoreModuleCacheSection(img),
-                                  cudaErrorInvalidValue));
-    BRIDGECL_RETURN_IF_ERROR(
-        Seal(snapshot::RestoreDeviceSections(img, device_),
-             cudaErrorMemoryAllocation));
-    BRIDGECL_RETURN_IF_ERROR(
-        Seal(snapshot::RestoreSchedulerSection(img, sched_),
-             cudaErrorInvalidValue));
-
-    // Modules: recompile (a cache hit after the MODC import) and adopt the
-    // image's symbol layout — LoadOn would re-allocate and clobber the
-    // memory restored above.
-    std::vector<std::unique_ptr<Module>> new_modules;
-    new_modules.reserve(module_images.size());
-    for (const ModuleImage& mi : module_images) {
-      DiagnosticEngine diags;
-      auto m = Module::Compile(mi.source, lang::Dialect::kCUDA, diags);
-      if (!m.ok())
-        return AsCuda(InvalidArgumentError(
-                          "snapshot image holds a module that no longer "
-                          "compiles: " + m.status().message()),
-                      cudaErrorInvalidValue);
-      Status st = snapshot::ApplyModuleLayout(**m, device_, mi.layout);
-      if (!st.ok()) return Seal(std::move(st), cudaErrorInvalidValue);
-      new_modules.push_back(std::move(*m));
-    }
-    modules_ = std::move(new_modules);
-    arrays_ = std::move(arrays);
-    textures_ = std::move(textures);
-    events_ = std::move(events);
-    next_event_ = next_event;
-
-    // Cross-profile migration: re-apply this runtime's profile-default
-    // bank mode when the image came from a different profile (same-profile
-    // restores keep the image's mode bit-identically).
-    if (img.info().profile != device_.profile().name)
-      device_.set_bank_mode(device_.profile().cuda_bank_mode);
-    return OkStatus();
-  }
 
  private:
   /// Per-entry-point trace span; a no-op when no recorder is attached.

@@ -10,7 +10,6 @@
 #include "mocl/cl_errors.h"
 #include "sched/scheduler.h"
 #include "simgpu/fault_injector.h"
-#include "snapshot/snapshot.h"
 #include "support/strings.h"
 #include "trace/session.h"
 #include "trace/trace.h"
@@ -22,7 +21,6 @@ using interp::ImageDesc;
 using interp::KernelArg;
 using interp::Module;
 using lang::AddressSpace;
-using lang::ScalarKind;
 using simgpu::Device;
 using simgpu::Dim3;
 using simgpu::FaultInjector;
@@ -32,16 +30,6 @@ using trace::TraceKind;
 
 /// Fixed simulated cost of an on-line clBuildProgram (front end + codegen).
 constexpr double kBuildCostUs = 4000.0;
-
-/// Handle-table keys in ascending order (deterministic snapshot images).
-template <typename Map>
-std::vector<uint64_t> SortedKeys(const Map& m) {
-  std::vector<uint64_t> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 struct BufferRec {
   uint64_t va = 0;
@@ -761,230 +749,6 @@ class NativeClApi final : public OpenClApi {
 
   double NowUs() const override { return device_.now_us(); }
   double BuildTimeUs() const override { return build_time_us_; }
-
-  // -- bridgeclSnapshot / bridgeclRestore (src/snapshot) ---------------------
-  // Neither entry point charges simulated time or advances the clock: the
-  // clock is part of the captured state, and a snapshot of a context must
-  // restore to the exact clock it was taken at. Snapshot deliberately
-  // skips CheckUsable — a lost context can still be imaged for offline
-  // inspection and cross-device migration.
-  Status Snapshot(const std::string& path) override {
-    snapshot::ImageWriter w;
-    snapshot::AppendDeviceSections(device_, w);
-    snapshot::AppendModuleCacheSection(w);
-    snapshot::AppendSchedulerSection(sched_, w);
-
-    snapshot::ByteWriter b;
-    b.U64(next_id_);
-    b.F64(build_time_us_);
-
-    auto ids = SortedKeys(buffers_);
-    b.U32(static_cast<uint32_t>(ids.size()));
-    for (uint64_t id : ids) {
-      const BufferRec& rec = buffers_.at(id);
-      b.U64(id);
-      b.U64(rec.va);
-      b.U64(rec.size);
-      b.U8(static_cast<uint8_t>(rec.flags));
-    }
-
-    ids = SortedKeys(images_);
-    b.U32(static_cast<uint32_t>(ids.size()));
-    for (uint64_t id : ids) {
-      const ImageRec& rec = images_.at(id);
-      b.U64(id);
-      b.U64(rec.desc_va);
-      b.U64(rec.data_va);
-      b.Bool(rec.owns_data);
-      b.U64(rec.width);
-      b.U64(rec.height);
-      b.U8(static_cast<uint8_t>(rec.format.elem));
-      b.I32(rec.format.channels);
-      b.U64(rec.byte_size);
-    }
-
-    ids = SortedKeys(programs_);
-    b.U32(static_cast<uint32_t>(ids.size()));
-    for (uint64_t id : ids) {
-      const ProgramRec& rec = programs_.at(id);
-      b.U64(id);
-      b.String(rec.source);
-      b.String(rec.build_log);
-      b.Bool(rec.module != nullptr);
-      if (rec.module != nullptr) snapshot::PutModuleLayout(b, *rec.module);
-    }
-
-    ids = SortedKeys(kernels_);
-    b.U32(static_cast<uint32_t>(ids.size()));
-    for (uint64_t id : ids) {
-      const KernelRec& rec = kernels_.at(id);
-      b.U64(id);
-      b.U64(rec.program);
-      b.String(rec.name);
-      b.U32(static_cast<uint32_t>(rec.args.size()));
-      for (size_t i = 0; i < rec.args.size(); ++i) {
-        const KernelArg& a = rec.args[i];
-        b.U8(static_cast<uint8_t>(a.kind));
-        b.Blob(std::span<const std::byte>(a.bytes));
-        b.U64(a.local_size);
-        b.Bool(rec.set[i]);
-      }
-    }
-    w.AddSection("MOCL", b.Take());
-    return Seal(w.WriteFile(path, device_.profile().name), CL_INVALID_VALUE);
-  }
-
-  Status Restore(const std::string& path) override {
-    auto img_or = snapshot::ImageReader::Open(path);
-    if (!img_or.ok()) return Seal(img_or.status(), CL_INVALID_VALUE);
-    const snapshot::ImageReader& img = *img_or;
-    auto sec_or = img.Section("MOCL");
-    if (!sec_or.ok())
-      return AsCl(InvalidArgumentError(
-                      "snapshot image was not taken by an OpenCL context"),
-                  CL_INVALID_VALUE);
-
-    // Decode the whole layer section into plain data before touching any
-    // state: a corrupt image must leave the context exactly as it was.
-    snapshot::ByteReader b(*sec_or);
-    uint64_t next_id = 1;
-    double build_time_us = 0;
-    std::unordered_map<uint64_t, BufferRec> buffers;
-    std::unordered_map<uint64_t, ImageRec> images;
-    struct ProgramImage {
-      std::string source;
-      std::string build_log;
-      bool built = false;
-      snapshot::ModuleLayout layout;
-    };
-    std::vector<std::pair<uint64_t, ProgramImage>> programs;
-    std::unordered_map<uint64_t, KernelRec> kernels;
-    {
-      Status st = [&]() -> Status {
-        BRIDGECL_ASSIGN_OR_RETURN(next_id, b.U64());
-        BRIDGECL_ASSIGN_OR_RETURN(build_time_us, b.F64());
-        BRIDGECL_ASSIGN_OR_RETURN(uint32_t n, b.U32());
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t id, b.U64());
-          BufferRec rec;
-          BRIDGECL_ASSIGN_OR_RETURN(rec.va, b.U64());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t size, b.U64());
-          rec.size = size;
-          BRIDGECL_ASSIGN_OR_RETURN(uint8_t flags, b.U8());
-          if (flags > static_cast<uint8_t>(MemFlags::kWriteOnly))
-            return InvalidArgumentError(
-                "corrupt snapshot image: unknown buffer flags");
-          rec.flags = static_cast<MemFlags>(flags);
-          buffers[id] = rec;
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(n, b.U32());
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t id, b.U64());
-          ImageRec rec;
-          BRIDGECL_ASSIGN_OR_RETURN(rec.desc_va, b.U64());
-          BRIDGECL_ASSIGN_OR_RETURN(rec.data_va, b.U64());
-          BRIDGECL_ASSIGN_OR_RETURN(rec.owns_data, b.Bool());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t w, b.U64());
-          rec.width = w;
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t h, b.U64());
-          rec.height = h;
-          BRIDGECL_ASSIGN_OR_RETURN(uint8_t elem, b.U8());
-          rec.format.elem = static_cast<ScalarKind>(elem);
-          BRIDGECL_ASSIGN_OR_RETURN(rec.format.channels, b.I32());
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t bytes, b.U64());
-          rec.byte_size = bytes;
-          images[id] = rec;
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(n, b.U32());
-        programs.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(programs[i].first, b.U64());
-          ProgramImage& p = programs[i].second;
-          BRIDGECL_ASSIGN_OR_RETURN(p.source, b.String());
-          BRIDGECL_ASSIGN_OR_RETURN(p.build_log, b.String());
-          BRIDGECL_ASSIGN_OR_RETURN(p.built, b.Bool());
-          if (p.built)
-            BRIDGECL_RETURN_IF_ERROR(snapshot::TakeModuleLayout(b, &p.layout));
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(n, b.U32());
-        for (uint32_t i = 0; i < n; ++i) {
-          BRIDGECL_ASSIGN_OR_RETURN(uint64_t id, b.U64());
-          KernelRec rec;
-          BRIDGECL_ASSIGN_OR_RETURN(rec.program, b.U64());
-          BRIDGECL_ASSIGN_OR_RETURN(rec.name, b.String());
-          BRIDGECL_ASSIGN_OR_RETURN(uint32_t nargs, b.U32());
-          rec.args.resize(nargs);
-          rec.set.resize(nargs);
-          for (uint32_t j = 0; j < nargs; ++j) {
-            KernelArg& a = rec.args[j];
-            BRIDGECL_ASSIGN_OR_RETURN(uint8_t kind, b.U8());
-            if (kind > static_cast<uint8_t>(KernelArg::Kind::kLocalAlloc))
-              return InvalidArgumentError(
-                  "corrupt snapshot image: unknown kernel-arg kind");
-            a.kind = static_cast<KernelArg::Kind>(kind);
-            BRIDGECL_ASSIGN_OR_RETURN(a.bytes, b.Blob());
-            BRIDGECL_ASSIGN_OR_RETURN(uint64_t ls, b.U64());
-            a.local_size = ls;
-            BRIDGECL_ASSIGN_OR_RETURN(bool set, b.Bool());
-            rec.set[j] = set;
-          }
-          kernels[id] = std::move(rec);
-        }
-        if (!b.AtEnd())
-          return InvalidArgumentError(
-              "corrupt snapshot image: trailing bytes in MOCL section");
-        return OkStatus();
-      }();
-      if (!st.ok()) return Seal(std::move(st), CL_INVALID_VALUE);
-    }
-
-    // Shared state. The VM import is the only fallible mutation and it
-    // validates capacity before changing anything, so a cross-profile
-    // restore onto a too-small device fails cleanly (CL_OUT_OF_RESOURCES).
-    BRIDGECL_RETURN_IF_ERROR(
-        Seal(snapshot::RestoreModuleCacheSection(img), CL_INVALID_VALUE));
-    BRIDGECL_RETURN_IF_ERROR(
-        Seal(snapshot::RestoreDeviceSections(img, device_),
-             CL_OUT_OF_RESOURCES));
-    BRIDGECL_RETURN_IF_ERROR(
-        Seal(snapshot::RestoreSchedulerSection(img, sched_),
-             CL_INVALID_VALUE));
-
-    // Layer tables. Built programs are recompiled (a cache hit after the
-    // MODC import) and adopt the image's symbol layout — LoadOn would
-    // re-allocate and clobber the memory restored above.
-    std::unordered_map<uint64_t, ProgramRec> new_programs;
-    for (auto& [id, p] : programs) {
-      ProgramRec& rec = new_programs[id];
-      rec.source = std::move(p.source);
-      rec.build_log = std::move(p.build_log);
-      if (!p.built) continue;
-      DiagnosticEngine diags;
-      auto m = Module::Compile(rec.source, lang::Dialect::kOpenCL, diags);
-      if (!m.ok())
-        return AsCl(InvalidArgumentError(
-                        "snapshot image holds a program that no longer "
-                        "compiles: " + m.status().message()),
-                    CL_INVALID_VALUE);
-      Status st = snapshot::ApplyModuleLayout(**m, device_, p.layout);
-      if (!st.ok()) return Seal(std::move(st), CL_INVALID_VALUE);
-      rec.module = std::move(*m);
-    }
-    buffers_ = std::move(buffers);
-    images_ = std::move(images);
-    programs_ = std::move(new_programs);
-    kernels_ = std::move(kernels);
-    next_id_ = next_id;
-    build_time_us_ = build_time_us;
-
-    // Cross-profile migration: memory, modules and timelines carry over,
-    // but the bank mode is a property of *this* runtime on *this* device —
-    // re-apply the profile default when the image came from a different
-    // profile (same-profile restores keep the image's mode bit-identically).
-    if (img.info().profile != device_.profile().name)
-      device_.set_bank_mode(device_.profile().opencl_bank_mode);
-    return OkStatus();
-  }
 
  private:
   /// Per-entry-point trace span; a no-op when no recorder is attached.

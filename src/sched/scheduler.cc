@@ -190,42 +190,6 @@ bool Scheduler::ReleaseEvent(uint64_t event) {
   return events_.erase(event) != 0;
 }
 
-Scheduler::State Scheduler::ExportState() const {
-  State s;
-  s.queues.reserve(queues_.size());
-  for (const auto& [id, q] : queues_)
-    s.queues.push_back(
-        QueueState{id, q.ooo, q.last_end, q.barrier_end, q.max_end,
-                   q.pending});
-  s.events.reserve(events_.size());
-  for (const auto& [id, e] : events_)
-    s.events.push_back(EventState{id, e.times, e.status});
-  s.next_queue = next_queue_;
-  s.next_event = next_event_;
-  return s;
-}
-
-void Scheduler::ImportState(const State& state) {
-  queues_.clear();
-  for (const QueueState& q : state.queues) {
-    QueueRec rec;
-    rec.ooo = q.ooo;
-    rec.last_end = q.last_end;
-    rec.barrier_end = q.barrier_end;
-    rec.max_end = q.max_end;
-    rec.pending = q.pending;
-    queues_[q.id] = std::move(rec);
-  }
-  // The default queue is an invariant of the class; a (malformed) image
-  // without it must not leave the scheduler unusable.
-  queues_.try_emplace(kDefaultQueue);
-  events_.clear();
-  for (const EventState& e : state.events)
-    events_[e.id] = EventRec{e.times, e.status};
-  next_queue_ = state.next_queue;
-  next_event_ = state.next_event;
-}
-
 Scheduler::QueueRec* Scheduler::Find(uint64_t queue) {
   auto it = queues_.find(queue);
   return it == queues_.end() ? nullptr : &it->second;

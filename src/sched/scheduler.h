@@ -132,35 +132,6 @@ class Scheduler {
   /// Live event records (leak check for the sanitize suite).
   size_t LiveEvents() const { return events_.size(); }
 
-  // -- snapshot/restore (src/snapshot, docs/SNAPSHOT.md) --------------------
-  /// Queue topology and completed-event records as plain data. Commands
-  /// execute eagerly at enqueue, so there is never an in-flight command to
-  /// capture — queues are fully described by their timeline horizons and
-  /// parked errors, events by their recorded times and status.
-  struct QueueState {
-    uint64_t id = 0;
-    bool ooo = false;
-    double last_end = 0;
-    double barrier_end = 0;
-    double max_end = 0;
-    Status pending;
-  };
-  struct EventState {
-    uint64_t id = 0;
-    EventTimes times;
-    Status status;
-  };
-  struct State {
-    std::vector<QueueState> queues;  // ascending id; includes the default
-    std::vector<EventState> events;  // ascending id
-    uint64_t next_queue = 1;
-    uint64_t next_event = 0;
-  };
-  State ExportState() const;
-  /// Replace all queue and event records with `state` (the default queue
-  /// comes from the image like any other).
-  void ImportState(const State& state);
-
  private:
   struct QueueRec {
     bool ooo = false;

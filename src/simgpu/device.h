@@ -152,46 +152,6 @@ class Device {
     }
   }
 
-  // -- snapshot/restore (src/snapshot, docs/SNAPSHOT.md) -------------------
-  /// Clock, statistics and engine-timeline state as one plain-data image.
-  /// Virtual-memory and fault-injector state are exported through their
-  /// own hooks (vm().ExportState(), faults().ExportState()).
-  struct ExecState {
-    DeviceStats stats;
-    BankMode bank_mode = BankMode::k32Bit;
-    double clock_us = 0;
-    double engine_free_us[kEngineCount] = {0, 0};
-    double engine_busy_us[kEngineCount] = {0, 0};
-    double engine_overlap_us = 0;
-    std::vector<std::pair<double, double>> engine_intervals[kEngineCount];
-  };
-  ExecState ExportExecState() const {
-    ExecState s;
-    s.stats = stats_;
-    s.bank_mode = bank_mode_;
-    s.clock_us = clock_us_;
-    s.engine_overlap_us = engine_overlap_us_;
-    for (int e = 0; e < kEngineCount; ++e) {
-      s.engine_free_us[e] = engine_free_us_[e];
-      s.engine_busy_us[e] = engine_busy_us_[e];
-      s.engine_intervals[e] = engine_intervals_[e];
-    }
-    return s;
-  }
-  void ImportExecState(const ExecState& s) {
-    stats_ = s.stats;
-    bank_mode_ = s.bank_mode;
-    clock_us_ = s.clock_us;
-    capturing_ = false;
-    captured_us_ = 0;
-    engine_overlap_us_ = s.engine_overlap_us;
-    for (int e = 0; e < kEngineCount; ++e) {
-      engine_free_us_[e] = s.engine_free_us[e];
-      engine_busy_us_[e] = s.engine_busy_us[e];
-      engine_intervals_[e] = s.engine_intervals[e];
-    }
-  }
-
   /// The trace recorder attached to this device, or null. Owned by a
   /// trace::TraceSession (or equivalent), never by the device; recording
   /// only *reads* the clock and stats, so attaching a recorder cannot

@@ -95,27 +95,6 @@ class FaultInjector {
     return counters_[static_cast<size_t>(site)];
   }
 
-  // -- snapshot/restore (src/snapshot, docs/SNAPSHOT.md) --------------------
-  /// The injector's whole deterministic state: remaining plan points,
-  /// per-site ordinal counters, and the sticky/transient flags. Restoring
-  /// it makes an interrupted nth-fault sweep resume bit-identically — the
-  /// next operation at a site sees exactly the ordinal it would have.
-  struct State {
-    FaultPlan plan;
-    std::array<uint64_t, 6> counters = {};
-    bool lost = false;
-    bool last_fault_transient = false;
-  };
-  State ExportState() const {
-    return State{plan_, counters_, lost_, last_fault_transient_};
-  }
-  void ImportState(const State& s) {
-    plan_ = s.plan;
-    counters_ = s.counters;
-    lost_ = s.lost;
-    last_fault_transient_ = s.last_fault_transient;
-  }
-
   // -- consult hooks (one per site) -----------------------------------------
   Status OnGlobalAlloc(size_t bytes);
   Status OnGlobalFree();

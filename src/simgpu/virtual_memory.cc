@@ -211,66 +211,6 @@ StatusOr<std::byte*> VirtualMemory::Resolve(uint64_t va, size_t len) {
                 len, static_cast<unsigned long long>(va)));
 }
 
-VirtualMemory::State VirtualMemory::ExportState() const {
-  State s;
-  s.guarded = guarded_;
-  s.global_in_use = global_in_use_;
-  s.live_global_count = live_global_count_;
-  s.next_global = next_global_;
-  s.next_generation = next_generation_.load(std::memory_order_relaxed);
-  s.global_allocs.reserve(global_allocs_.size());
-  for (const auto& [base, r] : global_allocs_) {
-    RegionState rs;
-    rs.base = base;
-    rs.storage = r.storage;
-    rs.user_size = r.user_size;
-    rs.span = r.span;
-    rs.front_pad = r.front_pad;
-    rs.generation = r.generation;
-    rs.freed = r.freed;
-    s.global_allocs.push_back(std::move(rs));
-  }
-  s.constant.storage = constant_.storage;
-  s.constant.user_size = constant_.user_size;
-  s.constant.span = constant_.span;
-  return s;
-}
-
-Status VirtualMemory::ImportState(const State& state) {
-  if (state.global_in_use > global_capacity_)
-    return ResourceExhaustedError(StrFormat(
-        "snapshot image holds %llu bytes of global memory but this device"
-        " has only %zu",
-        static_cast<unsigned long long>(state.global_in_use),
-        global_capacity_));
-  guarded_ = state.guarded;
-  global_in_use_ = state.global_in_use;
-  live_global_count_ = state.live_global_count;
-  next_global_ = state.next_global;
-  next_generation_.store(state.next_generation, std::memory_order_relaxed);
-  global_allocs_.clear();
-  for (const RegionState& rs : state.global_allocs) {
-    Region r;
-    r.storage = rs.storage;
-    r.user_size = rs.user_size;
-    r.span = rs.span;
-    r.front_pad = rs.front_pad;
-    r.generation = rs.generation;
-    r.freed = rs.freed;
-    global_allocs_.emplace(rs.base, std::move(r));
-  }
-  constant_ = Region{};
-  constant_.storage = state.constant.storage;
-  constant_.user_size = state.constant.user_size;
-  constant_.span = state.constant.span;
-  // Shared/private windows live only for the duration of one launch (the
-  // scheduler executes commands eagerly, so no launch is ever in flight
-  // at snapshot time); the next launch remaps them.
-  shared_slots_ = std::vector<Region>(1);
-  private_slots_ = std::vector<Region>(1);
-  return OkStatus();
-}
-
 StatusOr<Segment> VirtualMemory::SegmentOf(uint64_t va) const {
   if (va >= kConstantBase) return Segment::kConstant;
   if (va >= kSharedBase) return Segment::kShared;

@@ -118,39 +118,6 @@ class VirtualMemory {
   /// Number of live global allocations (leak checks in tests).
   size_t global_allocation_count() const { return live_global_count_; }
 
-  // -- snapshot/restore (src/snapshot, docs/SNAPSHOT.md) -------------------
-  /// Plain-data image of one mapped region, including its full backing
-  /// store (redzones and poison bytes included) and guard metadata.
-  struct RegionState {
-    uint64_t base = 0;  // VA key for global allocations; unused otherwise
-    std::vector<std::byte> storage;
-    uint64_t user_size = 0;
-    uint64_t span = 0;
-    uint64_t front_pad = 0;
-    uint64_t generation = 0;
-    bool freed = false;
-  };
-  /// Everything a snapshot image needs to rebuild this address space on
-  /// another device: allocation table (live regions *and* guarded freed
-  /// tombstones), the constant region, and the allocator cursors that make
-  /// post-restore allocations land at the same VAs they would have.
-  struct State {
-    bool guarded = false;
-    uint64_t global_in_use = 0;
-    uint64_t live_global_count = 0;
-    uint64_t next_global = kGlobalBase;
-    uint64_t next_generation = 0;
-    std::vector<RegionState> global_allocs;  // ascending base VA
-    RegionState constant;
-  };
-  State ExportState() const;
-  /// Replace all allocations, guard metadata and the constant region with
-  /// `state`. The configured capacity is kept (cross-profile restore may
-  /// land on a smaller device); fails with kResourceExhausted when the
-  /// image holds more live memory than this device has. Shared/private
-  /// worker slots are transient per-launch state and reset to empty.
-  Status ImportState(const State& state);
-
   uint64_t constant_base() const { return kConstantBase; }
   uint64_t shared_base(int slot = 0) const {
     return kSharedBase + static_cast<uint64_t>(slot) * kWorkerSlotStride;

@@ -7,9 +7,6 @@
 // classification; docs/ROBUSTNESS.md documents the expected mappings.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -467,111 +464,6 @@ TEST(FaultSweepTest, TruncatedTransferReportsPartialProgress) {
       << st.ToString();
   run.Cleanup(*s.cl);
   EXPECT_EQ(s.device.vm().global_allocation_count(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Resumable sweeps: a snapshot image carries the fault injector's plan
-// and ordinal counters (src/snapshot, docs/SNAPSHOT.md), so an
-// interrupted nth-fault sweep run restores into a fresh context and
-// resumes bit-identically — the fault fires at the same step, with the
-// same code, at the same simulated instant and ordinal totals.
-// ---------------------------------------------------------------------------
-TEST(FaultSweepTest, InterruptedSweepRunResumesBitIdentically) {
-  constexpr int kCopies = 8;
-  constexpr int kSnapAfter = 3;
-  std::vector<float> host(16, 1.0f);
-
-  // Counting run: how many transfer ordinals one copy consumes, and how
-  // many are consumed before the first copy.
-  uint64_t base = 0, per_copy = 0;
-  {
-    Device device{TitanProfile()};
-    auto cu = mcuda::CreateNativeCudaApi(device);
-    device.faults().set_plan(SentinelPlan());
-    auto p = cu->Malloc(64);
-    ASSERT_TRUE(p.ok());
-    ASSERT_TRUE(
-        cu->Memcpy(*p, host.data(), 64, MemcpyKind::kHostToDevice).ok());
-    const uint64_t after_one = device.faults().count(FaultSite::kTransfer);
-    ASSERT_TRUE(
-        cu->Memcpy(*p, host.data(), 64, MemcpyKind::kHostToDevice).ok());
-    per_copy = device.faults().count(FaultSite::kTransfer) - after_one;
-    ASSERT_GT(per_copy, 0u);
-    base = after_one - per_copy;
-  }
-  // Arms the 6th copy (index 5): after the snapshot point, so the fault
-  // belongs to the resumed half of the sweep.
-  const uint64_t nth = base + per_copy * 5;
-
-  // Uninterrupted reference run.
-  int fail_at_a = -1;
-  Status st_a;
-  uint64_t count_a = 0;
-  double clock_a = 0;
-  void* ptr = nullptr;
-  {
-    Device device{TitanProfile()};
-    auto cu = mcuda::CreateNativeCudaApi(device);
-    device.faults().set_plan(OneShot(FaultSite::kTransfer, nth));
-    auto p = cu->Malloc(64);
-    ASSERT_TRUE(p.ok());
-    for (int i = 0; i < kCopies; ++i) {
-      Status st =
-          cu->Memcpy(*p, host.data(), 64, MemcpyKind::kHostToDevice);
-      if (!st.ok()) {
-        fail_at_a = i;
-        st_a = st;
-        break;
-      }
-    }
-    ASSERT_EQ(fail_at_a, 5);
-    count_a = device.faults().count(FaultSite::kTransfer);
-    clock_a = cu->NowUs();
-  }
-
-  // The same run, interrupted by a snapshot after three copies. The
-  // device allocator is deterministic, so the buffer's address matches
-  // the reference run's — and stays valid across restore, exactly as a
-  // checkpointed application would persist its own handles.
-  const std::string path = ::testing::TempDir() + "bridgecl_sweep_" +
-                           std::to_string(::getpid()) + ".sgsnap";
-  {
-    Device device{TitanProfile()};
-    auto cu = mcuda::CreateNativeCudaApi(device);
-    device.faults().set_plan(OneShot(FaultSite::kTransfer, nth));
-    auto p = cu->Malloc(64);
-    ASSERT_TRUE(p.ok());
-    ptr = *p;
-    for (int i = 0; i < kSnapAfter; ++i)
-      ASSERT_TRUE(
-          cu->Memcpy(*p, host.data(), 64, MemcpyKind::kHostToDevice).ok());
-    ASSERT_TRUE(cu->Snapshot(path).ok());
-  }
-
-  // Resume in a fresh context: no re-arming — the plan and the already
-  // consumed ordinals come from the image.
-  {
-    Device device{TitanProfile()};
-    auto cu = mcuda::CreateNativeCudaApi(device);
-    ASSERT_TRUE(cu->Restore(path).ok());
-    int fail_at_b = -1;
-    Status st_b;
-    for (int i = kSnapAfter; i < kCopies; ++i) {
-      Status st =
-          cu->Memcpy(ptr, host.data(), 64, MemcpyKind::kHostToDevice);
-      if (!st.ok()) {
-        fail_at_b = i;
-        st_b = st;
-        break;
-      }
-    }
-    EXPECT_EQ(fail_at_b, fail_at_a);
-    EXPECT_EQ(st_b.code(), st_a.code());
-    EXPECT_EQ(st_b.api_code(), st_a.api_code());
-    EXPECT_EQ(device.faults().count(FaultSite::kTransfer), count_a);
-    EXPECT_EQ(cu->NowUs(), clock_a);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

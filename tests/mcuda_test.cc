@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
 
 #include "mcuda/cuda_api.h"
@@ -237,6 +238,29 @@ TEST_F(McudaTest, RegisterOverrideAffectsOccupancy) {
   ASSERT_TRUE(cu_->SetKernelRegisters("k", 85).ok());
   EXPECT_FALSE(cu_->SetKernelRegisters("missing", 85).ok());
   EXPECT_NEAR(device_.OccupancyFor(85), 0.375, 0.01);
+}
+
+TEST_F(McudaTest, SnapshotAndRestoreAreUnimplemented) {
+  // No binding checkpoints a context: both calls fail, write no file,
+  // charge nothing, and leave live allocations as they were.
+  std::vector<int> data(16);
+  std::iota(data.begin(), data.end(), 5);
+  auto p = cu_->Malloc(64);
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(
+      cu_->Memcpy(*p, data.data(), 64, MemcpyKind::kHostToDevice).ok());
+  const uint64_t calls = device_.stats().api_calls;
+  const double now = cu_->NowUs();
+  const std::string path = ::testing::TempDir() + "bridgecl_mcuda_image";
+  EXPECT_EQ(cu_->Snapshot(path).code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(cu_->Restore(path).code(), StatusCode::kUnimplemented);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(device_.stats().api_calls, calls);
+  EXPECT_EQ(cu_->NowUs(), now);
+  std::vector<int> back(16);
+  ASSERT_TRUE(
+      cu_->Memcpy(back.data(), *p, 64, MemcpyKind::kDeviceToHost).ok());
+  EXPECT_EQ(back, data);
 }
 
 TEST_F(McudaTest, UnknownKernelRejected) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
 
 #include "mocl/cl_api.h"
@@ -223,6 +224,26 @@ TEST_F(MoclTest, OpenClBankModeIsActive) {
   // Creating the native OpenCL binding on a Titan selects the 32-bit
   // shared-memory addressing mode (§6.2).
   EXPECT_EQ(device_.bank_mode(), simgpu::BankMode::k32Bit);
+}
+
+TEST_F(MoclTest, SnapshotAndRestoreAreUnimplemented) {
+  // No binding checkpoints a context: both calls fail, write no file,
+  // charge nothing, and leave live buffers as they were.
+  std::vector<int> data(16);
+  std::iota(data.begin(), data.end(), 5);
+  auto mem = cl_->CreateBuffer(MemFlags::kReadWrite, 64, data.data());
+  ASSERT_TRUE(mem.ok());
+  const uint64_t calls = device_.stats().api_calls;
+  const double now = cl_->NowUs();
+  const std::string path = ::testing::TempDir() + "bridgecl_mocl_image";
+  EXPECT_EQ(cl_->Snapshot(path).code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(cl_->Restore(path).code(), StatusCode::kUnimplemented);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(device_.stats().api_calls, calls);
+  EXPECT_EQ(cl_->NowUs(), now);
+  std::vector<int> back(16);
+  ASSERT_TRUE(cl_->EnqueueReadBuffer(*mem, 0, 64, back.data()).ok());
+  EXPECT_EQ(back, data);
 }
 
 TEST_F(MoclTest, BuildTimeTrackedSeparately) {

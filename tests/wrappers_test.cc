@@ -3,6 +3,7 @@
 // binding, and results must agree bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
 
 #include "cl2cu/cl_on_cuda.h"
@@ -222,6 +223,29 @@ TEST(Cl2CuTest, SubDevicesUnimplementable) {
   auto r = wrapped->CreateSubDevices(2);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+}
+
+TEST(Cl2CuTest, SnapshotAndRestoreAreUnimplemented) {
+  // The wrapper forwards neither call: both fail, write no file, charge
+  // nothing, and leave live buffers as they were.
+  Device dev(TitanProfile());
+  auto cuda = mcuda::CreateNativeCudaApi(dev);
+  auto wrapped = cl2cu::CreateClOnCudaApi(*cuda);
+  std::vector<int> data(16);
+  std::iota(data.begin(), data.end(), 5);
+  auto mem = wrapped->CreateBuffer(MemFlags::kReadWrite, 64, data.data());
+  ASSERT_TRUE(mem.ok());
+  const uint64_t calls = dev.stats().api_calls;
+  const double now = wrapped->NowUs();
+  const std::string path = ::testing::TempDir() + "bridgecl_cl2cu_image";
+  EXPECT_EQ(wrapped->Snapshot(path).code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(wrapped->Restore(path).code(), StatusCode::kUnimplemented);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(dev.stats().api_calls, calls);
+  EXPECT_EQ(wrapped->NowUs(), now);
+  std::vector<int> back(16);
+  ASSERT_TRUE(wrapped->EnqueueReadBuffer(*mem, 0, 64, back.data()).ok());
+  EXPECT_EQ(back, data);
 }
 
 TEST(Cl2CuTest, RunsUnderCudaBankMode) {
@@ -447,6 +471,32 @@ TEST(Cu2ClTest, MemGetInfoUnimplementable) {
   auto r = wrapped->MemGetInfo();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+}
+
+TEST(Cu2ClTest, SnapshotAndRestoreAreUnimplemented) {
+  // The wrapper forwards neither call: both fail, write no file, charge
+  // nothing, and leave live allocations as they were.
+  Device dev(TitanProfile());
+  auto cl = mocl::CreateNativeClApi(dev);
+  auto wrapped = cu2cl::CreateCudaOnClApi(*cl);
+  std::vector<int> data(16);
+  std::iota(data.begin(), data.end(), 5);
+  auto p = wrapped->Malloc(64);
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(
+      wrapped->Memcpy(*p, data.data(), 64, MemcpyKind::kHostToDevice).ok());
+  const uint64_t calls = dev.stats().api_calls;
+  const double now = wrapped->NowUs();
+  const std::string path = ::testing::TempDir() + "bridgecl_cu2cl_image";
+  EXPECT_EQ(wrapped->Snapshot(path).code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(wrapped->Restore(path).code(), StatusCode::kUnimplemented);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(dev.stats().api_calls, calls);
+  EXPECT_EQ(wrapped->NowUs(), now);
+  std::vector<int> back(16);
+  ASSERT_TRUE(
+      wrapped->Memcpy(back.data(), *p, 64, MemcpyKind::kDeviceToHost).ok());
+  EXPECT_EQ(back, data);
 }
 
 TEST(Cu2ClTest, DevicePropertiesSlowerThroughWrapper) {

@@ -31,19 +31,6 @@ if ! grep -q '^build\*/' .gitignore 2>/dev/null; then
   exit 1
 fi
 
-# Snapshot images (docs/SNAPSHOT.md) are run artifacts, never sources.
-snaps=$(git ls-files '*.sgsnap' | head -20)
-if [ -n "$snaps" ]; then
-  echo "repo_hygiene: FAIL — snapshot images are tracked by git:"
-  echo "$snaps"
-  echo "(run: git rm --cached <file> and keep *.sgsnap in .gitignore)"
-  exit 1
-fi
-if ! grep -q '^\*\.sgsnap' .gitignore 2>/dev/null; then
-  echo "repo_hygiene: FAIL — .gitignore no longer ignores *.sgsnap"
-  exit 1
-fi
-
 # Bench reports are tracked only as the canonical baselines at the repo
 # root (tools/check_bench_regression.sh); stray reports from local runs
 # must stay untracked.
@@ -57,5 +44,5 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-echo "repo_hygiene: OK — no build trees, snapshots, or stray reports tracked"
+echo "repo_hygiene: OK — no build trees or stray reports tracked"
 exit 0
