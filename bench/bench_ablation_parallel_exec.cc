@@ -1,10 +1,10 @@
 // Block-parallel execution ablation (docs/PERFORMANCE.md): the same
 // compute-heavy kernel batch interpreted serially (BRIDGECL_JOBS=1) and
-// on a 4-worker pool. The kernel reads one buffer and writes another —
-// no cross-block hazards, no atomics — so the hazard analysis keeps it
-// on the parallel path, and the measured quantity is host wall-clock:
-// simulated device time is bit-identical by construction (asserted, with
-// checksums and per-engine busy time). Acceptance bar: >= 2x wall-clock
+// on a 4-worker pool. The kernel reads one buffer and writes another, so
+// no block reads what another wrote and every launch commits its block
+// logs instead of rerunning serially. The measured quantity is host
+// wall-clock: simulated device time is bit-identical by construction
+// (asserted, with checksums and per-engine busy time). Acceptance bar: >= 2x wall-clock
 // speedup at 4 workers on both device profiles; the bar needs >= 4
 // hardware threads and is reported as skipped on smaller hosts, where
 // only the identity assertions gate. Results land in

@@ -6,9 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "interp/constants.h"
 #include "interp/image.h"
@@ -64,7 +62,13 @@ using simgpu::Segment;
 namespace {
 
 constexpr size_t kPrivateBytesPerItem = 64 * 1024;
+// ASan's redzones grow the evaluator's frames several-fold: the call-depth
+// limit below needs more than 2 MiB of host stack under it.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr size_t kFiberStackBytes = 8 * 1024 * 1024;
+#else
 constexpr size_t kFiberStackBytes = 256 * 1024;
+#endif
 constexpr int kMaxCallDepth = 64;
 
 /// Location of an assignable value.
@@ -79,11 +83,88 @@ struct LV {
 
 enum class FlowKind { kNormal, kReturn, kBreak, kContinue };
 
+/// Bytes of 8-byte words: word address -> mask, bit i for byte i.
+using WordMasks = std::unordered_map<uint64_t, uint8_t>;
+
+/// What one block of a multi-worker launch does to the memory every
+/// block shares (global and constant). The block runs against that
+/// memory as it was before the launch: its stores are buffered per 8-byte
+/// word with a byte mask, its own loads see them, and every byte a load
+/// takes from memory is recorded. LaunchKernel then checks and commits
+/// the logs in block order.
+class BlockLog {
+ public:
+  /// Copy the `n` bytes at `va` (host `mem`) into `out` as the block sees
+  /// them.
+  void Load(uint64_t va, const std::byte* mem, size_t n, std::byte* out) {
+    std::memcpy(out, mem, n);
+    for (uint64_t w = va & ~(kWord - 1); w < va + n; w += kWord) {
+      uint8_t want = Mask(va, n, w), own = 0;
+      if (auto it = writes_.find(w); it != writes_.end()) {
+        own = it->second.mask & want;
+        for (uint64_t i = 0; i < kWord; ++i)
+          if (own >> i & 1) out[w + i - va] = it->second.bytes[i];
+      }
+      if (own != want) reads_[w] |= want & ~own;
+    }
+  }
+
+  /// Buffer a store of the `n` bytes at `src` to `va` (host `mem`).
+  void Store(uint64_t va, std::byte* mem, const std::byte* src, size_t n) {
+    for (uint64_t w = va & ~(kWord - 1); w < va + n; w += kWord) {
+      Word& e = writes_[w];
+      e.mem = w >= va ? mem + (w - va) : mem - (va - w);
+      uint8_t m = Mask(va, n, w);
+      for (uint64_t i = 0; i < kWord; ++i)
+        if (m >> i & 1) e.bytes[i] = src[w + i - va];
+      e.mask |= m;
+    }
+  }
+
+  /// Whether the block read a byte of `written` from memory.
+  bool ReadAny(const WordMasks& written) const {
+    const WordMasks& small = written.size() < reads_.size() ? written : reads_;
+    const WordMasks& large = &small == &reads_ ? written : reads_;
+    return std::any_of(small.begin(), small.end(), [&](const auto& wm) {
+      auto it = large.find(wm.first);
+      return it != large.end() && (it->second & wm.second) != 0;
+    });
+  }
+
+  void AddWrites(WordMasks& written) const {
+    for (const auto& [w, e] : writes_) written[w] |= e.mask;
+  }
+
+  void Commit() const {
+    for (const auto& [w, e] : writes_)
+      for (uint64_t i = 0; i < kWord; ++i)
+        if (e.mask >> i & 1) e.mem[i] = e.bytes[i];
+  }
+
+ private:
+  static constexpr uint64_t kWord = 8;
+
+  /// Bit i set: byte w + i lies in [va, va + n).
+  static uint8_t Mask(uint64_t va, size_t n, uint64_t w) {
+    uint64_t lo = std::max(va, w), hi = std::min(va + n, w + kWord);
+    return static_cast<uint8_t>(((1u << (hi - lo)) - 1) << (lo - w));
+  }
+
+  struct Word {
+    std::byte* mem = nullptr;  // host address of the word
+    std::byte bytes[kWord] = {};
+    uint8_t mask = 0;
+  };
+  std::unordered_map<uint64_t, Word> writes_;
+  WordMasks reads_;
+};
+
 /// State shared by all work-items of one launch. The block-parallel
 /// engine copies this once per worker (rebasing the shared/private VAs to
-/// the worker's VM slot) and then points `stats` at a fresh per-block
-/// accumulator before each block, so workers never touch the device's
-/// shared counters during execution.
+/// the worker's VM slot) and then points `stats` and `log` at the block's
+/// own sinks before each block, so workers never touch the device's
+/// shared counters, or its memory on multi-worker launches, during
+/// execution.
 struct LaunchState {
   simgpu::Device* device = nullptr;
   Module* module = nullptr;
@@ -101,6 +182,7 @@ struct LaunchState {
   Dim3 group_id;
   int slot = 0;  // VM worker slot owning this state's shared/private VAs
   simgpu::DeviceStats* stats = nullptr;  // per-block accumulation sink
+  BlockLog* log = nullptr;  // multi-worker launches: the block's log
 };
 
 /// Collect every __local/__shared__ variable declared in a statement tree.
@@ -226,20 +308,52 @@ class Evaluator {
     return out;
   }
 
+  // Every access to global or constant memory, which all blocks share,
+  // goes through Seen (loads) or Put (stores). In a multi-worker launch
+  // they route it through the block's log; otherwise, and for the
+  // worker's own shared and private memory, they touch the VM directly.
+  bool Logged(uint64_t va) const {
+    if (L_.log == nullptr) return false;
+    auto seg = L_.device->vm().SegmentOf(va);
+    return seg.ok() && (*seg == Segment::kGlobal || *seg == Segment::kConstant);
+  }
+
+  /// The `n` bytes at `va` (resolved to host `p`) as this block sees them.
+  const std::byte* Seen(uint64_t va, const std::byte* p, size_t n) {
+    if (!Logged(va)) return p;
+    staged_.resize(n);
+    L_.log->Load(va, p, n, staged_.data());
+    return staged_.data();
+  }
+
+  /// Store `n` bytes at `va` (resolved to host `p`); `encode(dst)` writes
+  /// them to `dst`.
+  template <typename Encode>
+  Status Put(uint64_t va, std::byte* p, size_t n, const Encode& encode) {
+    if (!Logged(va)) return encode(p);
+    staged_.resize(n);
+    BRIDGECL_RETURN_IF_ERROR(encode(staged_.data()));
+    L_.log->Store(va, p, staged_.data(), n);
+    return OkStatus();
+  }
+
   StatusOr<Value> LoadMem(uint64_t va, const Type::Ptr& type) {
     size_t n = type->ByteSize();
     auto p = L_.device->vm().Resolve(va, n);
     if (!p.ok()) return FaultAt(p.status());
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
-    return DecodeValue(type, *p);
+    return DecodeValue(type, Seen(va, *p, n));
   }
 
   Status StoreMem(uint64_t va, const Value& v) {
-    size_t n = v.type()->ByteSize();
+    const Type& t = *v.type();
+    size_t n = t.ByteSize();
     auto p = L_.device->vm().Resolve(va, n);
     if (!p.ok()) return FaultAt(p.status());
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
-    return EncodeValue(v, *p);
+    // A 3-component vector store leaves the padding lane untouched.
+    if (t.is_vector() && t.vector_width() == 3) n = n / 4 * 3;
+    return Put(va, *p, n, [&](std::byte* dst) { return EncodeValue(v, dst); });
   }
 
   StatusOr<uint64_t> StackAlloc(size_t bytes, size_t align) {
@@ -1153,6 +1267,7 @@ class Evaluator {
   double cycles_ = 0;
   std::vector<Frame> frames_;
   Value ret_;
+  std::vector<std::byte> staged_;  // logged accesses: bytes in flight
 
  public:
   double TakeCycles() { return cycles_; }
@@ -1162,7 +1277,7 @@ StatusOr<ImageDesc> Evaluator::LoadImageDesc(uint64_t va) {
   BRIDGECL_ASSIGN_OR_RETURN(std::byte * p,
                             L_.device->vm().Resolve(va, sizeof(ImageDesc)));
   ImageDesc d;
-  std::memcpy(&d, p, sizeof(d));
+  std::memcpy(&d, Seen(va, p, sizeof(d)), sizeof(d));
   return d;
 }
 
@@ -1180,7 +1295,9 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
                 static_cast<uint64_t>(x) * texel;
   ScalarKind ek = static_cast<ScalarKind>(d.elem_kind);
   size_t esz = lang::ScalarByteSize(ek);
-  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, L_.device->vm().Resolve(va, texel));
+  BRIDGECL_ASSIGN_OR_RETURN(std::byte * mem,
+                            L_.device->vm().Resolve(va, texel));
+  const std::byte* p = Seen(va, mem, texel);
   ++L_.stats->image_accesses;
   cycles_ += L_.device->profile().cost_image_access;
   std::vector<ScalarVal> comps(4);
@@ -1286,11 +1403,15 @@ StatusOr<Value> Evaluator::EvalImageWrite(const std::string& name,
                             L_.device->vm().Resolve(va, ImageTexelBytes(d)));
   ++L_.stats->image_accesses;
   cycles_ += L_.device->profile().cost_image_access;
-  for (uint32_t ch = 0; ch < d.channels; ++ch) {
-    Value comp = color.is_vector() ? color.Component(ch) : color;
-    BRIDGECL_RETURN_IF_ERROR(
-        EncodeValue(comp.ConvertTo(Type::Scalar(ek)), p + ch * esz));
-  }
+  BRIDGECL_RETURN_IF_ERROR(
+      Put(va, p, ImageTexelBytes(d), [&](std::byte* dst) -> Status {
+        for (uint32_t ch = 0; ch < d.channels; ++ch) {
+          Value comp = color.is_vector() ? color.Component(ch) : color;
+          BRIDGECL_RETURN_IF_ERROR(
+              EncodeValue(comp.ConvertTo(Type::Scalar(ek)), dst + ch * esz));
+        }
+        return OkStatus();
+      }));
   return Value::Void();
 }
 
@@ -1784,456 +1905,6 @@ StatusOr<Value> Evaluator::CallBuiltin(const std::string& raw_name,
 // Block-parallel grid scheduler support
 // ---------------------------------------------------------------------------
 
-/// Mirror of CallBuiltin's atomic dispatch predicate (including the
-/// __oc2cu_ wrapper-prefix strip). Kernels that reach an atomic builtin
-/// are executed serially: EvalAtomic models the op as a non-atomic
-/// read-modify-write whose cross-block interleaving (and returned old
-/// values) would otherwise depend on worker scheduling.
-bool IsAtomicBuiltinName(const std::string& raw_name) {
-  const std::string name =
-      StartsWith(raw_name, "__oc2cu_") ? raw_name.substr(8) : raw_name;
-  return StartsWith(name, "atomic_") || StartsWith(name, "atom_") ||
-         StartsWith(name, "atomic");
-}
-
-/// What a kernel may do to global memory, attributed to the kernel
-/// parameter each access flows from. The serial engine runs blocks in
-/// canonical order, so a kernel that *reads* a buffer another block
-/// *writes* in the same launch (srad2's in-place stencil, nw's in-place
-/// wavefront) observes that order; such launches must stay serial for the
-/// parallel engine to be bit-identical. Stores to a buffer no block
-/// reads are assumed block-disjoint, as data-race-free kernels on real
-/// devices are.
-struct GlobalAccessSummary {
-  uint64_t load_params = 0;   // bit i: loaded through kernel param i
-  uint64_t store_params = 0;  // bit i: stored through kernel param i
-  bool unknown_load = false;  // global load of unattributable provenance
-  bool unknown_store = false;
-  bool uses_atomics = false;
-};
-
-/// Which kernel parameters a pointer value may be derived from.
-struct Prov {
-  uint64_t mask = 0;     // bit i: possibly derived from kernel param i
-  bool unknown = false;  // possibly derived from something else entirely
-};
-
-Prov UnionProv(Prov a, const Prov& b) {
-  a.mask |= b.mask;
-  a.unknown |= b.unknown;
-  return a;
-}
-
-/// Flow-insensitive, inlining, address-taken-conservative scan of a
-/// kernel's global memory accesses. Local pointer variables accumulate
-/// the provenance of everything assigned to them (fixpoint over the
-/// body); pointers loaded from memory or returned by calls are unknown.
-class HazardScanner {
- public:
-  GlobalAccessSummary Analyze(const FunctionDecl* kernel) {
-    std::vector<Prov> params(kernel->params.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (i < 64)
-        params[i].mask = 1ull << i;
-      else
-        params[i].unknown = true;
-    }
-    ScanFunction(kernel, std::move(params));
-    return sum_;
-  }
-
- private:
-  using Env = std::unordered_map<const VarDecl*, Prov>;
-
-  GlobalAccessSummary sum_;
-  std::vector<const FunctionDecl*> call_stack_;
-  bool record_ = false;   // accesses recorded only on the settled pass
-  bool changed_ = false;  // an env entry grew this pass
-
-  void ScanFunction(const FunctionDecl* fn, std::vector<Prov> param_prov) {
-    if (std::find(call_stack_.begin(), call_stack_.end(), fn) !=
-        call_stack_.end()) {
-      // Recursive cycle: give up on attribution.
-      sum_.unknown_load = sum_.unknown_store = true;
-      return;
-    }
-    call_stack_.push_back(fn);
-    Env env;
-    for (size_t i = 0; i < fn->params.size() && i < param_prov.size(); ++i)
-      env[fn->params[i].get()] = param_prov[i];
-    bool outer_record = record_;
-    // Propagate provenance through local pointer vars to a fixpoint
-    // without recording, then one recording pass.
-    record_ = false;
-    for (int round = 0; round < 4; ++round) {
-      changed_ = false;
-      ScanStmt(fn->body.get(), env);
-      if (!changed_) break;
-    }
-    record_ = true;
-    ScanStmt(fn->body.get(), env);
-    record_ = outer_record;
-    call_stack_.pop_back();
-  }
-
-  void Bind(Env& env, const VarDecl* var, const Prov& p) {
-    Prov& slot = env[var];
-    Prov merged = UnionProv(slot, p);
-    if (merged.mask != slot.mask || merged.unknown != slot.unknown) {
-      slot = merged;
-      changed_ = true;
-    }
-  }
-
-  static bool IsPointer(const Expr* e) {
-    return e != nullptr && e->type != nullptr && e->type->is_pointer();
-  }
-
-  void Record(const Expr* ptr, Env& env, bool load, bool store) {
-    if (!record_ || !IsPointer(ptr)) return;
-    AddressSpace space = ptr->type->pointee_space();
-    // Local memory is per-slot, constant is read-only: neither can carry
-    // cross-block dependences.
-    if (space == AddressSpace::kLocal || space == AddressSpace::kConstant)
-      return;
-    Prov p = ProvOf(ptr, env);
-    if (space != AddressSpace::kGlobal && p.mask == 0 && !p.unknown)
-      return;  // provably private (e.g. &stack_var)
-    if (load) {
-      sum_.load_params |= p.mask;
-      sum_.unknown_load |= p.unknown;
-    }
-    if (store) {
-      sum_.store_params |= p.mask;
-      sum_.unknown_store |= p.unknown;
-    }
-  }
-
-  /// Provenance of the address of lvalue `e` (for &lvalue).
-  Prov ProvOfLvalueBase(const Expr* e, Env& env) {
-    if (e == nullptr) return {};
-    switch (e->kind) {
-      case ExprKind::kIndex:
-        return ProvOf(e->As<IndexExpr>()->base.get(), env);
-      case ExprKind::kMember: {
-        const auto* m = e->As<MemberExpr>();
-        return m->is_arrow ? ProvOf(m->base.get(), env)
-                           : ProvOfLvalueBase(m->base.get(), env);
-      }
-      case ExprKind::kUnary: {
-        const auto* u = e->As<UnaryExpr>();
-        if (u->op == UnaryOp::kDeref) return ProvOf(u->operand.get(), env);
-        return ProvOfLvalueBase(u->operand.get(), env);
-      }
-      case ExprKind::kParen:
-        return ProvOfLvalueBase(e->As<ParenExpr>()->inner.get(), env);
-      case ExprKind::kCast:
-        return ProvOfLvalueBase(e->As<CastExpr>()->operand.get(), env);
-      case ExprKind::kDeclRef: {
-        const auto* r = e->As<DeclRefExpr>();
-        // &local_scalar / &local_array: provably private. Taking the
-        // address of a tracked pointer defeats tracking -> poison it.
-        if (r->var != nullptr && IsPointer(e)) Bind(env, r->var, {0, true});
-        return {};
-      }
-      default:
-        return {0, true};
-    }
-  }
-
-  Prov ProvOf(const Expr* e, Env& env) {
-    if (e == nullptr) return {};
-    switch (e->kind) {
-      case ExprKind::kDeclRef: {
-        const auto* r = e->As<DeclRefExpr>();
-        if (r->var == nullptr) return IsPointer(e) ? Prov{0, true} : Prov{};
-        auto it = env.find(r->var);
-        if (it != env.end()) return it->second;
-        // Not a local of this function: a module-scope pointer, or a
-        // first-pass use before its decl has been scanned.
-        return IsPointer(e) ? Prov{0, true} : Prov{};
-      }
-      case ExprKind::kUnary: {
-        const auto* u = e->As<UnaryExpr>();
-        if (u->op == UnaryOp::kAddrOf)
-          return ProvOfLvalueBase(u->operand.get(), env);
-        if (u->op == UnaryOp::kDeref)
-          return IsPointer(e) ? Prov{0, true} : Prov{};
-        return ProvOf(u->operand.get(), env);
-      }
-      case ExprKind::kBinary: {
-        const auto* b = e->As<BinaryExpr>();
-        return UnionProv(ProvOf(b->lhs.get(), env),
-                         ProvOf(b->rhs.get(), env));
-      }
-      case ExprKind::kAssign:
-        return ProvOf(e->As<AssignExpr>()->rhs.get(), env);
-      case ExprKind::kConditional: {
-        const auto* c = e->As<ConditionalExpr>();
-        return UnionProv(ProvOf(c->then_expr.get(), env),
-                         ProvOf(c->else_expr.get(), env));
-      }
-      case ExprKind::kParen:
-        return ProvOf(e->As<ParenExpr>()->inner.get(), env);
-      case ExprKind::kCast:
-        return ProvOf(e->As<CastExpr>()->operand.get(), env);
-      case ExprKind::kIndex:
-      case ExprKind::kMember:
-      case ExprKind::kCall:
-        // Pointer values produced by a memory load or a call are
-        // unattributable.
-        return IsPointer(e) ? Prov{0, true} : Prov{};
-      default:
-        return {};
-    }
-  }
-
-  /// Scan `e` in store position. `load_too` for compound assigns and
-  /// increments, which read-modify-write the location.
-  void ScanLvalue(const Expr* e, Env& env, bool load_too) {
-    if (e == nullptr) return;
-    switch (e->kind) {
-      case ExprKind::kIndex: {
-        const auto* i = e->As<IndexExpr>();
-        ScanExpr(i->index.get(), env);
-        if (IsPointer(i->base.get())) {
-          ScanExpr(i->base.get(), env);
-          Record(i->base.get(), env, load_too, /*store=*/true);
-        } else {
-          // Element of an aggregate lvalue (local array or p->arr[i]).
-          ScanLvalue(i->base.get(), env, load_too);
-        }
-        return;
-      }
-      case ExprKind::kMember: {
-        const auto* m = e->As<MemberExpr>();
-        if (m->is_arrow) {
-          ScanExpr(m->base.get(), env);
-          Record(m->base.get(), env, load_too, /*store=*/true);
-        } else {
-          ScanLvalue(m->base.get(), env, load_too);
-        }
-        return;
-      }
-      case ExprKind::kUnary: {
-        const auto* u = e->As<UnaryExpr>();
-        if (u->op == UnaryOp::kDeref) {
-          ScanExpr(u->operand.get(), env);
-          Record(u->operand.get(), env, load_too, /*store=*/true);
-          return;
-        }
-        ScanLvalue(u->operand.get(), env, load_too);
-        return;
-      }
-      case ExprKind::kParen:
-        ScanLvalue(e->As<ParenExpr>()->inner.get(), env, load_too);
-        return;
-      case ExprKind::kCast:
-        ScanLvalue(e->As<CastExpr>()->operand.get(), env, load_too);
-        return;
-      case ExprKind::kDeclRef:
-        return;  // plain local: no memory traffic
-      default:
-        ScanExpr(e, env);
-        return;
-    }
-  }
-
-  /// Strip parens/casts down to a DeclRef, or null.
-  static const DeclRefExpr* AsDeclRef(const Expr* e) {
-    while (e != nullptr) {
-      if (e->kind == ExprKind::kDeclRef) return e->As<DeclRefExpr>();
-      if (e->kind == ExprKind::kParen)
-        e = e->As<ParenExpr>()->inner.get();
-      else if (e->kind == ExprKind::kCast)
-        e = e->As<CastExpr>()->operand.get();
-      else
-        return nullptr;
-    }
-    return nullptr;
-  }
-
-  void ScanExpr(const Expr* e, Env& env) {
-    if (e == nullptr) return;
-    switch (e->kind) {
-      case ExprKind::kAssign: {
-        const auto* a = e->As<AssignExpr>();
-        ScanExpr(a->rhs.get(), env);
-        if (const DeclRefExpr* r = AsDeclRef(a->lhs.get());
-            r != nullptr && r->var != nullptr && IsPointer(a->lhs.get())) {
-          // Pointer reseated: fold the source's provenance into the var.
-          Bind(env, r->var, a->compound ? Prov{0, true}
-                                        : ProvOf(a->rhs.get(), env));
-          return;
-        }
-        ScanLvalue(a->lhs.get(), env, /*load_too=*/a->compound);
-        return;
-      }
-      case ExprKind::kUnary: {
-        const auto* u = e->As<UnaryExpr>();
-        switch (u->op) {
-          case UnaryOp::kDeref:
-            ScanExpr(u->operand.get(), env);
-            Record(u->operand.get(), env, /*load=*/true, /*store=*/false);
-            return;
-          case UnaryOp::kPreInc:
-          case UnaryOp::kPreDec:
-          case UnaryOp::kPostInc:
-          case UnaryOp::kPostDec:
-            if (AsDeclRef(u->operand.get()) == nullptr)
-              ScanLvalue(u->operand.get(), env, /*load_too=*/true);
-            else
-              ScanExpr(u->operand.get(), env);
-            return;
-          case UnaryOp::kAddrOf:
-            (void)ProvOfLvalueBase(u->operand.get(), env);  // escape check
-            return;
-          default:
-            ScanExpr(u->operand.get(), env);
-            return;
-        }
-      }
-      case ExprKind::kBinary: {
-        const auto* b = e->As<BinaryExpr>();
-        ScanExpr(b->lhs.get(), env);
-        ScanExpr(b->rhs.get(), env);
-        return;
-      }
-      case ExprKind::kConditional: {
-        const auto* c = e->As<ConditionalExpr>();
-        ScanExpr(c->cond.get(), env);
-        ScanExpr(c->then_expr.get(), env);
-        ScanExpr(c->else_expr.get(), env);
-        return;
-      }
-      case ExprKind::kIndex: {
-        const auto* i = e->As<IndexExpr>();
-        ScanExpr(i->base.get(), env);
-        ScanExpr(i->index.get(), env);
-        if (IsPointer(i->base.get()))
-          Record(i->base.get(), env, /*load=*/true, /*store=*/false);
-        return;
-      }
-      case ExprKind::kMember: {
-        const auto* m = e->As<MemberExpr>();
-        ScanExpr(m->base.get(), env);
-        if (m->is_arrow)
-          Record(m->base.get(), env, /*load=*/true, /*store=*/false);
-        return;
-      }
-      case ExprKind::kCall: {
-        const auto* c = e->As<CallExpr>();
-        for (const auto& a : c->args) ScanExpr(a.get(), env);
-        const DeclRefExpr* ref = AsDeclRef(c->callee.get());
-        const FunctionDecl* fn =
-            ref != nullptr && ref->function != nullptr &&
-                    ref->function->body != nullptr
-                ? ref->function
-                : nullptr;
-        if (fn != nullptr) {
-          if (record_) {
-            std::vector<Prov> callee_params(fn->params.size());
-            for (size_t i = 0; i < fn->params.size() && i < c->args.size();
-                 ++i)
-              callee_params[i] = ProvOf(c->args[i].get(), env);
-            ScanFunction(fn, std::move(callee_params));
-          }
-          return;
-        }
-        const std::string name = c->callee_name();
-        if (IsAtomicBuiltinName(name)) sum_.uses_atomics = true;
-        if (record_ && StartsWith(name, "write_image"))
-          sum_.unknown_store = true;
-        // Builtins taking pointers (vload/vstore, atomics, ...) may both
-        // read and write through them.
-        for (const auto& a : c->args)
-          if (IsPointer(a.get()))
-            Record(a.get(), env, /*load=*/true, /*store=*/true);
-        return;
-      }
-      case ExprKind::kParen:
-        ScanExpr(e->As<ParenExpr>()->inner.get(), env);
-        return;
-      case ExprKind::kCast:
-        ScanExpr(e->As<CastExpr>()->operand.get(), env);
-        return;
-      case ExprKind::kInitList:
-        for (const auto& el : e->As<InitListExpr>()->elems)
-          ScanExpr(el.get(), env);
-        return;
-      case ExprKind::kVectorLit:
-        for (const auto& el : e->As<VectorLitExpr>()->elems)
-          ScanExpr(el.get(), env);
-        return;
-      case ExprKind::kSizeof:
-        return;  // unevaluated operand
-      case ExprKind::kIntLit:
-      case ExprKind::kFloatLit:
-      case ExprKind::kDeclRef:
-      case ExprKind::kStringLit:
-        return;
-    }
-  }
-
-  void ScanStmt(const Stmt* s, Env& env) {
-    if (s == nullptr) return;
-    switch (s->kind) {
-      case StmtKind::kCompound:
-        for (const auto& st : s->As<CompoundStmt>()->body)
-          ScanStmt(st.get(), env);
-        return;
-      case StmtKind::kDecl:
-        for (const auto& v : s->As<DeclStmt>()->vars) {
-          ScanExpr(v->init.get(), env);
-          if (v->type != nullptr && v->type->is_pointer())
-            Bind(env, v.get(), ProvOf(v->init.get(), env));
-        }
-        return;
-      case StmtKind::kExpr:
-        ScanExpr(s->As<ExprStmt>()->expr.get(), env);
-        return;
-      case StmtKind::kIf: {
-        const auto* i = s->As<IfStmt>();
-        ScanExpr(i->cond.get(), env);
-        ScanStmt(i->then_stmt.get(), env);
-        ScanStmt(i->else_stmt.get(), env);
-        return;
-      }
-      case StmtKind::kFor: {
-        const auto* f = s->As<ForStmt>();
-        ScanStmt(f->init.get(), env);
-        ScanExpr(f->cond.get(), env);
-        ScanExpr(f->step.get(), env);
-        ScanStmt(f->body.get(), env);
-        return;
-      }
-      case StmtKind::kWhile: {
-        const auto* w = s->As<WhileStmt>();
-        ScanExpr(w->cond.get(), env);
-        ScanStmt(w->body.get(), env);
-        return;
-      }
-      case StmtKind::kDo: {
-        const auto* d = s->As<lang::DoStmt>();
-        ScanStmt(d->body.get(), env);
-        ScanExpr(d->cond.get(), env);
-        return;
-      }
-      case StmtKind::kReturn:
-        ScanExpr(s->As<ReturnStmt>()->value.get(), env);
-        return;
-      case StmtKind::kBreak:
-      case StmtKind::kContinue:
-      case StmtKind::kEmpty:
-        return;
-    }
-  }
-};
-
-GlobalAccessSummary AnalyzeKernelGlobalAccesses(const FunctionDecl* kernel) {
-  return HazardScanner().Analyze(kernel);
-}
-
 /// Field-wise merge of a block's counter delta into the device totals.
 /// Integer adds commute, but the reduction still runs in canonical block
 /// order so a future non-commutative counter cannot silently diverge.
@@ -2354,130 +2025,131 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
         kernel_name.c_str(), L.shared_total, prof.shared_mem_per_block));
 
   // ---- execute blocks on the worker pool ----
-  // Blocks are independent in this model (no cross-block synchronization
-  // primitive is exposed), so the grid is claimed block-by-block from an
-  // atomic counter by `workers` host threads. Each worker executes into a
-  // private VM slot and a private BlockResult; the reduction below then
-  // replays the serial engine's bookkeeping in canonical block order, so
-  // stats, cycle totals (flat FP fold), timestamps and traces are
-  // bit-identical for every worker count.
+  // The grid is claimed block-by-block from an atomic counter by `workers`
+  // host threads. Each worker executes into a private VM slot and a
+  // private BlockResult; the reduction below then replays the serial
+  // engine's bookkeeping in canonical block order, so stats, cycle totals
+  // (flat FP fold), timestamps and traces are bit-identical for every
+  // worker count. Memory is too: with more than one worker every block
+  // runs against pre-launch memory through its BlockLog, and the logs
+  // commit in block order unless a block read a byte an earlier block
+  // wrote, in which case the launch reruns serially on the untouched
+  // memory.
   uint64_t block_items = config.block.Count();
   uint64_t total_blocks = config.grid.Count();
   int workers = WorkerCount();
-  // Serialize when execution order is observable: an armed fault plan
-  // counts per-site consults in execution order; atomics are modeled as
-  // plain read-modify-writes; and a launch whose blocks read a buffer
-  // other blocks write (in-place stencils like srad2, wavefronts like
-  // nw) sees the serial engine's canonical block order through memory.
-  if (workers > 1) {
-    GlobalAccessSummary acc = AnalyzeKernelGlobalAccesses(kernel);
-    bool hazard = acc.uses_atomics || acc.unknown_store ||
-                  (acc.unknown_load && acc.store_params != 0);
-    if (!hazard && acc.store_params != 0) {
-      // Attribute each accessed param to its underlying allocation; a
-      // buffer both stored and loaded (same param, or two aliasing
-      // params), or stored through two params, is a cross-block hazard.
-      std::map<uint64_t, std::pair<int, int>> per_alloc;  // {stores, loads}
-      for (size_t i = 0; i < L.arg_values.size() && i < 64; ++i) {
-        uint64_t bit = 1ull << i;
-        if (((acc.load_params | acc.store_params) & bit) == 0) continue;
-        uint64_t va = L.arg_values[i].AsVa();
-        uint64_t key = device.vm().GlobalAllocationBaseOf(va);
-        if (key == 0) key = va;
-        auto& [stores, loads] = per_alloc[key];
-        if (acc.store_params & bit) ++stores;
-        if (acc.load_params & bit) ++loads;
-      }
-      for (const auto& [base, sl] : per_alloc)
-        if (sl.first > 0 && (sl.second > 0 || sl.first > 1)) hazard = true;
-    }
-    if (hazard) workers = 1;
-  }
+  // An armed fault plan counts per-site consults in execution order.
   if (device.faults().armed()) workers = 1;
   if (static_cast<uint64_t>(workers) > total_blocks)
     workers = static_cast<int>(total_blocks);
-  device.vm().EnsureWorkerSlots(workers);
 
   struct BlockResult {
     simgpu::DeviceStats delta;
     std::vector<double> item_cycles;  // canonical per-item fold order
     Status status;
     bool executed = false;
+    BlockLog log;  // multi-worker runs only
   };
-  std::vector<BlockResult> results(total_blocks);
-  std::atomic<uint64_t> next_block{0};
-  std::atomic<uint64_t> first_error_block{std::numeric_limits<uint64_t>::max()};
+  std::vector<BlockResult> results;
 
-  auto run_worker = [&](int w) {
-    // Per-worker launch state: same layout, rebased into VM slot `w`.
-    LaunchState W = L;
-    W.slot = w;
-    uint64_t delta = device.vm().shared_base(w) - device.vm().shared_base(0);
-    if (delta != 0) {
-      for (auto& [var, va] : W.shared_va) va += delta;
-      W.dynamic_shared_va += delta;
-      for (size_t ai : W.local_arg_indices)
-        W.arg_values[ai] = Value::Pointer(W.arg_values[ai].AsVa() + delta,
-                                          kernel->params[ai]->type);
-    }
-    for (;;) {
-      uint64_t b = next_block.fetch_add(1, std::memory_order_relaxed);
-      if (b >= total_blocks) break;
-      // Blocks past an already-failed one will be discarded by the
-      // reduction; skip them instead of burning cycles.
-      if (b > first_error_block.load(std::memory_order_acquire)) continue;
-      BlockResult& r = results[b];
-      r.executed = true;
-      W.stats = &r.delta;
-      // Per-block shared-memory mapping is an allocation event for the
-      // fault plan (FaultSite::kSharedAlloc); only reachable serially.
-      if (device.faults().armed()) {
-        Status fs =
-            device.faults().OnSharedAlloc(std::max<size_t>(W.shared_total, 1));
-        if (!fs.ok()) {
-          r.status = std::move(fs);
-          uint64_t prev = first_error_block.load(std::memory_order_relaxed);
-          while (b < prev && !first_error_block.compare_exchange_weak(
-                                 prev, b, std::memory_order_release,
-                                 std::memory_order_relaxed)) {
+  // Runs the grid on `n` workers into fresh `results`; returns the lowest
+  // failing block, or UINT64_MAX.
+  auto execute = [&](int n) {
+    device.vm().EnsureWorkerSlots(n);
+    results.clear();
+    results.resize(total_blocks);
+    std::atomic<uint64_t> next_block{0};
+    std::atomic<uint64_t> first_error_block{
+        std::numeric_limits<uint64_t>::max()};
+    auto fail = [&](uint64_t b, Status st) {
+      results[b].status = std::move(st);
+      uint64_t prev = first_error_block.load(std::memory_order_relaxed);
+      while (b < prev && !first_error_block.compare_exchange_weak(
+                             prev, b, std::memory_order_release,
+                             std::memory_order_relaxed)) {
+      }
+    };
+    WorkerPool::Instance().Run(n, [&](int w) {
+      // Per-worker launch state: same layout, rebased into VM slot `w`.
+      LaunchState W = L;
+      W.slot = w;
+      uint64_t delta =
+          device.vm().shared_base(w) - device.vm().shared_base(0);
+      if (delta != 0) {
+        for (auto& [var, va] : W.shared_va) va += delta;
+        W.dynamic_shared_va += delta;
+        for (size_t ai : W.local_arg_indices)
+          W.arg_values[ai] = Value::Pointer(W.arg_values[ai].AsVa() + delta,
+                                            kernel->params[ai]->type);
+      }
+      for (;;) {
+        uint64_t b = next_block.fetch_add(1, std::memory_order_relaxed);
+        if (b >= total_blocks) break;
+        // Blocks past an already-failed one will be discarded by the
+        // reduction; skip them instead of burning cycles.
+        if (b > first_error_block.load(std::memory_order_acquire)) continue;
+        BlockResult& r = results[b];
+        r.executed = true;
+        W.stats = &r.delta;
+        W.log = n > 1 ? &r.log : nullptr;
+        // Per-block shared-memory mapping is an allocation event for the
+        // fault plan (FaultSite::kSharedAlloc); only reachable serially.
+        if (device.faults().armed()) {
+          Status fs = device.faults().OnSharedAlloc(
+              std::max<size_t>(W.shared_total, 1));
+          if (!fs.ok()) {
+            fail(b, std::move(fs));
+            continue;
           }
-          continue;
         }
+        device.vm().MapSharedSlot(w, std::max<size_t>(W.shared_total, 1));
+        device.vm().MapPrivateSlot(
+            w, static_cast<size_t>(block_items) * kPrivateBytesPerItem);
+        simgpu::FiberGroup group(kFiberStackBytes);
+        W.group = &group;
+        W.group_id = Dim3(static_cast<uint32_t>(b % config.grid.x),
+                          static_cast<uint32_t>((b / config.grid.x) %
+                                                config.grid.y),
+                          static_cast<uint32_t>(b / (uint64_t{config.grid.x} *
+                                                     config.grid.y)));
+        std::vector<std::unique_ptr<Evaluator>> evals(block_items);
+        Status st =
+            group.Run(static_cast<int>(block_items), [&](int idx) -> Status {
+              Dim3 lid(idx % config.block.x,
+                       (idx / config.block.x) % config.block.y,
+                       idx / (config.block.x * config.block.y));
+              evals[idx] = std::make_unique<Evaluator>(W, lid, idx);
+              return evals[idx]->Run();
+            });
+        r.item_cycles.assign(block_items, 0.0);
+        for (uint64_t i = 0; i < block_items; ++i)
+          if (evals[i]) r.item_cycles[i] = evals[i]->TakeCycles();
+        if (!st.ok()) fail(b, std::move(st));
       }
-      device.vm().MapSharedSlot(w, std::max<size_t>(W.shared_total, 1));
-      device.vm().MapPrivateSlot(
-          w, static_cast<size_t>(block_items) * kPrivateBytesPerItem);
-      simgpu::FiberGroup group(kFiberStackBytes);
-      W.group = &group;
-      W.group_id = Dim3(static_cast<uint32_t>(b % config.grid.x),
-                        static_cast<uint32_t>((b / config.grid.x) %
-                                              config.grid.y),
-                        static_cast<uint32_t>(b / (uint64_t{config.grid.x} *
-                                                   config.grid.y)));
-      std::vector<std::unique_ptr<Evaluator>> evals(block_items);
-      Status st =
-          group.Run(static_cast<int>(block_items), [&](int idx) -> Status {
-            Dim3 lid(idx % config.block.x,
-                     (idx / config.block.x) % config.block.y,
-                     idx / (config.block.x * config.block.y));
-            evals[idx] = std::make_unique<Evaluator>(W, lid, idx);
-            return evals[idx]->Run();
-          });
-      r.item_cycles.assign(block_items, 0.0);
-      for (uint64_t i = 0; i < block_items; ++i)
-        if (evals[i]) r.item_cycles[i] = evals[i]->TakeCycles();
-      if (!st.ok()) {
-        r.status = std::move(st);
-        uint64_t prev = first_error_block.load(std::memory_order_relaxed);
-        while (b < prev &&
-               !first_error_block.compare_exchange_weak(
-                   prev, b, std::memory_order_release,
-                   std::memory_order_relaxed)) {
-        }
-      }
-    }
+    });
+    return first_error_block.load(std::memory_order_acquire);
   };
-  WorkerPool::Instance().Run(workers, run_worker);
+
+  LaunchPath path = LaunchPath::kSerial;
+  uint64_t err_block = execute(workers);
+  if (workers > 1) {
+    // Blocks past the first failure are discarded, as the serial engine
+    // never runs them; a failing block's partial log still commits.
+    uint64_t last = std::min(err_block, total_blocks - 1);
+    WordMasks written;
+    bool conflict = false;
+    for (uint64_t b = 0; b <= last && !conflict; ++b) {
+      conflict = results[b].log.ReadAny(written);
+      results[b].log.AddWrites(written);
+    }
+    if (conflict) {
+      path = LaunchPath::kRerun;
+      err_block = execute(1);
+    } else {
+      path = LaunchPath::kCommitted;
+      for (uint64_t b = 0; b <= last; ++b) results[b].log.Commit();
+    }
+  }
 
   // ---- canonical-order reduction ----
   // Fold block results exactly as the serial loop would have: stats and
@@ -2485,7 +2157,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   // b's error (if any) is returned, matching the serial engine's
   // early-return with partial stats.
   double total_cycles = 0.0;
-  uint64_t err_block = first_error_block.load(std::memory_order_acquire);
   for (uint64_t b = 0; b < total_blocks; ++b) {
     if (b > err_block) break;
     BlockResult& r = results[b];
@@ -2504,6 +2175,7 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   result.occupancy = device.OccupancyFor(regs);
   result.work_items = total_items;
   result.kernel_time_us = device.now_us() - before;
+  result.path = path;
   return result;
 }
 

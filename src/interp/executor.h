@@ -62,6 +62,13 @@ struct LaunchConfig {
   size_t dynamic_shared_bytes = 0;  // CUDA <<<g,b,SHMEM>>> third argument
 };
 
+/// How a launch's blocks ran (docs/PERFORMANCE.md).
+enum class LaunchPath {
+  kSerial,     // one worker, writing memory directly
+  kCommitted,  // several workers; block logs committed in block order
+  kRerun,      // a block read a byte an earlier block wrote: rerun serially
+};
+
 /// Per-launch result: the accumulated cost and derived occupancy, useful
 /// for tests and the ablation benches.
 struct LaunchResult {
@@ -69,6 +76,7 @@ struct LaunchResult {
   double occupancy = 0;
   uint64_t work_items = 0;
   double kernel_time_us = 0;  // simulated device time consumed
+  LaunchPath path = LaunchPath::kSerial;  // host-side only, never simulated
 };
 
 /// Execute `kernel_name` from `module` on `device`. The module must be
@@ -82,9 +90,9 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
 
 /// Host workers used for block-parallel launches: the SetWorkerCount
 /// override if pinned, else BRIDGECL_JOBS, else hardware_concurrency
-/// (see worker_pool.h). Launches that require serial execution (armed
-/// fault plans, kernels using atomics) ignore this and run with one
-/// worker.
+/// (see worker_pool.h). Launches under an armed fault plan ignore this
+/// and run with one worker; launches whose blocks turn out to depend on
+/// each other through memory rerun with one (LaunchPath::kRerun).
 int WorkerCount();
 /// Pin the worker count for subsequent launches (tests, benches);
 /// `n == 0` restores the environment-derived default. Clamped to the

@@ -1,7 +1,6 @@
 #include "interp/module.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "interp/constants.h"
@@ -129,7 +128,6 @@ std::unordered_map<uint64_t, CacheEntry>& CacheMap() {
 }
 std::atomic<uint64_t> g_cache_hits{0};
 std::atomic<uint64_t> g_cache_misses{0};
-std::atomic<int> g_cache_override{-1};
 
 std::string CompositeKey(const std::string& source, Dialect dialect,
                          const std::string& build_options) {
@@ -172,33 +170,14 @@ uint64_t ModuleCacheKey(const std::string& source, Dialect dialect,
   return h;
 }
 
-bool ModuleCacheEnabled() {
-  int pinned = g_cache_override.load(std::memory_order_relaxed);
-  if (pinned >= 0) return pinned != 0;
-  static const bool from_env = [] {
-    const char* env = std::getenv("BRIDGECL_MODULE_CACHE");
-    return env == nullptr || std::string(env) != "0";
-  }();
-  return from_env;
-}
-
-void SetModuleCacheEnabled(int enabled) {
-  g_cache_override.store(enabled < 0 ? -1 : (enabled != 0),
-                         std::memory_order_relaxed);
-}
-
 StatusOr<std::unique_ptr<Module>> Module::Compile(
     const std::string& source, Dialect dialect, DiagnosticEngine& diags,
     const std::string& build_options, ModuleCacheOutcome* outcome) {
-  const bool cached = ModuleCacheEnabled();
-  if (outcome != nullptr)
-    *outcome = cached ? ModuleCacheOutcome::kMiss : ModuleCacheOutcome::kDisabled;
-  const std::string full_key =
-      cached ? CompositeKey(source, dialect, build_options) : std::string();
-  const uint64_t key =
-      cached ? ModuleCacheKey(source, dialect, build_options) : 0;
+  if (outcome != nullptr) *outcome = ModuleCacheOutcome::kMiss;
+  const std::string full_key = CompositeKey(source, dialect, build_options);
+  const uint64_t key = ModuleCacheKey(source, dialect, build_options);
 
-  if (cached) {
+  {
     std::lock_guard<std::mutex> lock(g_cache_mu);
     auto it = CacheMap().find(key);
     if (it != CacheMap().end() && it->second.full_key == full_key) {
@@ -232,7 +211,7 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
     if (!st.ok()) tu = nullptr;
   }
 
-  if (cached) {
+  {
     CacheEntry entry;
     entry.full_key = full_key;
     entry.tu = tu;

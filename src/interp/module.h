@@ -42,13 +42,12 @@ class KernelRegisterTable {
 
 /// What the content-hashed module cache did for one Compile call.
 enum class ModuleCacheOutcome {
-  kDisabled,  // cache bypassed (BRIDGECL_MODULE_CACHE=0 or setter)
-  kMiss,      // front end ran; result inserted
-  kHit,       // front end skipped; diagnostics replayed from the cache
+  kMiss,  // front end ran; result inserted
+  kHit,   // front end skipped; diagnostics replayed from the cache
 };
 
-/// Cumulative process-wide cache counters (monotone; surfaced on build
-/// trace spans and in docs/PERFORMANCE.md tooling).
+/// Cumulative process-wide cache counters (monotone; read by tests and
+/// the host benchmark).
 struct ModuleCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -59,12 +58,6 @@ ModuleCacheStats GetModuleCacheStats();
 /// tests can assert two sources collide/differ where expected.
 uint64_t ModuleCacheKey(const std::string& source, lang::Dialect dialect,
                         const std::string& build_options);
-
-/// Whether Compile consults the cache. Defaults to the environment
-/// (BRIDGECL_MODULE_CACHE, "0" disables); SetModuleCacheEnabled(0/1)
-/// overrides, -1 restores the environment default.
-bool ModuleCacheEnabled();
-void SetModuleCacheEnabled(int enabled);
 
 class Module {
  public:

@@ -60,11 +60,7 @@ class NativeCudaApi final : public CudaApi {
     interp::ModuleCacheOutcome cache_outcome;
     auto m = Module::Compile(cuda_source, lang::Dialect::kCUDA, diags,
                              /*build_options=*/"", &cache_outcome);
-    if (cache_outcome != interp::ModuleCacheOutcome::kDisabled) {
-      auto stats = interp::GetModuleCacheStats();
-      span.SetModuleCache(cache_outcome == interp::ModuleCacheOutcome::kHit,
-                          stats.hits, stats.misses);
-    }
+    span.SetModuleCache(cache_outcome == interp::ModuleCacheOutcome::kHit);
     if (!m.ok())
       return AsCuda(Status(m.status().code(),
                            m.status().message() + "\n" + diags.ToString()),

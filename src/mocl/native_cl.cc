@@ -393,11 +393,7 @@ class NativeClApi final : public OpenClApi {
     interp::ModuleCacheOutcome cache_outcome;
     auto m = Module::Compile(it->second.source, lang::Dialect::kOpenCL, diags,
                              /*build_options=*/"", &cache_outcome);
-    if (cache_outcome != interp::ModuleCacheOutcome::kDisabled) {
-      auto stats = interp::GetModuleCacheStats();
-      span.SetModuleCache(cache_outcome == interp::ModuleCacheOutcome::kHit,
-                          stats.hits, stats.misses);
-    }
+    span.SetModuleCache(cache_outcome == interp::ModuleCacheOutcome::kHit);
     it->second.build_log = diags.ToString();
     // The simulated build cost is charged identically on cache hit and
     // miss: the cache saves host wall-clock, never simulated device time.

@@ -1,19 +1,60 @@
 #include "simgpu/fiber.h"
 
+#include <sys/mman.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #include <cassert>
+#include <new>
+#include <unordered_map>
 
 namespace bridgecl::simgpu {
 
 namespace {
 enum class FiberState { kReady, kAtBarrier, kDone };
+
+/// Fiber stacks recycled per thread, by size: a stack's pages are faulted
+/// in once and reused by every later group on the same thread, instead of
+/// being allocated and zero-filled per work-item per block. Stacks never
+/// move between threads; a group nested inside a running fiber takes
+/// more. Each stack sits above a guard page, so an overflow faults
+/// instead of corrupting its neighbour.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (const auto& [bytes, stacks] : free_)
+      for (char* s : stacks) munmap(s - Page(), bytes + Page());
+  }
+  char* Take(size_t bytes) {
+    std::vector<char*>& free = free_[bytes];
+    if (!free.empty()) {
+      char* s = free.back();
+      free.pop_back();
+      return s;
+    }
+    void* p = mmap(nullptr, bytes + Page(), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    mprotect(p, Page(), PROT_NONE);
+    return static_cast<char*>(p) + Page();
+  }
+  void Give(char* stack, size_t bytes) { free_[bytes].push_back(stack); }
+
+ private:
+  static size_t Page() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+  std::unordered_map<size_t, std::vector<char*>> free_;
+};
+
+thread_local StackPool t_stacks;
 }  // namespace
 
 struct FiberGroup::Impl {
   struct Fiber {
     ucontext_t ctx;
-    std::vector<char> stack;
+    char* stack = nullptr;
     FiberState state = FiberState::kReady;
     Status status;
   };
@@ -72,10 +113,10 @@ Status FiberGroup::Run(int count, const Task& task) {
 
   for (int i = 0; i < count; ++i) {
     Impl::Fiber& f = impl->fibers[i];
-    f.stack.resize(impl->stack_bytes);
+    f.stack = t_stacks.Take(impl->stack_bytes);
     getcontext(&f.ctx);
-    f.ctx.uc_stack.ss_sp = f.stack.data();
-    f.ctx.uc_stack.ss_size = f.stack.size();
+    f.ctx.uc_stack.ss_sp = f.stack;
+    f.ctx.uc_stack.ss_size = impl->stack_bytes;
     f.ctx.uc_link = &impl->main_ctx;
     makecontext(&f.ctx, FiberTrampoline, 0);
   }
@@ -115,6 +156,8 @@ Status FiberGroup::Run(int count, const Task& task) {
 
   g_active_impl = prev_active;
   impl->task = nullptr;
+  for (const Impl::Fiber& f : impl->fibers)
+    t_stacks.Give(f.stack, impl->stack_bytes);
   impl->fibers.clear();
   return first_error;
 }

@@ -20,7 +20,9 @@ namespace bridgecl::simgpu {
 /// Runs `count` tasks as fibers until all complete. Tasks may call
 /// `Barrier()` (from inside the task, via the scheduler pointer handed to
 /// them) any number of times; all live tasks must reach the barrier before
-/// any proceeds. A task returning a non-ok Status aborts the group.
+/// any proceeds. A task returning a non-ok Status does not stop its
+/// siblings. Stacks come from a per-thread pool and are reused across
+/// groups.
 class FiberGroup {
  public:
   /// Task receives its index. It may call FiberGroup::Barrier() (through
@@ -33,10 +35,13 @@ class FiberGroup {
   FiberGroup(const FiberGroup&) = delete;
   FiberGroup& operator=(const FiberGroup&) = delete;
 
-  /// Run `count` instances of `task` to completion. Returns the first
-  /// non-ok status produced, or an error if the group deadlocks (some
-  /// fibers wait at a barrier while others already returned — the
-  /// divergent-barrier bug real GPUs hang on).
+  /// Run `count` instances of `task` to completion and return the first
+  /// non-ok status a task returned. A barrier releases once every task
+  /// that has not returned waits at one: tasks that returned early are
+  /// not waited for, and waits at different Barrier() call sites are not
+  /// told apart. A divergent barrier, which hangs a real GPU, therefore
+  /// passes silently; reporting it is the "sync" kernel checker on
+  /// ROADMAP.md.
   Status Run(int count, const Task& task);
 
   /// Called from inside a running task: wait for all live siblings.

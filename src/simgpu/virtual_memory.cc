@@ -109,15 +109,6 @@ void VirtualMemory::EnsureWorkerSlots(int slots) {
   if (private_slots_.size() < n) private_slots_.resize(n);
 }
 
-uint64_t VirtualMemory::GlobalAllocationBaseOf(uint64_t va) const {
-  auto it = global_allocs_.upper_bound(va);
-  if (it == global_allocs_.begin()) return 0;
-  auto prev = std::prev(it);
-  const Region& r = prev->second;
-  if (!r.freed && va < prev->first + r.span) return prev->first;
-  return 0;
-}
-
 StatusOr<std::byte*> VirtualMemory::ResolveGlobal(uint64_t va, size_t len) {
   auto it = global_allocs_.upper_bound(va);
   if (it != global_allocs_.begin()) {

@@ -7,9 +7,9 @@
 // Layout:
 //   [kGlobalBase ...)     dynamically allocated global-memory buffers
 //   [kConstantBase ...)   per-module constant memory region
-//   [kSharedBase ...)     the shared/local memory of the block currently
-//                         executing (blocks run one at a time)
-//   [kPrivateBase ...)    per-work-item private stacks of the current block
+//   [kSharedBase ...)     the shared/local memory of the block each host
+//                         worker is executing, one slot per worker
+//   [kPrivateBase ...)    per-work-item private stacks of those blocks
 //
 // Two accuracy modes, mirroring real allocator behavior:
 //   * unguarded (default): each allocation's backing store is padded to the
@@ -106,10 +106,6 @@ class VirtualMemory {
   /// failure names the allocation, its extent and generation.
   StatusOr<std::byte*> Resolve(uint64_t va, size_t len);
 
-  /// Base VA of the live global allocation containing `va`, or 0 if none.
-  /// Used by the block-parallel launcher to detect kernel arguments that
-  /// alias the same buffer (read-write hazard -> serial execution).
-  uint64_t GlobalAllocationBaseOf(uint64_t va) const;
   /// Segment of a mapped address (for access-cost classification).
   StatusOr<Segment> SegmentOf(uint64_t va) const;
 

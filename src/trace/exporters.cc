@@ -90,12 +90,8 @@ std::string ChromeTraceJson(const TraceRecorder& recorder) {
           static_cast<unsigned long long>(e.delta.barriers));
     }
     if (e.module_cache >= 0)
-      out += StrFormat(
-          ",\"module_cache\":\"%s\",\"module_cache_hits\":%llu,"
-          "\"module_cache_misses\":%llu",
-          e.module_cache == 1 ? "hit" : "miss",
-          static_cast<unsigned long long>(e.module_cache_hits),
-          static_cast<unsigned long long>(e.module_cache_misses));
+      out += StrFormat(",\"module_cache\":\"%s\"",
+                       e.module_cache == 1 ? "hit" : "miss");
     if (e.delta.api_calls != 0)
       out += StrFormat(",\"api_calls\":%llu",
                        static_cast<unsigned long long>(e.delta.api_calls));

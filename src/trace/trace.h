@@ -60,10 +60,8 @@ struct TraceEvent {
   int lane = 0;            // display lane: 0 host, 1 copy engine, 2 compute
   uint64_t stream = 0;     // device spans: owning queue/stream handle
   // Build spans: content-hashed module-cache outcome (-1 n/a, 0 miss,
-  // 1 hit) plus the cumulative process-wide counters at close time.
+  // 1 hit).
   int8_t module_cache = -1;
-  uint64_t module_cache_hits = 0;
-  uint64_t module_cache_misses = 0;
   simgpu::DeviceStats delta;  // device counters accumulated inside the span
 
   double duration_us() const { return end_us - begin_us; }
@@ -147,14 +145,11 @@ class TraceSpan {
     e.regs_per_thread = regs_per_thread;
     e.occupancy = occupancy;
   }
-  /// Build spans: whether the module cache satisfied this compile, plus
-  /// the cumulative hit/miss counters (docs/PERFORMANCE.md).
-  void SetModuleCache(bool hit, uint64_t hits, uint64_t misses) {
+  /// Build spans: whether the module cache satisfied this compile
+  /// (docs/PERFORMANCE.md).
+  void SetModuleCache(bool hit) {
     if (recorder_ == nullptr) return;
-    TraceEvent& e = recorder_->mutable_events()[index_];
-    e.module_cache = hit ? 1 : 0;
-    e.module_cache_hits = hits;
-    e.module_cache_misses = misses;
+    recorder_->mutable_events()[index_].module_cache = hit ? 1 : 0;
   }
   void Fail() { failed_ = true; }
   /// Pass-through status observer: `return span.Sealed(SomeCall());`.

@@ -4,10 +4,13 @@
 // checksums, every DeviceStats counter, the simulated clock, per-engine
 // busy time, and exported Chrome traces. Error paths get the same
 // treatment: guarded-memory faults and exhaustive nth-fault sweeps must
-// report byte-identical statuses at any worker count. The content-hashed
-// module cache rides along: hits skip the front end (surfaced on build
-// trace spans), replay diagnostics byte-identically, charge the same
-// simulated build cost, and honor the BRIDGECL_MODULE_CACHE kill switch.
+// report byte-identical statuses at any worker count. Direct launches pin
+// the logged execution path: blocks that write the same word, read each
+// other's output, or share an atomic counter must leave memory exactly as
+// the serial engine does. The content-hashed module cache rides along:
+// hits skip the front end (surfaced on build trace spans), replay
+// diagnostics byte-identically, and charge the same simulated build
+// cost.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -163,9 +166,9 @@ TEST_P(ParallelExecAppTest, CudaBitIdenticalAcrossWorkerCounts) {
 // ---------------------------------------------------------------------------
 // Trace bit-identity: the exported Chrome JSON carries simulated
 // timestamps and counter deltas only, so it must not change with the
-// worker count either. (Module cache pinned off: the second process-wide
-// compile of the same source would legitimately flip a build span's
-// hit/miss metadata.)
+// worker count either. (A discarded first run warms the module cache:
+// the first process-wide compile of a source is a miss, later ones hit,
+// and the outcome is build-span metadata.)
 // ---------------------------------------------------------------------------
 std::string TracedClAppJson(App& app, int workers) {
   ScopedWorkers sw(workers);
@@ -179,17 +182,16 @@ std::string TracedClAppJson(App& app, int workers) {
 }
 
 TEST(ParallelExecTest, TracesBitIdenticalAcrossWorkerCounts) {
-  interp::SetModuleCacheEnabled(0);
-  // srad serializes under the cross-block hazard analysis (in-place
-  // stencil), gaussian and pathfinder run block-parallel: both regimes
-  // must export identical traces.
+  // srad's in-place stencil reruns serially after a conflict, gaussian
+  // and pathfinder commit their block logs: both regimes must export
+  // identical traces.
   for (const char* name : {"srad", "gaussian", "pathfinder"}) {
     SCOPED_TRACE(name);
     AppPtr app = FindApp(name);
     ASSERT_NE(app, nullptr);
+    (void)TracedClAppJson(*app, 1);
     EXPECT_EQ(TracedClAppJson(*app, 1), TracedClAppJson(*app, kWorkers));
   }
-  interp::SetModuleCacheEnabled(-1);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,8 +319,164 @@ TEST(ParallelExecTest, NthFaultSweepIdenticalAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Logged block execution, driven through interp::LaunchKernel. At 8
+// workers every block runs against pre-launch memory and logs its stores;
+// the logs commit in block order unless a block read a byte an earlier
+// block wrote, which reruns the launch serially. Either way memory,
+// status, DeviceStats and cycles must equal the serial engine's.
+// ---------------------------------------------------------------------------
+struct DirectRun {
+  Status status;
+  std::vector<int32_t> mem;  // the kernel's buffer after the launch
+  DeviceStats stats;
+  double cycles = 0;
+  double clock = 0;
+  interp::LaunchPath path = interp::LaunchPath::kSerial;
+};
+
+/// Launch `k(__global int* buf)` from OpenCL `src` on a fresh device at
+/// `workers` workers, with `buf` holding `mem`.
+DirectRun LaunchDirect(const char* src, simgpu::Dim3 grid,
+                       simgpu::Dim3 block, std::vector<int32_t> mem,
+                       int workers) {
+  ScopedWorkers sw(workers);
+  Device dev(TitanProfile());
+  DirectRun r;
+  const size_t bytes = mem.size() * sizeof(int32_t);
+  r.status = [&]() -> Status {
+    DiagnosticEngine diags;
+    BRIDGECL_ASSIGN_OR_RETURN(
+        auto module,
+        interp::Module::Compile(src, lang::Dialect::kOpenCL, diags));
+    BRIDGECL_RETURN_IF_ERROR(module->LoadOn(dev));
+    BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, dev.vm().AllocGlobal(bytes));
+    BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, dev.vm().Resolve(va, bytes));
+    std::memcpy(p, mem.data(), bytes);
+    const interp::KernelArg args[] = {interp::KernelArg::Pointer(va)};
+    auto launch = interp::LaunchKernel(dev, *module, "k", {grid, block, 0},
+                                       args);
+    std::memcpy(mem.data(), p, bytes);  // also after a fault
+    BRIDGECL_RETURN_IF_ERROR(launch.status());
+    r.cycles = launch->total_cycles;
+    r.path = launch->path;
+    return OkStatus();
+  }();
+  r.mem = std::move(mem);
+  r.stats = dev.stats();
+  r.clock = dev.now_us();
+  return r;
+}
+
+/// Runs `src` at 1 and at 8 workers, expects identical outcomes, and
+/// returns the 8-worker run.
+DirectRun ExpectSerialEqualsParallel(const char* src, simgpu::Dim3 grid,
+                                     simgpu::Dim3 block,
+                                     const std::vector<int32_t>& mem) {
+  DirectRun serial = LaunchDirect(src, grid, block, mem, 1);
+  DirectRun parallel = LaunchDirect(src, grid, block, mem, kWorkers);
+  EXPECT_EQ(serial.path, interp::LaunchPath::kSerial);
+  EXPECT_EQ(serial.status.code(), parallel.status.code());
+  EXPECT_EQ(serial.status.message(), parallel.status.message());
+  EXPECT_EQ(serial.mem, parallel.mem);
+  EXPECT_EQ(serial.cycles, parallel.cycles);
+  EXPECT_EQ(serial.clock, parallel.clock);
+  ExpectStatsEqual(serial.stats, parallel.stats);
+  return parallel;
+}
+
+TEST(ParallelExecTest, StoresToOneWordCommitInBlockOrder) {
+  // Every block stores its group id to out[0] and loads nothing. The
+  // serial engine leaves the last block's id; so must 8 workers, every
+  // time.
+  const char* src =
+      "__kernel void k(__global int* out) { out[0] = get_group_id(0); }";
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE("repeat " + std::to_string(rep));
+    DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(64),
+                                             simgpu::Dim3(32), {0});
+    EXPECT_EQ(r.mem[0], 63);
+    EXPECT_EQ(r.path, interp::LaunchPath::kCommitted);
+  }
+}
+
+TEST(ParallelExecTest, ReadOfAnEarlierBlocksStoreRerunsSerially) {
+  // Block b adds out[b-1], which block b-1 wrote in the same launch.
+  const char* src =
+      "__kernel void k(__global int* out) {"
+      "  if (get_local_id(0) != 0) return;"
+      "  int b = get_group_id(0);"
+      "  out[b] = b;"
+      "  if (b > 0) out[b] += out[b - 1];"
+      "}";
+  DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(16),
+                                           simgpu::Dim3(4),
+                                           std::vector<int32_t>(16, 0));
+  EXPECT_EQ(r.path, interp::LaunchPath::kRerun);
+  EXPECT_EQ(r.mem[15], 120);  // 1 + 2 + ... + 15
+}
+
+TEST(ParallelExecTest, SharedAtomicCounterRerunsSerially) {
+  // Every work-item bumps one counter and stores the old value it got
+  // back. Atomics are logged read-modify-writes, so block 1 reading the
+  // counter block 0 bumped is a conflict.
+  const char* src =
+      "__kernel void k(__global int* out) {"
+      "  out[1 + get_global_id(0)] = atomic_add(&out[0], 1);"
+      "}";
+  DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(8),
+                                           simgpu::Dim3(4),
+                                           std::vector<int32_t>(33, 0));
+  EXPECT_EQ(r.path, interp::LaunchPath::kRerun);
+  EXPECT_EQ(r.mem[0], 32);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(r.mem[1 + i], i);
+}
+
+TEST(ParallelExecTest, InPlaceUpdateWithoutCrossBlockReadsCommits) {
+  // lud_update's shape at k = 0: each block rewrites its own tile of a
+  // 32x32 matrix in place from row 0 and column 0, which no block writes.
+  // Column 0 shares 8-byte words with column 1, which the left tiles
+  // write and the right tiles read next to, so only byte-exact read
+  // tracking keeps the launch parallel.
+  const char* src =
+      "__kernel void k(__global int* a) {"
+      "  int j = get_global_id(0);"
+      "  int i = get_global_id(1);"
+      "  if (i == 0 || j == 0) return;"
+      "  a[i * 32 + j] -= a[i * 32] * a[j];"
+      "}";
+  std::vector<int32_t> a(32 * 32);
+  for (int i = 0; i < 32 * 32; ++i) a[i] = i % 7 - 3;
+  DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(2, 2),
+                                           simgpu::Dim3(16, 16), a);
+  EXPECT_EQ(r.path, interp::LaunchPath::kCommitted);
+  EXPECT_EQ(r.mem[33], a[33] - a[32] * a[1]);
+}
+
+TEST(ParallelExecTest, FaultingBlockCommitsEarlierStoresOnly) {
+  // Block 3's work-item 2 stores far out of bounds. Memory keeps the
+  // stores of blocks 0-2 and block 3's stores before the fault, and
+  // nothing from blocks 4-7, which the serial engine never runs.
+  const char* src =
+      "__kernel void k(__global int* out) {"
+      "  int g = get_global_id(0);"
+      "  out[g] = g + 1;"
+      "  if (get_group_id(0) == 3 && get_local_id(0) == 2) {"
+      "    out[1 << 20] = -1;"
+      "    out[g] = -1;"
+      "  }"
+      "}";
+  DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(8),
+                                           simgpu::Dim3(4),
+                                           std::vector<int32_t>(32, 0));
+  ASSERT_FALSE(r.status.ok());
+  EXPECT_NE(r.status.message().find("block (3,0,0)"), std::string::npos)
+      << r.status.ToString();
+  for (int g = 0; g < 32; ++g) EXPECT_EQ(r.mem[g], g < 16 ? g + 1 : 0) << g;
+}
+
+// ---------------------------------------------------------------------------
 // Module cache: hits skip the front end, replay diagnostics, surface on
-// build trace spans, charge identical simulated cost, and can be killed.
+// build trace spans, and charge identical simulated cost.
 // ---------------------------------------------------------------------------
 
 /// Build-span events of the recorder, in order.
@@ -330,7 +488,6 @@ std::vector<trace::TraceEvent> BuildSpans(const trace::TraceRecorder& rec) {
 }
 
 TEST(ParallelExecTest, ModuleCacheHitSkipsFrontEndAndMarksSpans) {
-  interp::SetModuleCacheEnabled(1);
   // Unique source so this test's first compile is a guaranteed miss even
   // though the cache is process-wide.
   const char* src =
@@ -357,22 +514,18 @@ TEST(ParallelExecTest, ModuleCacheHitSkipsFrontEndAndMarksSpans) {
   ASSERT_TRUE(log1.ok() && log2.ok());
   EXPECT_EQ(*log1, *log2);
 
-  // The spans carry the outcome and the cumulative counters...
+  // The spans carry the outcome...
   std::vector<trace::TraceEvent> spans = BuildSpans(session.recorder());
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].module_cache, 0);  // miss
   EXPECT_EQ(spans[1].module_cache, 1);  // hit
-  EXPECT_EQ(spans[1].module_cache_hits, spans[0].module_cache_hits + 1);
-  EXPECT_EQ(spans[1].module_cache_misses, spans[0].module_cache_misses);
   // ...and the simulated build cost is charged identically on hit and
   // miss (the cache saves wall-clock only, never simulated time).
   EXPECT_EQ(spans[0].end_us - spans[0].begin_us,
             spans[1].end_us - spans[1].begin_us);
-  interp::SetModuleCacheEnabled(-1);
 }
 
 TEST(ParallelExecTest, ModuleCacheReplaysFailureDiagnosticsIdentically) {
-  interp::SetModuleCacheEnabled(1);
   const char* broken =
       "__kernel void pexec_cache_broken(__global float* x) {"
       "  x[get_global_id(0)] = undeclared_pexec_name;"
@@ -401,31 +554,6 @@ TEST(ParallelExecTest, ModuleCacheReplaysFailureDiagnosticsIdentically) {
   // clGetProgramBuildInfo is byte-identical whether the diagnostics came
   // from a live front-end run or from the cache's replay.
   EXPECT_EQ(log_miss, log_hit);
-  interp::SetModuleCacheEnabled(-1);
-}
-
-TEST(ParallelExecTest, ModuleCacheKillSwitchBypassesEntirely) {
-  interp::SetModuleCacheEnabled(0);
-  const char* src =
-      "__kernel void pexec_cache_killed(__global float* x) {"
-      "  x[get_global_id(0)] = 3.0f;"
-      "}";
-  Device dev(TitanProfile());
-  trace::TraceSession session(dev, {});
-  auto cl = mocl::CreateNativeClApi(dev);
-  interp::ModuleCacheStats before = interp::GetModuleCacheStats();
-  for (int i = 0; i < 2; ++i) {
-    auto p = cl->CreateProgramWithSource(src);
-    ASSERT_TRUE(p.ok());
-    ASSERT_TRUE(cl->BuildProgram(*p).ok());
-  }
-  interp::ModuleCacheStats after = interp::GetModuleCacheStats();
-  // Disabled: no counter moves, and build spans carry no cache metadata.
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  for (const trace::TraceEvent& e : BuildSpans(session.recorder()))
-    EXPECT_EQ(e.module_cache, -1);
-  interp::SetModuleCacheEnabled(-1);
 }
 
 TEST(ParallelExecTest, ModuleCacheKeySeparatesInputs) {
