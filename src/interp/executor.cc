@@ -24,6 +24,7 @@ using lang::ArithmeticResultType;
 using lang::AssignExpr;
 using lang::BinaryExpr;
 using lang::BinaryOp;
+using lang::BuiltinOp;
 using lang::CallExpr;
 using lang::CastExpr;
 using lang::CompoundStmt;
@@ -865,7 +866,7 @@ class Evaluator {
       return Err("unbound variable '" + r.name + "'");
     }
     // CUDA built-in index variables.
-    if (r.is_builtin) {
+    if (r.builtin) {
       auto vec3 = [&](const Dim3& d) {
         std::vector<ScalarVal> c(3);
         c[0].u = d.x;
@@ -874,14 +875,19 @@ class Evaluator {
         return Value::Vector(Type::Vector(ScalarKind::kUInt, 3),
                              std::move(c));
       };
-      if (r.name == "threadIdx") return vec3(lid_);
-      if (r.name == "blockIdx") return vec3(L_.group_id);
-      if (r.name == "blockDim") return vec3(L_.cfg.block);
-      if (r.name == "gridDim") return vec3(L_.cfg.grid);
-      if (r.name == "warpSize")
-        return Value::Int(L_.device->profile().warp_size);
-      if (auto c = NamedConstantValue(r.name))
-        return Value::UInt(*c);
+      switch (r.builtin.op()) {
+        case BuiltinOp::kThreadIdx: return vec3(lid_);
+        case BuiltinOp::kBlockIdx: return vec3(L_.group_id);
+        case BuiltinOp::kBlockDim: return vec3(L_.cfg.block);
+        case BuiltinOp::kGridDim: return vec3(L_.cfg.grid);
+        case BuiltinOp::kWarpSize:
+          return Value::Int(L_.device->profile().warp_size);
+        default:
+          return Err("built-in function '" + r.name + "' used as a value");
+      }
+    }
+    if (r.is_constant) {
+      if (auto c = NamedConstantValue(r.name)) return Value::UInt(*c);
       return Err("unknown builtin constant '" + r.name + "'");
     }
     // Texture reference.
@@ -1022,15 +1028,17 @@ class Evaluator {
       *err = InternalError("division by zero in kernel");
       return out;
     };
+    // Integer +, - and * wrap: computed on the unsigned lanes, they give
+    // the two's-complement result signed overflow would leave undefined.
     switch (op) {
       case BinaryOp::kAdd:
-        if (flt) out.f = a.f + b.f; else out.i = a.i + b.i;
+        if (flt) out.f = a.f + b.f; else out.u = a.u + b.u;
         return out;
       case BinaryOp::kSub:
-        if (flt) out.f = a.f - b.f; else out.i = a.i - b.i;
+        if (flt) out.f = a.f - b.f; else out.u = a.u - b.u;
         return out;
       case BinaryOp::kMul:
-        if (flt) out.f = a.f * b.f; else out.i = a.i * b.i;
+        if (flt) out.f = a.f * b.f; else out.u = a.u * b.u;
         return out;
       case BinaryOp::kDiv:
         if (flt) {
@@ -1200,14 +1208,13 @@ class Evaluator {
 
   // -- calls ---------------------------------------------------------------
   StatusOr<Value> EvalCall(const CallExpr& c) {
-    std::string name = c.callee_name();
-    const DeclRefExpr* ref =
-        c.callee->kind == ExprKind::kDeclRef ? c.callee->As<DeclRefExpr>()
-                                             : nullptr;
-    if (ref != nullptr && ref->function != nullptr && ref->function->body) {
-      return CallFunction(ref->function, c);
-    }
-    return CallBuiltin(name, c);
+    // Sema rejects indirect calls, so the callee is a resolved name.
+    const DeclRefExpr& ref = *c.callee->As<DeclRefExpr>();
+    if (ref.function != nullptr && ref.function->body)
+      return CallFunction(ref.function, c);
+    if (ref.builtin) return CallBuiltin(ref, c);
+    return Err("call to '" + ref.name +
+               "', which is declared but never defined");
   }
 
   StatusOr<Value> CallFunction(const FunctionDecl* fn, const CallExpr& c) {
@@ -1250,11 +1257,12 @@ class Evaluator {
   }
 
   // ---- builtin implementations ----
-  StatusOr<Value> CallBuiltin(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalImageRead(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalImageWrite(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalTexFetch(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalAtomic(const std::string& name, const CallExpr& c);
+  // `ref` is the call's callee, resolved by sema to a catalog entry.
+  StatusOr<Value> CallBuiltin(const DeclRefExpr& ref, const CallExpr& c);
+  StatusOr<Value> EvalImageRead(ScalarKind out_kind, const CallExpr& c);
+  StatusOr<Value> EvalImageWrite(const DeclRefExpr& ref, const CallExpr& c);
+  StatusOr<Value> EvalTexFetch(const CallExpr& c);
+  StatusOr<Value> EvalAtomic(const DeclRefExpr& ref, const CallExpr& c);
   StatusOr<ImageDesc> LoadImageDesc(uint64_t va);
   StatusOr<Value> ReadTexel(const ImageDesc& d, int x, int y, int z,
                             ScalarKind out_kind);
@@ -1314,9 +1322,8 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
   return Value::Vector(Type::Vector(out_kind, 4), std::move(comps));
 }
 
-StatusOr<Value> Evaluator::EvalImageRead(const std::string& name,
+StatusOr<Value> Evaluator::EvalImageRead(ScalarKind out_kind,
                                          const CallExpr& c) {
-  if (c.args.size() < 2) return Err(name + ": too few arguments");
   BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
   BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
   uint32_t sampler_bits = d.sampler_bits;
@@ -1325,9 +1332,6 @@ StatusOr<Value> Evaluator::EvalImageRead(const std::string& name,
     BRIDGECL_ASSIGN_OR_RETURN(Value s, Eval(*c.args[1]));
     sampler_bits = static_cast<uint32_t>(s.AsU64());
   }
-  ScalarKind out_kind = name == "read_imagef"   ? ScalarKind::kFloat
-                        : name == "read_imagei" ? ScalarKind::kInt
-                                                : ScalarKind::kUInt;
   BRIDGECL_ASSIGN_OR_RETURN(Value coord, Eval(*coord_expr));
   bool float_coords =
       coord.type() && IsFloatScalar(coord.type()->scalar_kind());
@@ -1373,9 +1377,9 @@ StatusOr<Value> Evaluator::EvalImageRead(const std::string& name,
                    static_cast<int>(fz), out_kind);
 }
 
-StatusOr<Value> Evaluator::EvalImageWrite(const std::string& name,
+StatusOr<Value> Evaluator::EvalImageWrite(const DeclRefExpr& ref,
                                           const CallExpr& c) {
-  if (c.args.size() != 3) return Err(name + ": expected 3 arguments");
+  if (c.args.size() != 3) return Err(ref.name + ": expected 3 arguments");
   BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
   BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
   BRIDGECL_ASSIGN_OR_RETURN(Value coord, Eval(*c.args[1]));
@@ -1415,9 +1419,7 @@ StatusOr<Value> Evaluator::EvalImageWrite(const std::string& name,
   return Value::Void();
 }
 
-StatusOr<Value> Evaluator::EvalTexFetch(const std::string& name,
-                                        const CallExpr& c) {
-  if (c.args.size() < 2) return Err(name + ": too few arguments");
+StatusOr<Value> Evaluator::EvalTexFetch(const CallExpr& c) {
   BRIDGECL_ASSIGN_OR_RETURN(Value tex, Eval(*c.args[0]));
   BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(tex.AsVa()));
   Type::Ptr tex_t = c.args[0]->type;
@@ -1453,9 +1455,8 @@ StatusOr<Value> Evaluator::EvalTexFetch(const std::string& name,
   return Value::Vector(Type::Vector(out_kind, out_width), std::move(comps));
 }
 
-StatusOr<Value> Evaluator::EvalAtomic(const std::string& name,
+StatusOr<Value> Evaluator::EvalAtomic(const DeclRefExpr& ref,
                                       const CallExpr& c) {
-  if (c.args.empty()) return Err(name + ": missing pointer argument");
   BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[0]));
   Type::Ptr elem = ptr.type() && ptr.type()->is_pointer()
                        ? ptr.type()->pointee()
@@ -1469,251 +1470,222 @@ StatusOr<Value> Evaluator::EvalAtomic(const std::string& name,
     BRIDGECL_ASSIGN_OR_RETURN(operand, Eval(*c.args[1]));
     operand = operand.ConvertTo(elem);
   }
-  Value next = old;
   bool flt = elem->is_float();
-  // OpenCL atomic_inc/atomic_dec: unconditional +-1 (no operand).
-  // CUDA atomicInc/atomicDec: wrap semantics against args[1] (§3.7).
-  if (name == "atomic_inc" || name == "atom_inc") {
-    next = Value::Int(old.AsI64() + 1, elem->scalar_kind());
-  } else if (name == "atomic_dec" || name == "atom_dec") {
-    next = Value::Int(old.AsI64() - 1, elem->scalar_kind());
-  } else if (name == "atomicInc") {
-    uint64_t limit = operand.AsU64();
-    next = Value::UInt(old.AsU64() >= limit ? 0 : old.AsU64() + 1,
-                       elem->scalar_kind());
-  } else if (name == "atomicDec") {
-    uint64_t limit = operand.AsU64();
-    uint64_t ov = old.AsU64();
-    next = Value::UInt((ov == 0 || ov > limit) ? limit : ov - 1,
-                       elem->scalar_kind());
-  } else if (name == "atomic_add" || name == "atomicAdd" ||
-             name == "atom_add") {
-    next = flt ? Value::Float(old.AsF64() + operand.AsF64(),
-                              elem->scalar_kind())
-               : Value::Int(old.AsI64() + operand.AsI64(),
-                            elem->scalar_kind());
-  } else if (name == "atomic_sub" || name == "atomicSub") {
-    next = Value::Int(old.AsI64() - operand.AsI64(), elem->scalar_kind());
-  } else if (name == "atomic_xchg" || name == "atomicExch") {
-    next = operand;
-  } else if (name == "atomic_min" || name == "atomicMin") {
-    bool less = IsSignedScalar(elem->scalar_kind())
-                    ? operand.AsI64() < old.AsI64()
-                    : operand.AsU64() < old.AsU64();
-    if (flt) less = operand.AsF64() < old.AsF64();
-    next = less ? operand : old;
-  } else if (name == "atomic_max" || name == "atomicMax") {
-    bool greater = IsSignedScalar(elem->scalar_kind())
-                       ? operand.AsI64() > old.AsI64()
-                       : operand.AsU64() > old.AsU64();
-    if (flt) greater = operand.AsF64() > old.AsF64();
-    next = greater ? operand : old;
-  } else if (name == "atomic_and" || name == "atomicAnd") {
-    next = Value::UInt(old.AsU64() & operand.AsU64(), elem->scalar_kind());
-  } else if (name == "atomic_or" || name == "atomicOr") {
-    next = Value::UInt(old.AsU64() | operand.AsU64(), elem->scalar_kind());
-  } else if (name == "atomic_xor" || name == "atomicXor") {
-    next = Value::UInt(old.AsU64() ^ operand.AsU64(), elem->scalar_kind());
-  } else if (name == "atomic_cmpxchg" || name == "atomicCAS") {
-    if (c.args.size() != 3) return Err(name + ": expected 3 arguments");
-    BRIDGECL_ASSIGN_OR_RETURN(Value desired, Eval(*c.args[2]));
-    if (old.AsU64() == operand.AsU64()) {
-      next = desired.ConvertTo(elem);
+  ScalarKind k = elem->scalar_kind();
+  auto next_value = [&]() -> StatusOr<Value> {
+    switch (ref.builtin.op()) {
+      // OpenCL atomic_inc/atomic_dec: unconditional +-1 (no operand).
+      case BuiltinOp::kAtomicInc:
+        return Value::Int(old.AsI64() + 1, k);
+      case BuiltinOp::kAtomicDec:
+        return Value::Int(old.AsI64() - 1, k);
+      // CUDA atomicInc/atomicDec: wrap semantics against args[1] (§3.7).
+      case BuiltinOp::kAtomicIncWrap:
+        return Value::UInt(
+            old.AsU64() >= operand.AsU64() ? 0 : old.AsU64() + 1, k);
+      case BuiltinOp::kAtomicDecWrap: {
+        uint64_t limit = operand.AsU64();
+        uint64_t ov = old.AsU64();
+        return Value::UInt((ov == 0 || ov > limit) ? limit : ov - 1, k);
+      }
+      case BuiltinOp::kAtomicAdd:
+        return flt ? Value::Float(old.AsF64() + operand.AsF64(), k)
+                   : Value::Int(old.AsI64() + operand.AsI64(), k);
+      case BuiltinOp::kAtomicSub:
+        return Value::Int(old.AsI64() - operand.AsI64(), k);
+      case BuiltinOp::kAtomicXchg:
+        return operand;
+      case BuiltinOp::kAtomicMin: {
+        bool less = IsSignedScalar(k) ? operand.AsI64() < old.AsI64()
+                                      : operand.AsU64() < old.AsU64();
+        if (flt) less = operand.AsF64() < old.AsF64();
+        return less ? operand : old;
+      }
+      case BuiltinOp::kAtomicMax: {
+        bool greater = IsSignedScalar(k) ? operand.AsI64() > old.AsI64()
+                                         : operand.AsU64() > old.AsU64();
+        if (flt) greater = operand.AsF64() > old.AsF64();
+        return greater ? operand : old;
+      }
+      case BuiltinOp::kAtomicAnd:
+        return Value::UInt(old.AsU64() & operand.AsU64(), k);
+      case BuiltinOp::kAtomicOr:
+        return Value::UInt(old.AsU64() | operand.AsU64(), k);
+      case BuiltinOp::kAtomicXor:
+        return Value::UInt(old.AsU64() ^ operand.AsU64(), k);
+      case BuiltinOp::kAtomicCmpxchg: {
+        if (c.args.size() != 3)
+          return Err(ref.name + ": expected 3 arguments");
+        BRIDGECL_ASSIGN_OR_RETURN(Value desired, Eval(*c.args[2]));
+        return old.AsU64() == operand.AsU64() ? desired.ConvertTo(elem)
+                                              : old;
+      }
+      default:
+        return Err("unhandled atomic builtin '" + ref.name + "'");
     }
-  } else {
-    return Err("unhandled atomic builtin '" + name + "'");
-  }
+  };
+  BRIDGECL_ASSIGN_OR_RETURN(Value next, next_value());
   BRIDGECL_RETURN_IF_ERROR(StoreMem(va, next.ConvertTo(elem)));
   return old;
 }
 
-StatusOr<Value> Evaluator::CallBuiltin(const std::string& raw_name,
+StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
                                        const CallExpr& c) {
-  // Device-side wrapper-library functions (__oc2cu_*) behave exactly like
-  // the OpenCL builtin they wrap (Â§5).
-  const std::string name =
-      StartsWith(raw_name, "__oc2cu_") ? raw_name.substr(8) : raw_name;
+  const lang::BuiltinRef& b = ref.builtin;
   const auto& prof = L_.device->profile();
-
-  // ---- work-item functions (OpenCL) ----
   auto dim_arg = [&]() -> StatusOr<int> {
     if (c.args.empty()) return 0;
     BRIDGECL_ASSIGN_OR_RETURN(Value d, Eval(*c.args[0]));
     return static_cast<int>(d.AsI64());
   };
-  if (name == "get_global_id") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(gid_[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_local_id") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(lid_[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_group_id") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(L_.group_id[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_global_size") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(
-        static_cast<uint64_t>(L_.cfg.grid[d]) * L_.cfg.block[d],
-        ScalarKind::kSizeT);
-  }
-  if (name == "get_local_size") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(L_.cfg.block[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_num_groups") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(L_.cfg.grid[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_work_dim") return Value::UInt(3);
-  if (name == "get_global_offset") return Value::UInt(0, ScalarKind::kSizeT);
 
-  // ---- synchronization ----
-  if (name == "barrier" || name == "__syncthreads") {
-    for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-    ++L_.stats->barriers;
-    cycles_ += prof.cost_barrier;
-    L_.group->Barrier();
-    return Value::Void();
-  }
-  if (name == "mem_fence" || name == "read_mem_fence" ||
-      name == "write_mem_fence" || name == "__threadfence" ||
-      name == "__threadfence_block") {
-    for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-    cycles_ += prof.cost_alu;
-    return Value::Void();
-  }
+  if (b.info->cls == lang::BuiltinClass::kAtomic) return EvalAtomic(ref, c);
+  switch (b.op()) {
+    // ---- work-item functions (OpenCL) ----
+    case BuiltinOp::kGlobalId:
+    case BuiltinOp::kLocalId:
+    case BuiltinOp::kGroupId:
+    case BuiltinOp::kGlobalSize:
+    case BuiltinOp::kLocalSize:
+    case BuiltinOp::kNumGroups: {
+      BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
+      const Dim3& grid = L_.cfg.grid;
+      const Dim3& block = L_.cfg.block;
+      BuiltinOp op = b.op();
+      uint64_t v = op == BuiltinOp::kGlobalId  ? gid_[d]
+                   : op == BuiltinOp::kLocalId ? lid_[d]
+                   : op == BuiltinOp::kGroupId ? L_.group_id[d]
+                   : op == BuiltinOp::kGlobalSize
+                       ? static_cast<uint64_t>(grid[d]) * block[d]
+                   : op == BuiltinOp::kLocalSize ? block[d]
+                                                 : grid[d];
+      return Value::UInt(v, ScalarKind::kSizeT);
+    }
+    case BuiltinOp::kWorkDim:
+      return Value::UInt(3);
+    case BuiltinOp::kGlobalOffset:
+      return Value::UInt(0, ScalarKind::kSizeT);
 
-  // ---- images / textures ----
-  if (StartsWith(name, "read_image")) return EvalImageRead(name, c);
-  if (StartsWith(name, "write_image")) return EvalImageWrite(name, c);
-  if (StartsWith(name, "tex")) return EvalTexFetch(name, c);
-  if (name == "get_image_width" || name == "get_image_height") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
-    BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
-    return Value::Int(name == "get_image_width" ? d.width : d.height);
-  }
+    // ---- synchronization ----
+    case BuiltinOp::kBarrier:
+      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
+      ++L_.stats->barriers;
+      cycles_ += prof.cost_barrier;
+      L_.group->Barrier();
+      return Value::Void();
+    case BuiltinOp::kFence:
+    case BuiltinOp::kDeviceFence:
+      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
+      cycles_ += prof.cost_alu;
+      return Value::Void();
 
-  // ---- atomics ----
-  if (StartsWith(name, "atomic_") || StartsWith(name, "atom_") ||
-      StartsWith(name, "atomic"))
-    return EvalAtomic(name, c);
+    // ---- images / textures ----
+    case BuiltinOp::kReadImage:
+      return EvalImageRead(b.elem, c);
+    case BuiltinOp::kWriteImage:
+      return EvalImageWrite(ref, c);
+    case BuiltinOp::kTex1D:
+    case BuiltinOp::kTex2D:
+    case BuiltinOp::kTex3D:
+      return EvalTexFetch(c);
+    case BuiltinOp::kImageWidth:
+    case BuiltinOp::kImageHeight: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
+      BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
+      return Value::Int(b.op() == BuiltinOp::kImageWidth ? d.width
+                                                         : d.height);
+    }
 
-  // ---- vector family ----
-  if (StartsWith(name, "make_")) {
-    ScalarKind ek;
-    int w;
-    if (!lang::ParseVectorTypeName(name.substr(5), &ek, &w))
-      return Err("bad make_* builtin '" + name + "'");
-    std::vector<ScalarVal> comps(w);
-    for (int i = 0; i < w && i < static_cast<int>(c.args.size()); ++i) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
-      comps[i] = v.ConvertTo(Type::Scalar(ek)).scalar();
+    // ---- vector family ----
+    case BuiltinOp::kMakeVector: {
+      std::vector<ScalarVal> comps(b.width);
+      for (int i = 0; i < b.width && i < static_cast<int>(c.args.size());
+           ++i) {
+        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
+        comps[i] = v.ConvertTo(Type::Scalar(b.elem)).scalar();
+      }
+      ChargeOp(prof.cost_alu);
+      return Value::Vector(Type::Vector(b.elem, b.width), std::move(comps));
     }
-    ChargeOp(prof.cost_alu);
-    return Value::Vector(Type::Vector(ek, w), std::move(comps));
-  }
-  if (StartsWith(name, "convert_")) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ScalarKind ek;
-    int w;
-    std::string rest = name.substr(8);
-    ChargeOp(prof.cost_alu);
-    if (lang::ParseVectorTypeName(rest, &ek, &w))
-      return v.ConvertTo(Type::Vector(ek, w));
-    // Scalar convert_T.
-    for (ScalarKind k :
-         {ScalarKind::kChar, ScalarKind::kUChar, ScalarKind::kShort,
-          ScalarKind::kUShort, ScalarKind::kInt, ScalarKind::kUInt,
-          ScalarKind::kLong, ScalarKind::kULong, ScalarKind::kFloat,
-          ScalarKind::kDouble}) {
-      if (rest == lang::ScalarName(k)) return v.ConvertTo(Type::Scalar(k));
+    case BuiltinOp::kConvert: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return v.ConvertTo(b.width > 0 ? Type::Vector(b.elem, b.width)
+                                     : Type::Scalar(b.elem));
     }
-    return Err("bad convert_* builtin '" + name + "'");
-  }
-  if (StartsWith(name, "as_")) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ScalarKind ek;
-    int w;
-    std::string rest = name.substr(3);
-    if (lang::ParseVectorTypeName(rest, &ek, &w))
-      return v.BitcastTo(Type::Vector(ek, w));
-    for (ScalarKind k :
-         {ScalarKind::kInt, ScalarKind::kUInt, ScalarKind::kFloat,
-          ScalarKind::kLong, ScalarKind::kULong, ScalarKind::kDouble}) {
-      if (rest == lang::ScalarName(k)) return v.BitcastTo(Type::Scalar(k));
+    case BuiltinOp::kAs: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      return v.BitcastTo(b.width > 0 ? Type::Vector(b.elem, b.width)
+                                     : Type::Scalar(b.elem));
     }
-    return Err("bad as_* builtin '" + name + "'");
-  }
-  if (StartsWith(name, "vload")) {
-    int w = std::atoi(name.c_str() + 5);
-    BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[0]));
-    BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[1]));
-    Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
-                                              : Type::FloatTy();
-    Type::Ptr vt = Type::Vector(elem->scalar_kind(), w);
-    uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
-    // vload reads w packed elements (no vec3 padding).
-    std::vector<ScalarVal> comps(w);
-    for (int i = 0; i < w; ++i) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v,
-                                LoadMem(va + i * elem->ByteSize(), elem));
-      comps[i] = v.scalar();
+    case BuiltinOp::kVload: {
+      int w = b.width;
+      BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[0]));
+      BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[1]));
+      Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
+                                                : Type::FloatTy();
+      Type::Ptr vt = Type::Vector(elem->scalar_kind(), w);
+      uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
+      // vload reads w packed elements (no vec3 padding).
+      std::vector<ScalarVal> comps(w);
+      for (int i = 0; i < w; ++i) {
+        BRIDGECL_ASSIGN_OR_RETURN(Value v,
+                                  LoadMem(va + i * elem->ByteSize(), elem));
+        comps[i] = v.scalar();
+      }
+      return Value::Vector(vt, std::move(comps));
     }
-    return Value::Vector(vt, std::move(comps));
-  }
-  if (StartsWith(name, "vstore")) {
-    int w = std::atoi(name.c_str() + 6);
-    BRIDGECL_ASSIGN_OR_RETURN(Value data, Eval(*c.args[0]));
-    BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[1]));
-    BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[2]));
-    Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
-                                              : Type::FloatTy();
-    uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
-    for (int i = 0; i < w; ++i) {
-      BRIDGECL_RETURN_IF_ERROR(StoreMem(
-          va + i * elem->ByteSize(), data.Component(i).ConvertTo(elem)));
+    case BuiltinOp::kVstore: {
+      int w = b.width;
+      BRIDGECL_ASSIGN_OR_RETURN(Value data, Eval(*c.args[0]));
+      BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[1]));
+      BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[2]));
+      Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
+                                                : Type::FloatTy();
+      uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
+      for (int i = 0; i < w; ++i) {
+        BRIDGECL_RETURN_IF_ERROR(StoreMem(
+            va + i * elem->ByteSize(), data.Component(i).ConvertTo(elem)));
+      }
+      return Value::Void();
     }
-    return Value::Void();
-  }
 
-  // ---- warp-level CUDA built-ins: degenerate single-lane semantics.
-  // These exist so that mcuda can *run* CUDA-only samples natively; the
-  // CU→CL translator rejects them (§3.7 / Table 3).
-  if (name == "__shfl" || name == "__shfl_up" || name == "__shfl_down" ||
-      name == "__shfl_xor") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    for (size_t i = 1; i < c.args.size(); ++i)
-      BRIDGECL_RETURN_IF_ERROR(Eval(*c.args[i]).status());
-    ChargeOp(prof.cost_alu);
-    return v;
-  }
-  if (name == "__all" || name == "__any") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ChargeOp(prof.cost_alu);
-    return Value::Int(v.AsBool() ? 1 : 0);
-  }
-  if (name == "__ballot") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ChargeOp(prof.cost_alu);
-    return Value::UInt(v.AsBool() ? 1u : 0u);
-  }
-  if (name == "clock")
-    return Value::Int(static_cast<int64_t>(cycles_));
-  if (name == "clock64")
-    return Value::Int(static_cast<int64_t>(cycles_), ScalarKind::kLongLong);
-  if (name == "assert") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    if (!v.AsBool()) return Err("device-side assert failed");
-    return Value::Void();
-  }
-  if (name == "printf") {
-    // Arguments are evaluated for side effects; output is suppressed in
-    // the simulator (matches running with stdout redirected).
-    for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-    return Value::Int(0);
+    // ---- warp-level CUDA built-ins: degenerate single-lane semantics.
+    // These exist so that mcuda can *run* CUDA-only samples natively; the
+    // CU→CL translator rejects them (§3.7 / Table 3).
+    case BuiltinOp::kShfl: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      for (size_t i = 1; i < c.args.size(); ++i)
+        BRIDGECL_RETURN_IF_ERROR(Eval(*c.args[i]).status());
+      ChargeOp(prof.cost_alu);
+      return v;
+    }
+    case BuiltinOp::kVote: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return Value::Int(v.AsBool() ? 1 : 0);
+    }
+    case BuiltinOp::kBallot: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return Value::UInt(v.AsBool() ? 1u : 0u);
+    }
+    case BuiltinOp::kClock:
+      return Value::Int(static_cast<int64_t>(cycles_));
+    case BuiltinOp::kClock64:
+      return Value::Int(static_cast<int64_t>(cycles_), ScalarKind::kLongLong);
+    case BuiltinOp::kAssert: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      if (!v.AsBool()) return Err("device-side assert failed");
+      return Value::Void();
+    }
+    case BuiltinOp::kPrintf:
+      // Arguments are evaluated for side effects; output is suppressed in
+      // the simulator (matches running with stdout redirected).
+      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
+      return Value::Int(0);
+    default:
+      break;
   }
 
   // ---- math & integer builtins (elementwise over vectors) ----
@@ -1723,181 +1695,142 @@ StatusOr<Value> Evaluator::CallBuiltin(const std::string& raw_name,
     BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*a));
     args.push_back(std::move(v));
   }
-  auto math1 = [&](double (*fn)(double)) -> StatusOr<Value> {
-    cycles_ += prof.cost_math;
-    const Value& a = args[0];
-    bool is_float_res =
-        (name.back() == 'f' && L_.dialect == Dialect::kCUDA) ||
-        (a.type() && (a.type()->is_vector() || a.type()->is_scalar()) &&
-         a.type()->scalar_kind() == ScalarKind::kFloat);
-    ScalarKind k = is_float_res ? ScalarKind::kFloat : ScalarKind::kDouble;
-    if (a.is_vector()) {
-      Value out = a;
-      for (auto& cmp : out.comps()) {
-        double x = IsFloatScalar(a.type()->scalar_kind())
-                       ? cmp.f
-                       : static_cast<double>(cmp.i);
-        cmp.f = k == ScalarKind::kFloat ? static_cast<float>(fn(x)) : fn(x);
+  switch (b.op()) {
+    case BuiltinOp::kMathUnary: {
+      cycles_ += prof.cost_math;
+      const Value& a = args[0];
+      bool is_float_res =
+          b.info->float_result() ||
+          (a.type() && (a.type()->is_vector() || a.type()->is_scalar()) &&
+           a.type()->scalar_kind() == ScalarKind::kFloat);
+      ScalarKind k = is_float_res ? ScalarKind::kFloat : ScalarKind::kDouble;
+      auto fn = b.info->unary;
+      if (a.is_vector()) {
+        Value out = a;
+        for (auto& cmp : out.comps()) {
+          double x = IsFloatScalar(a.type()->scalar_kind())
+                         ? cmp.f
+                         : static_cast<double>(cmp.i);
+          cmp.f = k == ScalarKind::kFloat ? static_cast<float>(fn(x)) : fn(x);
+        }
+        out.set_type(Type::Vector(k, a.type()->vector_width()));
+        return out;
       }
-      out.set_type(Type::Vector(k, a.type()->vector_width()));
-      return out;
+      return Value::Float(fn(a.AsF64()), k);
     }
-    return Value::Float(fn(a.AsF64()), k);
-  };
-  auto math2 = [&](double (*fn)(double, double)) -> StatusOr<Value> {
-    cycles_ += prof.cost_math;
-    const Value& a = args[0];
-    const Value& b = args[1];
-    bool use_float =
-        (name.back() == 'f' && L_.dialect == Dialect::kCUDA) ||
-        (a.type() && a.type()->scalar_kind() == ScalarKind::kFloat);
-    ScalarKind k = use_float ? ScalarKind::kFloat : ScalarKind::kDouble;
-    if (a.is_vector()) {
-      int w = a.type()->vector_width();
-      Value bb = b.ConvertTo(Type::Vector(k, w));
-      Value out = a.ConvertTo(Type::Vector(k, w));
-      for (int i = 0; i < w; ++i)
-        out.comps()[i].f = fn(out.comps()[i].f, bb.comps()[i].f);
-      return out;
-    }
-    return Value::Float(fn(a.AsF64(), b.AsF64()), k);
-  };
-
-  static const std::unordered_map<std::string, double (*)(double)> kMath1 = {
-      {"sqrt", std::sqrt},   {"sqrtf", std::sqrt},
-      {"native_sqrt", std::sqrt}, {"half_sqrt", std::sqrt},
-      {"rsqrt", +[](double x) { return 1.0 / std::sqrt(x); }},
-      {"rsqrtf", +[](double x) { return 1.0 / std::sqrt(x); }},
-      {"native_rsqrt", +[](double x) { return 1.0 / std::sqrt(x); }},
-      {"cbrt", std::cbrt},
-      {"exp", std::exp},     {"expf", std::exp},
-      {"__expf", std::exp},  {"native_exp", std::exp},
-      {"exp2", std::exp2},   {"exp2f", std::exp2},
-      {"log", std::log},     {"logf", std::log},
-      {"__logf", std::log},  {"native_log", std::log},
-      {"log2", std::log2},   {"log2f", std::log2},
-      {"log10", std::log10}, {"log10f", std::log10},
-      {"sin", std::sin},     {"sinf", std::sin},
-      {"__sinf", std::sin},  {"native_sin", std::sin},
-      {"cos", std::cos},     {"cosf", std::cos},
-      {"__cosf", std::cos},  {"native_cos", std::cos},
-      {"tan", std::tan},     {"tanf", std::tan},
-      {"asin", std::asin},   {"asinf", std::asin},
-      {"acos", std::acos},   {"acosf", std::acos},
-      {"atan", std::atan},   {"atanf", std::atan},
-      {"sinh", std::sinh},   {"cosh", std::cosh},
-      {"tanh", std::tanh},
-      {"fabs", std::fabs},   {"fabsf", std::fabs},
-      {"floor", std::floor}, {"floorf", std::floor},
-      {"ceil", std::ceil},   {"ceilf", std::ceil},
-      {"trunc", std::trunc}, {"round", std::round},
-  };
-  if (auto it = kMath1.find(name); it != kMath1.end()) return math1(it->second);
-
-  static const std::unordered_map<std::string, double (*)(double, double)>
-      kMath2 = {
-          {"pow", std::pow},     {"powf", std::pow},
-          {"fmod", std::fmod},   {"fmodf", std::fmod},
-          {"atan2", std::atan2}, {"atan2f", std::atan2},
-          {"fmin", std::fmin},   {"fminf", std::fmin},
-          {"fmax", std::fmax},   {"fmaxf", std::fmax},
-          {"native_divide", +[](double a, double b) { return a / b; }},
-          {"__fdividef", +[](double a, double b) { return a / b; }},
-      };
-  if (auto it = kMath2.find(name); it != kMath2.end()) return math2(it->second);
-
-  if (name == "fma" || name == "fmaf" || name == "mad") {
-    cycles_ += prof.cost_alu;
-    if (args[0].is_vector()) {
-      Type::Ptr vt = args[0].type();
-      Value a = args[0], b = args[1].ConvertTo(vt), d = args[2].ConvertTo(vt);
-      Value out = a;
-      for (int i = 0; i < vt->vector_width(); ++i)
-        out.comps()[i].f =
-            a.comps()[i].f * b.comps()[i].f + d.comps()[i].f;
-      return out;
-    }
-    ScalarKind k = args[0].type() &&
-                           args[0].type()->scalar_kind() == ScalarKind::kFloat
-                       ? ScalarKind::kFloat
-                       : ScalarKind::kDouble;
-    return Value::Float(args[0].AsF64() * args[1].AsF64() + args[2].AsF64(),
-                        k);
-  }
-  if (name == "min" || name == "max") {
-    ChargeOp(prof.cost_alu);
-    const Value& a = args[0];
-    const Value& b = args[1];
-    bool take_a;
-    if (a.type() && (a.type()->is_float() ||
-                     (b.type() && b.type()->is_float()))) {
-      take_a = name == "min" ? a.AsF64() <= b.AsF64() : a.AsF64() >= b.AsF64();
-    } else if (a.type() && !IsSignedScalar(a.type()->scalar_kind())) {
-      take_a = name == "min" ? a.AsU64() <= b.AsU64() : a.AsU64() >= b.AsU64();
-    } else {
-      take_a = name == "min" ? a.AsI64() <= b.AsI64() : a.AsI64() >= b.AsI64();
-    }
-    return take_a ? a : b;
-  }
-  if (name == "abs") {
-    ChargeOp(prof.cost_alu);
-    return Value::Int(std::llabs(args[0].AsI64()),
-                      args[0].type() ? args[0].type()->scalar_kind()
-                                     : ScalarKind::kInt);
-  }
-  if (name == "clamp") {
-    ChargeOp(prof.cost_alu);
-    if (args[0].type() && args[0].type()->is_float()) {
-      double v = args[0].AsF64(), lo = args[1].AsF64(), hi = args[2].AsF64();
-      return Value::Float(v < lo ? lo : (v > hi ? hi : v),
-                          args[0].type()->scalar_kind());
-    }
-    int64_t v = args[0].AsI64(), lo = args[1].AsI64(), hi = args[2].AsI64();
-    return Value::Int(v < lo ? lo : (v > hi ? hi : v));
-  }
-  if (name == "select") {
-    // OpenCL select(a, b, c): c chooses b (per-component MSB for vectors).
-    ChargeOp(prof.cost_alu);
-    const Value& a = args[0];
-    const Value& b = args[1];
-    const Value& c = args[2];
-    if (a.is_vector()) {
-      Value out = a;
-      for (int i = 0; i < a.type()->vector_width(); ++i) {
-        bool take_b = c.is_vector() ? (c.comps()[i].i < 0)
-                                    : c.AsBool();
-        if (take_b)
-          out.comps()[i] = i < static_cast<int>(b.comps().size())
-                               ? b.comps()[i]
-                               : ScalarVal{};
+    case BuiltinOp::kMathBinary: {
+      cycles_ += prof.cost_math;
+      const Value& a = args[0];
+      const Value& bv = args[1];
+      bool use_float =
+          b.info->float_result() ||
+          (a.type() && a.type()->scalar_kind() == ScalarKind::kFloat);
+      ScalarKind k = use_float ? ScalarKind::kFloat : ScalarKind::kDouble;
+      auto fn = b.info->binary;
+      if (a.is_vector()) {
+        int w = a.type()->vector_width();
+        Value bb = bv.ConvertTo(Type::Vector(k, w));
+        Value out = a.ConvertTo(Type::Vector(k, w));
+        for (int i = 0; i < w; ++i)
+          out.comps()[i].f = fn(out.comps()[i].f, bb.comps()[i].f);
+        return out;
       }
-      return out;
+      return Value::Float(fn(a.AsF64(), bv.AsF64()), k);
     }
-    return c.AsBool() ? b : a;
-  }
-  if (name == "mix") {
-    cycles_ += prof.cost_alu;
-    double a = args[0].AsF64(), b = args[1].AsF64(), t = args[2].AsF64();
-    return Value::Float(a + (b - a) * t,
+    case BuiltinOp::kFma: {
+      cycles_ += prof.cost_alu;
+      if (args[0].is_vector()) {
+        Type::Ptr vt = args[0].type();
+        Value a = args[0], m = args[1].ConvertTo(vt),
+              d = args[2].ConvertTo(vt);
+        Value out = a;
+        for (int i = 0; i < vt->vector_width(); ++i)
+          out.comps()[i].f =
+              a.comps()[i].f * m.comps()[i].f + d.comps()[i].f;
+        return out;
+      }
+      ScalarKind k = args[0].type() &&
+                             args[0].type()->scalar_kind() == ScalarKind::kFloat
+                         ? ScalarKind::kFloat
+                         : ScalarKind::kDouble;
+      return Value::Float(args[0].AsF64() * args[1].AsF64() + args[2].AsF64(),
+                          k);
+    }
+    case BuiltinOp::kMin:
+    case BuiltinOp::kMax: {
+      ChargeOp(prof.cost_alu);
+      bool is_min = b.op() == BuiltinOp::kMin;
+      const Value& a = args[0];
+      const Value& bv = args[1];
+      bool take_a;
+      if (a.type() && (a.type()->is_float() ||
+                       (bv.type() && bv.type()->is_float()))) {
+        take_a = is_min ? a.AsF64() <= bv.AsF64() : a.AsF64() >= bv.AsF64();
+      } else if (a.type() && !IsSignedScalar(a.type()->scalar_kind())) {
+        take_a = is_min ? a.AsU64() <= bv.AsU64() : a.AsU64() >= bv.AsU64();
+      } else {
+        take_a = is_min ? a.AsI64() <= bv.AsI64() : a.AsI64() >= bv.AsI64();
+      }
+      return take_a ? a : bv;
+    }
+    case BuiltinOp::kAbs:
+      ChargeOp(prof.cost_alu);
+      return Value::Int(std::llabs(args[0].AsI64()),
                         args[0].type() ? args[0].type()->scalar_kind()
-                                       : ScalarKind::kFloat);
+                                       : ScalarKind::kInt);
+    case BuiltinOp::kClamp: {
+      ChargeOp(prof.cost_alu);
+      if (args[0].type() && args[0].type()->is_float()) {
+        double v = args[0].AsF64(), lo = args[1].AsF64(),
+               hi = args[2].AsF64();
+        return Value::Float(v < lo ? lo : (v > hi ? hi : v),
+                            args[0].type()->scalar_kind());
+      }
+      int64_t v = args[0].AsI64(), lo = args[1].AsI64(), hi = args[2].AsI64();
+      return Value::Int(v < lo ? lo : (v > hi ? hi : v));
+    }
+    case BuiltinOp::kSelect: {
+      // OpenCL select(a, b, c): c chooses b (per-component MSB for vectors).
+      ChargeOp(prof.cost_alu);
+      const Value& a = args[0];
+      const Value& bv = args[1];
+      const Value& cv = args[2];
+      if (a.is_vector()) {
+        Value out = a;
+        for (int i = 0; i < a.type()->vector_width(); ++i) {
+          bool take_b = cv.is_vector() ? (cv.comps()[i].i < 0) : cv.AsBool();
+          if (take_b)
+            out.comps()[i] = i < static_cast<int>(bv.comps().size())
+                                 ? bv.comps()[i]
+                                 : ScalarVal{};
+        }
+        return out;
+      }
+      return cv.AsBool() ? bv : a;
+    }
+    case BuiltinOp::kMix: {
+      cycles_ += prof.cost_alu;
+      double a = args[0].AsF64(), bv = args[1].AsF64(), t = args[2].AsF64();
+      return Value::Float(a + (bv - a) * t,
+                          args[0].type() ? args[0].type()->scalar_kind()
+                                         : ScalarKind::kFloat);
+    }
+    case BuiltinOp::kMul24:
+      ChargeOp(prof.cost_alu);
+      return Value::Int((args[0].AsI64() & 0xFFFFFF) *
+                        (args[1].AsI64() & 0xFFFFFF));
+    case BuiltinOp::kPopcount:
+      ChargeOp(prof.cost_alu);
+      return Value::Int(__builtin_popcountll(args[0].AsU64()));
+    case BuiltinOp::kClz: {
+      ChargeOp(prof.cost_alu);
+      uint32_t v = static_cast<uint32_t>(args[0].AsU64());
+      return Value::Int(v == 0 ? 32 : __builtin_clz(v));
+    }
+    default:
+      break;
   }
-  if (name == "mul24" || name == "__mul24") {
-    ChargeOp(prof.cost_alu);
-    return Value::Int((args[0].AsI64() & 0xFFFFFF) *
-                      (args[1].AsI64() & 0xFFFFFF));
-  }
-  if (name == "__popc" || name == "popcount") {
-    ChargeOp(prof.cost_alu);
-    return Value::Int(__builtin_popcountll(args[0].AsU64()));
-  }
-  if (name == "__clz" || name == "clz") {
-    ChargeOp(prof.cost_alu);
-    uint32_t v = static_cast<uint32_t>(args[0].AsU64());
-    return Value::Int(v == 0 ? 32 : __builtin_clz(v));
-  }
-
-  return Err("unimplemented builtin '" + name + "' in " +
+  return Err("unimplemented builtin '" + ref.name + "' in " +
              std::string(lang::DialectName(L_.dialect)) + " device code");
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "lang/builtins.h"
 #include "lang/type.h"
 #include "support/source_location.h"
 
@@ -131,7 +132,8 @@ struct DeclRefExpr : Expr {
   /// Resolved by sema: variable, parameter, function, or builtin.
   VarDecl* var = nullptr;            // non-null for variable references
   FunctionDecl* function = nullptr;  // non-null for user function refs
-  bool is_builtin = false;           // builtin function or builtin variable
+  BuiltinRef builtin;                // built-in function or variable
+  bool is_constant = false;          // named constant (CLK_*, CL_*, cuda*)
 };
 
 struct UnaryExpr : Expr {

@@ -342,14 +342,15 @@ Status Sema::AnalyzeExpr(Expr* e) {
         return OkStatus();
       }
       if (auto it = textures_.find(r->name); it != textures_.end()) {
-        r->is_builtin = false;
         e->type = Type::Texture(it->second->elem, it->second->elem_width,
                                 it->second->dims);
         return OkStatus();
       }
-      if (Type::Ptr bt = BuiltinVariableType(r->name, dialect_)) {
-        r->is_builtin = true;
-        e->type = bt;
+      if (BuiltinRef builtin = FindBuiltin(r->name, dialect_)) {
+        r->builtin = builtin;
+        // A built-in function's type is refined at the call site.
+        e->type = builtin.info->variable() ? BuiltinResultType(builtin, {})
+                                           : Type::IntTy();
         return OkStatus();
       }
       if (FunctionDecl* fn = tu_.FindFunction(r->name)) {
@@ -357,15 +358,10 @@ Status Sema::AnalyzeExpr(Expr* e) {
         e->type = fn->return_type;
         return OkStatus();
       }
-      if (FindBuiltinFunction(r->name, dialect_).has_value()) {
-        r->is_builtin = true;
-        e->type = Type::IntTy();  // refined at the call site
-        return OkStatus();
-      }
       // OpenCL sampler constants and enum-ish macros.
       if (StartsWith(r->name, "CLK_") || StartsWith(r->name, "CL_") ||
           StartsWith(r->name, "cuda")) {
-        r->is_builtin = true;
+        r->is_constant = true;
         e->type = Type::UIntTy();
         return OkStatus();
       }
@@ -481,10 +477,17 @@ Status Sema::AnalyzeExpr(Expr* e) {
         c->callee->type = e->type;
         return OkStatus();
       }
-      if (FindBuiltinFunction(name, dialect_).has_value()) {
-        c->callee->As<DeclRefExpr>()->is_builtin = true;
+      BuiltinRef builtin = FindBuiltin(name, dialect_);
+      if (builtin && !builtin.info->variable()) {
+        if (static_cast<int>(c->args.size()) < builtin.info->min_args)
+          return Err(e->loc,
+                     StrFormat("too few arguments to built-in '%s': it takes "
+                               "at least %d, got %zu",
+                               name.c_str(), builtin.info->min_args,
+                               c->args.size()));
+        c->callee->As<DeclRefExpr>()->builtin = builtin;
         // tex* calls: refine using the named texture reference argument.
-        e->type = BuiltinResultType(name, dialect_, arg_types);
+        e->type = BuiltinResultType(builtin, arg_types);
         c->callee->type = e->type;
         return OkStatus();
       }

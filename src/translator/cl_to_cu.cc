@@ -7,7 +7,6 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/sema.h"
-#include "support/strings.h"
 #include "translator/rewrite_util.h"
 #include "translator/translate.h"
 
@@ -439,8 +438,12 @@ class ClToCu {
     auto fix = [&](ExprPtr& e) -> Status {
       if (e->kind != ExprKind::kCall) return OkStatus();
       auto* c = e->As<CallExpr>();
-      std::string name = c->callee_name();
-      if (name.empty()) return OkStatus();
+      const auto* ref = c->callee->As<DeclRefExpr>();
+      const BuiltinRef& builtin = ref->builtin;
+      if (!builtin) return OkStatus();
+      const std::string& name = ref->name;
+      // threadIdx for get_local_id, __oc2cu_convert_int4 for convert_int4.
+      const std::string counterpart = CounterpartSpelling(builtin, name);
 
       auto dim_of = [&]() -> StatusOr<int> {
         if (c->args.size() != 1)
@@ -458,167 +461,129 @@ class ClToCu {
       };
       static const char* kXyz[] = {"x", "y", "z"};
       auto builtin_member = [&](const char* base, int d) {
-        auto r = MakeRef(base);
-        r->is_builtin = true;
-        auto m = MakeMember(std::move(r), kXyz[d]);
+        auto m = MakeMember(MakeRef(base), kXyz[d]);
         m->is_swizzle = true;
         m->swizzle = {d};
         m->type = Type::UIntTy();
         return m;
       };
-
-      if (name == "get_local_id" || name == "get_group_id" ||
-          name == "get_local_size" || name == "get_num_groups") {
-        BRIDGECL_ASSIGN_OR_RETURN(int d, dim_of());
-        const char* base = name == "get_local_id"     ? "threadIdx"
-                           : name == "get_group_id"   ? "blockIdx"
-                           : name == "get_local_size" ? "blockDim"
-                                                      : "gridDim";
-        e = builtin_member(base, d);
-        return OkStatus();
-      }
-      if (name == "get_global_id") {
-        BRIDGECL_ASSIGN_OR_RETURN(int d, dim_of());
-        auto mul = MakeBinary(BinaryOp::kMul, builtin_member("blockIdx", d),
-                              builtin_member("blockDim", d));
-        auto add = MakeBinary(BinaryOp::kAdd, std::move(mul),
-                              builtin_member("threadIdx", d));
+      auto uint_paren = [](ExprPtr inner) {
         auto p = std::make_unique<ParenExpr>();
-        p->inner = std::move(add);
+        p->inner = std::move(inner);
         p->type = Type::UIntTy();
-        e = std::move(p);
-        return OkStatus();
-      }
-      if (name == "get_global_size") {
-        BRIDGECL_ASSIGN_OR_RETURN(int d, dim_of());
-        auto mul = MakeBinary(BinaryOp::kMul, builtin_member("gridDim", d),
-                              builtin_member("blockDim", d));
-        auto p = std::make_unique<ParenExpr>();
-        p->inner = std::move(mul);
-        p->type = Type::UIntTy();
-        e = std::move(p);
-        return OkStatus();
-      }
-      if (name == "get_work_dim") {
-        e = MakeIntLit(3);
-        return OkStatus();
-      }
-      if (name == "get_global_offset") {
-        e = MakeIntLit(0);
-        return OkStatus();
-      }
-      if (name == "barrier") {
-        c->args.clear();
-        c->callee = MakeRef("__syncthreads");
-        return OkStatus();
-      }
-      if (name == "mem_fence" || name == "read_mem_fence" ||
-          name == "write_mem_fence") {
-        c->args.clear();
-        c->callee = MakeRef("__threadfence_block");
-        return OkStatus();
-      }
-      // Fast-math variants.
-      static const std::unordered_map<std::string, std::string> kRename = {
-          {"native_exp", "__expf"},     {"native_log", "__logf"},
-          {"native_sin", "__sinf"},     {"native_cos", "__cosf"},
-          {"native_sqrt", "sqrtf"},     {"native_rsqrt", "rsqrtf"},
-          {"native_divide", "__fdividef"}, {"half_sqrt", "sqrtf"},
-          {"mad", "fma"},               {"mul24", "__mul24"},
-          {"popcount", "__popc"},       {"clz", "__clz"},
-          {"atomic_add", "atomicAdd"},  {"atomic_sub", "atomicSub"},
-          {"atomic_xchg", "atomicExch"},{"atomic_cmpxchg", "atomicCAS"},
-          {"atomic_min", "atomicMin"},  {"atomic_max", "atomicMax"},
-          {"atomic_and", "atomicAnd"},  {"atomic_or", "atomicOr"},
-          {"atomic_xor", "atomicXor"},  {"atom_add", "atomicAdd"},
-          {"atom_inc", "atomicInc"},
+        return p;
       };
-      if (auto it = kRename.find(name); it != kRename.end()) {
-        c->callee = MakeRef(it->second);
-        if (name == "atom_inc") {
+
+      switch (builtin.op()) {
+        case BuiltinOp::kLocalId:
+        case BuiltinOp::kGroupId:
+        case BuiltinOp::kLocalSize:
+        case BuiltinOp::kNumGroups: {
+          BRIDGECL_ASSIGN_OR_RETURN(int d, dim_of());
+          e = builtin_member(counterpart.c_str(), d);
+          return OkStatus();
+        }
+        case BuiltinOp::kGlobalId: {
+          BRIDGECL_ASSIGN_OR_RETURN(int d, dim_of());
+          auto mul = MakeBinary(BinaryOp::kMul, builtin_member("blockIdx", d),
+                                builtin_member("blockDim", d));
+          e = uint_paren(MakeBinary(BinaryOp::kAdd, std::move(mul),
+                                    builtin_member("threadIdx", d)));
+          return OkStatus();
+        }
+        case BuiltinOp::kGlobalSize: {
+          BRIDGECL_ASSIGN_OR_RETURN(int d, dim_of());
+          e = uint_paren(MakeBinary(BinaryOp::kMul,
+                                    builtin_member("gridDim", d),
+                                    builtin_member("blockDim", d)));
+          return OkStatus();
+        }
+        case BuiltinOp::kWorkDim:
+          e = MakeIntLit(3);
+          return OkStatus();
+        case BuiltinOp::kGlobalOffset:
+          e = MakeIntLit(0);
+          return OkStatus();
+        case BuiltinOp::kBarrier:
+        case BuiltinOp::kFence:
+          // The CUDA spellings take no fence flags.
+          c->args.clear();
+          c->callee = MakeRef(counterpart);
+          return OkStatus();
+        case BuiltinOp::kAtomicInc:
+        case BuiltinOp::kAtomicDec:
+          // §3.7: OpenCL atomic_inc has no limit; CUDA atomicInc(p, max)
+          // degenerates to it with the maximum limit.
+          c->callee = MakeRef(counterpart);
           c->args.push_back(MakeIntLit(0xffffffffu));
+          return OkStatus();
+        case BuiltinOp::kClamp: {
+          if (c->args.size() != 3)
+            return Untranslatable(diags_, e->loc, "clamp arity");
+          bool flt =
+              c->args[0]->type &&
+              (c->args[0]->type->is_float() ||
+               (c->args[0]->type->is_vector() &&
+                IsFloatScalar(c->args[0]->type->scalar_kind())));
+          std::vector<ExprPtr> inner_args;
+          inner_args.push_back(std::move(c->args[0]));
+          inner_args.push_back(std::move(c->args[1]));
+          auto inner = MakeCall(flt ? "fmax" : "max", std::move(inner_args));
+          std::vector<ExprPtr> outer_args;
+          outer_args.push_back(std::move(inner));
+          outer_args.push_back(std::move(c->args[2]));
+          e = MakeCall(flt ? "fmin" : "min", std::move(outer_args));
+          return OkStatus();
         }
-        return OkStatus();
-      }
-      // §3.7: OpenCL atomic_inc has no limit; CUDA atomicInc(p, max)
-      // degenerates to it with the maximum limit.
-      if (name == "atomic_inc" || name == "atomic_dec") {
-        c->callee =
-            MakeRef(name == "atomic_inc" ? "atomicInc" : "atomicDec");
-        c->args.push_back(MakeIntLit(0xffffffffu));
-        return OkStatus();
-      }
-      if (name == "clamp") {
-        if (c->args.size() != 3)
-          return Untranslatable(diags_, e->loc, "clamp arity");
-        bool flt = c->args[0]->type && (c->args[0]->type->is_float() ||
-                                        (c->args[0]->type->is_vector() &&
-                                         IsFloatScalar(
-                                             c->args[0]->type->scalar_kind())));
-        std::vector<ExprPtr> inner_args;
-        inner_args.push_back(std::move(c->args[0]));
-        inner_args.push_back(std::move(c->args[1]));
-        auto inner = MakeCall(flt ? "fmax" : "max", std::move(inner_args));
-        std::vector<ExprPtr> outer_args;
-        outer_args.push_back(std::move(inner));
-        outer_args.push_back(std::move(c->args[2]));
-        e = MakeCall(flt ? "fmin" : "min", std::move(outer_args));
-        return OkStatus();
-      }
-      if (name == "select") {
-        if (c->args.size() != 3)
-          return Untranslatable(diags_, e->loc, "select arity");
-        // Scalar select(a,b,c) -> (c ? b : a); per-component vector
-        // selection has no CUDA expression form.
-        if (c->args[2]->type && c->args[2]->type->is_vector())
-          return Untranslatable(diags_, e->loc,
-                                "vector select() has no CUDA counterpart");
-        auto cond = std::make_unique<ConditionalExpr>();
-        cond->cond = std::move(c->args[2]);
-        cond->then_expr = std::move(c->args[1]);
-        cond->else_expr = std::move(c->args[0]);
-        auto p = std::make_unique<ParenExpr>();
-        p->type = e->type;
-        p->inner = std::move(cond);
-        e = std::move(p);
-        return OkStatus();
-      }
-      if (name == "mix") {
-        if (c->args.size() != 3)
-          return Untranslatable(diags_, e->loc, "mix arity");
-        // mix(a,b,t) -> (a + (b - a) * t)
-        ExprPtr a2 = CloneExpr(*c->args[0]);
-        auto sub = MakeBinary(BinaryOp::kSub, std::move(c->args[1]),
-                              std::move(a2));
-        auto psub = std::make_unique<ParenExpr>();
-        psub->inner = std::move(sub);
-        auto mul = MakeBinary(BinaryOp::kMul, std::move(psub),
-                              std::move(c->args[2]));
-        auto add = MakeBinary(BinaryOp::kAdd, std::move(c->args[0]),
-                              std::move(mul));
-        auto p = std::make_unique<ParenExpr>();
-        p->inner = std::move(add);
-        e = std::move(p);
-        return OkStatus();
-      }
-      // Image/sampler, conversion, and vload/vstore built-ins become calls
-      // into the CUDA-side wrapper device library (§5).
-      if (StartsWith(name, "read_image") || StartsWith(name, "write_image") ||
-          StartsWith(name, "get_image") || StartsWith(name, "convert_") ||
-          StartsWith(name, "as_")) {
-        if (FindBuiltinFunction(name, Dialect::kOpenCL).has_value()) {
-          c->callee = MakeRef("__oc2cu_" + name);
+        case BuiltinOp::kSelect: {
+          if (c->args.size() != 3)
+            return Untranslatable(diags_, e->loc, "select arity");
+          // Scalar select(a,b,c) -> (c ? b : a); per-component vector
+          // selection has no CUDA expression form.
+          if (c->args[2]->type && c->args[2]->type->is_vector())
+            return Untranslatable(diags_, e->loc,
+                                  "vector select() has no CUDA counterpart");
+          auto cond = std::make_unique<ConditionalExpr>();
+          cond->cond = std::move(c->args[2]);
+          cond->then_expr = std::move(c->args[1]);
+          cond->else_expr = std::move(c->args[0]);
+          auto p = std::make_unique<ParenExpr>();
+          p->type = e->type;
+          p->inner = std::move(cond);
+          e = std::move(p);
+          return OkStatus();
         }
-        return OkStatus();
+        case BuiltinOp::kMix: {
+          if (c->args.size() != 3)
+            return Untranslatable(diags_, e->loc, "mix arity");
+          // mix(a,b,t) -> (a + (b - a) * t)
+          ExprPtr a2 = CloneExpr(*c->args[0]);
+          auto sub = MakeBinary(BinaryOp::kSub, std::move(c->args[1]),
+                                std::move(a2));
+          auto psub = std::make_unique<ParenExpr>();
+          psub->inner = std::move(sub);
+          auto mul = MakeBinary(BinaryOp::kMul, std::move(psub),
+                                std::move(c->args[2]));
+          auto add = MakeBinary(BinaryOp::kAdd, std::move(c->args[0]),
+                                std::move(mul));
+          auto p = std::make_unique<ParenExpr>();
+          p->inner = std::move(add);
+          e = std::move(p);
+          return OkStatus();
+        }
+        case BuiltinOp::kVload:
+        case BuiltinOp::kVstore:
+          if (builtin.width > 4)
+            return Untranslatable(diags_, e->loc,
+                                  name + " (8/16-wide vector load/store)");
+          break;
+        default:
+          break;
       }
-      if (StartsWith(name, "vload") || StartsWith(name, "vstore")) {
-        int w = std::atoi(name.c_str() + (name[1] == 'l' ? 5 : 6));
-        if (w > 4)
-          return Untranslatable(diags_, e->loc,
-                                name + " (8/16-wide vector load/store)");
-        c->callee = MakeRef("__oc2cu_" + name);
-        return OkStatus();
-      }
+      // One-to-one renames: fast-math variants, atomics, and the image,
+      // conversion and vload/vstore built-ins, which become calls into the
+      // CUDA-side wrapper device library (§5).
+      if (!counterpart.empty()) c->callee = MakeRef(counterpart);
       return OkStatus();
     };
     return ForEachBody([&](FunctionDecl& fn) {

@@ -8,7 +8,6 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/sema.h"
-#include "support/strings.h"
 #include "translator/rewrite_util.h"
 #include "translator/translate.h"
 
@@ -335,30 +334,24 @@ class CuToCl {
       // threadIdx.x → get_local_id(0) etc.
       if (e->kind == ExprKind::kMember) {
         auto* m = e->As<MemberExpr>();
-        if (m->base->kind == ExprKind::kDeclRef) {
+        if (m->base->kind == ExprKind::kDeclRef && m->is_swizzle &&
+            m->swizzle.size() == 1) {
           auto* r = m->base->As<DeclRefExpr>();
-          if (r->is_builtin && m->is_swizzle && m->swizzle.size() == 1) {
-            const std::string& n = r->name;
-            const char* repl = n == "threadIdx"  ? "get_local_id"
-                               : n == "blockIdx" ? "get_group_id"
-                               : n == "blockDim" ? "get_local_size"
-                               : n == "gridDim"  ? "get_num_groups"
-                                                 : nullptr;
-            if (repl != nullptr) {
-              std::vector<ExprPtr> args;
-              args.push_back(MakeIntLit(m->swizzle[0]));
-              auto call = MakeCall(repl, std::move(args));
-              call->type = Type::SizeTy();
-              call->loc = e->loc;
-              e = std::move(call);
-              return OkStatus();
-            }
+          std::string repl = CounterpartSpelling(r->builtin, r->name);
+          if (r->builtin && r->builtin.info->variable() && !repl.empty()) {
+            std::vector<ExprPtr> args;
+            args.push_back(MakeIntLit(m->swizzle[0]));
+            auto call = MakeCall(repl, std::move(args));
+            call->type = Type::SizeTy();
+            call->loc = e->loc;
+            e = std::move(call);
+            return OkStatus();
           }
         }
       }
       if (e->kind == ExprKind::kDeclRef) {
         auto* r = e->As<DeclRefExpr>();
-        if (r->is_builtin && r->name == "warpSize")
+        if (r->builtin && r->builtin.op() == BuiltinOp::kWarpSize)
           return Untranslatable(e->loc,
                                 "warpSize (no OpenCL counterpart, §3.7)");
       }
@@ -374,84 +367,49 @@ class CuToCl {
         return Untranslatable(e->loc,
                               "indirect call through a function pointer");
       }
+      const BuiltinRef& builtin = c->callee->As<DeclRefExpr>()->builtin;
+      if (!builtin) return OkStatus();
 
       // Model-specific CUDA built-ins (§3.7 / Table 3).
-      static const std::unordered_set<std::string> kNoCounterpart = {
-          "__shfl", "__shfl_up", "__shfl_down", "__shfl_xor", "__all",
-          "__any",  "__ballot",  "clock",       "clock64",    "assert",
-          "printf", "__prof_trigger",
-      };
-      if (kNoCounterpart.count(name))
+      if (builtin.info->cuda_hw_specific)
         return Untranslatable(
             e->loc, "'" + name + "' has no corresponding OpenCL function");
 
-      if (name == "atomicInc" || name == "atomicDec") {
-        if (!opts_.allow_atomic_emulation)
-          return Untranslatable(
-              e->loc,
-              "'" + name +
-                  "' wrap-around semantics differ from OpenCL "
-                  "atomic_inc/atomic_dec (§3.7); enable atomic emulation "
-                  "to translate");
-        used_atomic_emulation_ = true;
-        c->callee = MakeRef("__cu2cl_" + name);
-        return OkStatus();
-      }
-
-      if (name == "__syncthreads") {
-        c->callee = MakeRef("barrier");
-        auto flag = MakeRef("CLK_LOCAL_MEM_FENCE");
-        flag->is_builtin = true;
+      std::string counterpart = CounterpartSpelling(builtin, name);
+      auto fence_call = [&](const char* flag_name) {
+        c->callee = MakeRef(counterpart);
+        auto flag = MakeRef(flag_name);
+        flag->is_constant = true;
         c->args.clear();
         c->args.push_back(std::move(flag));
-        return OkStatus();
-      }
-      if (name == "__threadfence" || name == "__threadfence_block") {
-        c->callee = MakeRef("mem_fence");
-        auto flag = MakeRef(name == "__threadfence" ? "CLK_GLOBAL_MEM_FENCE"
-                                                    : "CLK_LOCAL_MEM_FENCE");
-        flag->is_builtin = true;
-        c->args.clear();
-        c->args.push_back(std::move(flag));
-        return OkStatus();
-      }
-
-      static const std::unordered_map<std::string, std::string> kRename = {
-          {"sqrtf", "sqrt"},     {"rsqrtf", "rsqrt"},
-          {"expf", "exp"},       {"exp2f", "exp2"},
-          {"logf", "log"},       {"log2f", "log2"},
-          {"log10f", "log10"},   {"sinf", "sin"},
-          {"cosf", "cos"},       {"tanf", "tan"},
-          {"asinf", "asin"},     {"acosf", "acos"},
-          {"atanf", "atan"},     {"atan2f", "atan2"},
-          {"fabsf", "fabs"},     {"floorf", "floor"},
-          {"ceilf", "ceil"},     {"fminf", "fmin"},
-          {"fmaxf", "fmax"},     {"fmodf", "fmod"},
-          {"powf", "pow"},       {"fmaf", "fma"},
-          {"__expf", "native_exp"},   {"__logf", "native_log"},
-          {"__sinf", "native_sin"},   {"__cosf", "native_cos"},
-          {"__fdividef", "native_divide"},
-          {"__mul24", "mul24"},  {"__popc", "popcount"},
-          {"__clz", "clz"},
-          {"atomicAdd", "atomic_add"}, {"atomicSub", "atomic_sub"},
-          {"atomicExch", "atomic_xchg"}, {"atomicCAS", "atomic_cmpxchg"},
-          {"atomicMin", "atomic_min"}, {"atomicMax", "atomic_max"},
-          {"atomicAnd", "atomic_and"}, {"atomicOr", "atomic_or"},
-          {"atomicXor", "atomic_xor"},
       };
-      if (auto it = kRename.find(name); it != kRename.end()) {
-        c->callee = MakeRef(it->second);
-        return OkStatus();
-      }
-
-      // make_floatN(...) → (floatN)(...) vector literal; make_float1 → cast.
-      if (StartsWith(name, "make_")) {
-        ScalarKind ek;
-        int w;
-        if (ParseVectorTypeName(name.substr(5), &ek, &w)) {
+      switch (builtin.op()) {
+        case BuiltinOp::kAtomicIncWrap:
+        case BuiltinOp::kAtomicDecWrap:
+          if (!opts_.allow_atomic_emulation)
+            return Untranslatable(
+                e->loc,
+                "'" + name +
+                    "' wrap-around semantics differ from OpenCL "
+                    "atomic_inc/atomic_dec (§3.7); enable atomic emulation "
+                    "to translate");
+          used_atomic_emulation_ = true;
+          c->callee = MakeRef("__cu2cl_" + name);
+          return OkStatus();
+        case BuiltinOp::kBarrier:
+        case BuiltinOp::kFence:
+          fence_call("CLK_LOCAL_MEM_FENCE");
+          return OkStatus();
+        case BuiltinOp::kDeviceFence:
+          fence_call("CLK_GLOBAL_MEM_FENCE");
+          return OkStatus();
+        case BuiltinOp::kMakeVector: {
+          // make_floatN(...) → (floatN)(...) vector literal; make_float1 →
+          // cast.
+          ScalarKind ek = builtin.elem;
           if (ek == ScalarKind::kLongLong) ek = ScalarKind::kLong;
           if (ek == ScalarKind::kULongLong) ek = ScalarKind::kULong;
-          if (w == 1) {
+          if (builtin.width == 1) {
             auto cast = std::make_unique<CastExpr>();
             cast->style = CastStyle::kCStyle;
             cast->target = Type::Scalar(ek);
@@ -461,15 +419,19 @@ class CuToCl {
             return OkStatus();
           }
           auto lit = std::make_unique<VectorLitExpr>();
-          lit->vec_type = Type::Vector(ek, w);
+          lit->vec_type = Type::Vector(ek, builtin.width);
           lit->elems = std::move(c->args);
           lit->type = lit->vec_type;
           lit->loc = e->loc;
           e = std::move(lit);
           return OkStatus();
         }
+        default:
+          // One-to-one renames: single-precision and fast math, integer
+          // intrinsics, atomics.
+          if (!counterpart.empty()) c->callee = MakeRef(counterpart);
+          return OkStatus();
       }
-      return OkStatus();
     };
     return ForEachBody([&](FunctionDecl& fn) {
       return MutateExprs(fn.body.get(), fix);
@@ -594,9 +556,10 @@ class CuToCl {
           MutateExprs(fn->body.get(), [&](ExprPtr& e) -> Status {
             if (e->kind != ExprKind::kCall) return OkStatus();
             auto* c = e->As<CallExpr>();
-            std::string name = c->callee_name();
-            if (name != "tex1Dfetch" && name != "tex1D" && name != "tex2D" &&
-                name != "tex3D") {
+            const BuiltinRef& fetch = c->callee->As<DeclRefExpr>()->builtin;
+            if (!fetch || (fetch.op() != BuiltinOp::kTex1D &&
+                           fetch.op() != BuiltinOp::kTex2D &&
+                           fetch.op() != BuiltinOp::kTex3D)) {
               // A bare texref used any other way is untranslatable.
               for (auto& a : c->args) {
                 if (a->kind == ExprKind::kDeclRef &&
@@ -631,9 +594,9 @@ class CuToCl {
             auto samp = MakeRef(tex + "__sampler");
             call->args.push_back(std::move(img));
             call->args.push_back(std::move(samp));
-            if (name == "tex1Dfetch" || name == "tex1D") {
+            if (fetch.op() == BuiltinOp::kTex1D) {
               call->args.push_back(std::move(c->args[1]));
-            } else if (name == "tex2D") {
+            } else if (fetch.op() == BuiltinOp::kTex2D) {
               auto lit = std::make_unique<VectorLitExpr>();
               lit->vec_type = Type::Vector(ScalarKind::kFloat, 2);
               lit->elems.push_back(std::move(c->args[1]));

@@ -630,6 +630,24 @@ TEST_F(InterpTest, WrongArgCountRejected) {
   EXPECT_FALSE(LaunchKernel(device_, *m, "k", cfg, args).ok());
 }
 
+TEST_F(InterpTest, DeclaredButUndefinedFunctionFailsAtLaunch) {
+  // A prototype builds; the launch fails when a work-item reaches the call.
+  auto m = Compile(
+      "int helper(int x);"
+      "__kernel void k(__global int* g) { g[0] = helper(1); }",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(Alloc(16))};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_NE(r.status().message().find("'helper'"), std::string::npos)
+      << r.status().ToString();
+}
+
 TEST_F(InterpTest, BlockTooLargeRejected) {
   auto m = Compile("__kernel void k() {}", Dialect::kOpenCL);
   ASSERT_NE(m, nullptr);

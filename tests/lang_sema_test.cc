@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lang/builtins.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
 
@@ -192,6 +193,153 @@ TEST(SemaTest, TextureRefTyping) {
   auto* assign = f->body->body[0]->As<ExprStmt>()->expr->As<AssignExpr>();
   ASSERT_NE(assign->rhs->type, nullptr);
   EXPECT_EQ(assign->rhs->type->scalar_kind(), ScalarKind::kFloat);
+}
+
+// ---------------------------------------------------------------------------
+// Built-in resolution: sema resolves each use to one catalog entry and
+// rejects calls with fewer arguments than the entry's operation reads.
+// ---------------------------------------------------------------------------
+
+TEST(SemaTest, ResolvesBuiltinsToCatalogEntries) {
+  auto tu = Analyzed(
+      "__global__ void k(float* o, int* c) {"
+      "  o[threadIdx.x] = sqrtf(o[0]);"
+      "  atomicAdd(c, 1);"
+      "  float4 v = make_float4(1.0f, 2.0f, 3.0f, 4.0f);"
+      "}",
+      Dialect::kCUDA);
+  ASSERT_NE(tu, nullptr);
+  auto* body = tu->FindFunction("k")->body.get();
+  auto* assign = body->body[0]->As<ExprStmt>()->expr->As<AssignExpr>();
+  auto* index = assign->lhs->As<IndexExpr>();
+  auto* tid = index->index->As<MemberExpr>()->base->As<DeclRefExpr>();
+  ASSERT_TRUE(tid->builtin);
+  EXPECT_EQ(tid->builtin.op(), BuiltinOp::kThreadIdx);
+  auto callee = [](const Expr* e) {
+    return e->As<CallExpr>()->callee->As<DeclRefExpr>();
+  };
+  const DeclRefExpr* sqrtf_ref = callee(assign->rhs.get());
+  ASSERT_TRUE(sqrtf_ref->builtin);
+  EXPECT_EQ(sqrtf_ref->builtin.op(), BuiltinOp::kMathUnary);
+  EXPECT_EQ(sqrtf_ref->builtin.info->counterpart, "sqrt");
+  const DeclRefExpr* add =
+      callee(body->body[1]->As<ExprStmt>()->expr.get());
+  EXPECT_EQ(add->builtin.info, FindBuiltin("atomicAdd", Dialect::kCUDA).info);
+  const DeclRefExpr* make =
+      callee(body->body[2]->As<DeclStmt>()->vars[0]->init.get());
+  EXPECT_EQ(make->builtin.op(), BuiltinOp::kMakeVector);
+  EXPECT_EQ(make->builtin.elem, ScalarKind::kFloat);
+  EXPECT_EQ(make->builtin.width, 4);
+}
+
+TEST(SemaTest, SpellingsOfOneBehaviourShareAnOperation) {
+  for (const char* cl : {"atomic_add", "atom_add"})
+    EXPECT_EQ(FindBuiltin(cl, Dialect::kOpenCL).op(), BuiltinOp::kAtomicAdd);
+  EXPECT_EQ(FindBuiltin("atomicAdd", Dialect::kCUDA).op(),
+            BuiltinOp::kAtomicAdd);
+  // §3.7: OpenCL's unconditional increment is not CUDA's wrapping one.
+  EXPECT_EQ(FindBuiltin("atomic_inc", Dialect::kOpenCL).op(),
+            BuiltinOp::kAtomicInc);
+  EXPECT_EQ(FindBuiltin("atomicInc", Dialect::kCUDA).op(),
+            BuiltinOp::kAtomicIncWrap);
+  // The wrapper library's spelling resolves to the OpenCL entry.
+  EXPECT_EQ(FindBuiltin("__oc2cu_read_imagef", Dialect::kCUDA).info,
+            FindBuiltin("read_imagef", Dialect::kOpenCL).info);
+  BuiltinRef conv = FindBuiltin("__oc2cu_convert_int4", Dialect::kCUDA);
+  ASSERT_TRUE(conv);
+  EXPECT_EQ(conv.op(), BuiltinOp::kConvert);
+  EXPECT_EQ(conv.elem, ScalarKind::kInt);
+  EXPECT_EQ(conv.width, 4);
+  // Spellings stay in their dialect.
+  EXPECT_FALSE(FindBuiltin("sqrtf", Dialect::kOpenCL));
+  EXPECT_FALSE(FindBuiltin("get_global_id", Dialect::kCUDA));
+  EXPECT_FALSE(FindBuiltin("vload5", Dialect::kOpenCL));
+}
+
+TEST(SemaTest, EveryCounterpartResolvesInTheOtherDialect) {
+  for (const BuiltinInfo& b : BuiltinCatalog()) {
+    if (b.counterpart.empty()) continue;
+    SCOPED_TRACE(b.name);
+    Dialect other = b.in_opencl ? Dialect::kCUDA : Dialect::kOpenCL;
+    // A family's counterpart is a prefix: complete it with a type name.
+    std::string suffix = b.op == BuiltinOp::kVload ||
+                                 b.op == BuiltinOp::kVstore
+                             ? "4"
+                         : b.cls == BuiltinClass::kVector ? "float4"
+                                                          : "";
+    BuiltinRef theirs = FindBuiltin(b.counterpart + suffix, other);
+    ASSERT_TRUE(theirs);
+    // Same kind of built-in: barrier → __syncthreads, get_local_id →
+    // threadIdx, convert_float4 → __oc2cu_convert_float4.
+    EXPECT_EQ(theirs.info->cls, b.cls);
+  }
+}
+
+struct ArityCase {
+  const char* label;
+  Dialect dialect;
+  const char* builtin;
+  /// Declarations, then the offending call alone on line 2.
+  const char* head;
+  const char* call;
+};
+
+class BuiltinArityTest : public ::testing::TestWithParam<ArityCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    TooFewArguments, BuiltinArityTest,
+    ::testing::Values(
+        ArityCase{"cl_sqrt", Dialect::kOpenCL, "sqrt",
+                  "__kernel void k(__global float* a) {", "a[0] = sqrt();"},
+        ArityCase{"cl_min", Dialect::kOpenCL, "min",
+                  "__kernel void k(__global int* a) {", "a[0] = min(1);"},
+        ArityCase{"cl_pow", Dialect::kOpenCL, "pow",
+                  "__kernel void k(__global float* a) {",
+                  "a[0] = pow(2.0f);"},
+        ArityCase{"cl_get_image_width", Dialect::kOpenCL, "get_image_width",
+                  "__kernel void k(__read_only image2d_t img, "
+                  "__global int* a) {",
+                  "a[0] = get_image_width();"},
+        ArityCase{"cl_convert_float", Dialect::kOpenCL, "convert_float",
+                  "__kernel void k(__global float* a) {",
+                  "a[0] = convert_float();"},
+        ArityCase{"cl_vstore4", Dialect::kOpenCL, "vstore4",
+                  "__kernel void k(__global float* a) {", "vstore4();"},
+        ArityCase{"cu_sqrtf", Dialect::kCUDA, "sqrtf",
+                  "__global__ void k(float* a) {", "a[0] = sqrtf();"},
+        ArityCase{"cu_tex2D", Dialect::kCUDA, "tex2D",
+                  "texture<float, 2, cudaReadModeElementType> t;"
+                  "__global__ void k(float* a) {",
+                  "a[0] = tex2D(t, 1.0f);"},
+        ArityCase{"cu_make_float1", Dialect::kCUDA, "make_float1",
+                  "__global__ void k(float* a) {",
+                  "float1 v = make_float1();"}),
+    [](const auto& info) { return std::string(info.param.label); });
+
+TEST_P(BuiltinArityTest, FailsToBuildWithADiagnosticAtTheCall) {
+  const ArityCase& c = GetParam();
+  std::string src = std::string(c.head) + "\n" + c.call + "\n}";
+  DiagnosticEngine diags;
+  ParseOptions popts;
+  popts.dialect = c.dialect;
+  auto tu = ParseTranslationUnit(src, popts, diags);
+  ASSERT_TRUE(tu.ok()) << diags.ToString();
+  SemaOptions sopts;
+  sopts.dialect = c.dialect;
+  EXPECT_FALSE(Analyze(**tu, sopts, diags).ok()) << src;
+  ASSERT_EQ(diags.diagnostics().size(), 1u) << diags.ToString();
+  const Diagnostic& d = diags.diagnostics()[0];
+  EXPECT_NE(d.message.find(std::string("'") + c.builtin + "'"),
+            std::string::npos)
+      << d.ToString();
+  EXPECT_NE(d.message.find("too few arguments"), std::string::npos)
+      << d.ToString();
+  // The parser locates a call at its opening parenthesis.
+  std::string line2 = c.call;
+  EXPECT_EQ(d.loc.line, 2u) << d.ToString();
+  EXPECT_EQ(d.loc.column, line2.find(std::string(c.builtin) + "(") +
+                              std::string(c.builtin).size() + 1)
+      << d.ToString();
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// Execution-level checks of translated built-ins: every OpenCL builtin the
-// CL→CU rewriter maps (wrapper device functions, math renames, clamp/mix
-// expansions, vload/vstore, conversions, reinterpretations) must compute
-// the same value after translation. Plus parse→print idempotence over all
-// shipped application sources.
+// Execution-level checks of translated built-ins: every built-in either
+// translator maps (wrapper device functions, math and integer renames in
+// both directions, clamp/mix expansions, vload/vstore, conversions,
+// reinterpretations) must compute the same value after translation. Plus
+// parse→print idempotence over all shipped application sources.
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
 #include "interp/executor.h"
 #include "interp/module.h"
+#include "lang/builtins.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/sema.h"
@@ -24,15 +25,19 @@ using simgpu::Device;
 using simgpu::Dim3;
 using simgpu::TitanProfile;
 
-/// Run a one-work-item OpenCL kernel writing 8 floats to `out`, both
-/// natively and after CL→CU translation, and return the two output arrays.
+/// Run a one-work-item kernel writing 8 floats to `out`, both natively in
+/// `dialect` and after translation to the other one, and return the two
+/// output arrays.
 StatusOr<std::pair<std::vector<float>, std::vector<float>>> RunBoth(
-    const std::string& body) {
+    const std::string& body, Dialect dialect) {
+  bool opencl = dialect == Dialect::kOpenCL;
   std::string src =
-      "__kernel void k(__global float* out, __global float* in) {\n" + body +
-      "\n}";
+      (opencl ? "__kernel void k(__global float* out, __global float* in) {\n"
+              : "__global__ void k(float* out, float* in) {\n") +
+      body + "\n}";
   DiagnosticEngine diags;
-  auto tr = translator::TranslateOpenClToCuda(src, diags);
+  auto tr = opencl ? translator::TranslateOpenClToCuda(src, diags)
+                   : translator::TranslateCudaToOpenCl(src, diags);
   if (!tr.ok())
     return Status(tr.status().code(),
                   tr.status().message() + "\n" + diags.ToString());
@@ -62,14 +67,16 @@ StatusOr<std::pair<std::vector<float>, std::vector<float>>> RunBoth(
     std::memcpy(out.data(), *device.vm().Resolve(out_va, 32), 32);
     return out;
   };
-  BRIDGECL_ASSIGN_OR_RETURN(auto a, run(src, Dialect::kOpenCL));
-  BRIDGECL_ASSIGN_OR_RETURN(auto b, run(tr->source, Dialect::kCUDA));
+  BRIDGECL_ASSIGN_OR_RETURN(auto a, run(src, dialect));
+  BRIDGECL_ASSIGN_OR_RETURN(
+      auto b, run(tr->source, opencl ? Dialect::kCUDA : Dialect::kOpenCL));
   return std::make_pair(a, b);
 }
 
 struct BuiltinCase {
-  const char* name;
-  const char* body;
+  std::string name;
+  std::string body;
+  Dialect dialect = Dialect::kOpenCL;
 };
 
 class BuiltinTranslationTest
@@ -126,12 +133,48 @@ INSTANTIATE_TEST_SUITE_P(
                     "read_mem_fence(CLK_LOCAL_MEM_FENCE);"
                     "write_mem_fence(CLK_LOCAL_MEM_FENCE);"
                     "out[2] = in[2];"}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& info) { return info.param.name; });
+
+/// One case per math and integer spelling the catalog renames 1:1 into
+/// the other dialect (native_divide → __fdividef, sqrtf → sqrt, __popc →
+/// popcount), in both directions. Two calls with arguments in (0, 1), so
+/// every function is finite; integer built-ins take small ints.
+std::vector<BuiltinCase> CatalogRenameCases() {
+  static const char* kFloatArgs[2][3] = {
+      {"in[0] * 0.25f", "in[2] * 0.25f", "in[3] * 0.125f"},
+      {"in[5] * 0.125f", "in[7] * 0.0625f", "in[6] * 0.125f"}};
+  static const char* kIntArgs[2][3] = {
+      {"(int)in[7]", "(int)in[2]", "(int)in[3]"},
+      {"(int)in[5]", "(int)in[6]", "(int)in[0]"}};
+  std::vector<BuiltinCase> cases;
+  for (const lang::BuiltinInfo& b : lang::BuiltinCatalog()) {
+    bool math = b.cls == lang::BuiltinClass::kMath;
+    if (b.counterpart.empty() ||
+        !(math || b.cls == lang::BuiltinClass::kIntOps))
+      continue;
+    BuiltinCase c;
+    c.dialect = b.in_opencl ? Dialect::kOpenCL : Dialect::kCUDA;
+    c.name = std::string(b.in_opencl ? "cl_" : "cu_") + b.name;
+    for (int out = 0; out < 2; ++out) {
+      std::string call = std::string(b.name) + "(";
+      for (int i = 0; i < b.min_args; ++i)
+        call += std::string(i ? ", " : "") +
+                (math ? kFloatArgs : kIntArgs)[out][i];
+      c.body += "out[" + std::to_string(out) + "] = (float)" + call + ");";
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalog, BuiltinTranslationTest,
+                         ::testing::ValuesIn(CatalogRenameCases()),
+                         [](const auto& info) { return info.param.name; });
 
 TEST_P(BuiltinTranslationTest, SameValueAfterTranslation) {
-  auto r = RunBoth(GetParam().body);
+  auto r = RunBoth(GetParam().body, GetParam().dialect);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->first, r->second);
+  EXPECT_EQ(r->first, r->second) << GetParam().body;
 }
 
 // ===========================================================================

@@ -543,6 +543,22 @@ TEST(CuToClTest, AtomicEmulationExtension) {
   ExpectCompiles(r.source, Dialect::kOpenCL);
 }
 
+TEST(CuToClTest, BuiltinCallsWithTooFewArgumentsAreRejected) {
+  // The texture and make_T rewrites read the arguments their built-in
+  // takes; sema rejects a shorter call before any pass runs.
+  for (const char* src :
+       {"texture<float, 2, cudaReadModeElementType> t;"
+        "__global__ void k(float* a) { a[0] = tex2D(t, 1.0f); }",
+        "__global__ void k(float* a) { float1 v = make_float1(); }"}) {
+    DiagnosticEngine diags;
+    auto r = TranslateCudaToOpenCl(src, diags);
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << src;
+    EXPECT_TRUE(Contains(diags.ToString(), "too few arguments to built-in"))
+        << diags.ToString();
+  }
+}
+
 TEST(CuToClTest, StructWithPointersRejected) {
   // The heartwall failure (§6.3).
   DiagnosticEngine diags;
