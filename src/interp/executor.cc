@@ -160,12 +160,9 @@ class BlockLog {
   WordMasks reads_;
 };
 
-/// State shared by all work-items of one launch. The block-parallel
-/// engine copies this once per worker (rebasing the shared/private VAs to
-/// the worker's VM slot) and then points `stats` and `log` at the block's
-/// own sinks before each block, so workers never touch the device's
-/// shared counters, or its memory on multi-worker launches, during
-/// execution.
+/// What every block of one launch shares: the kernel, its configuration,
+/// the decoded arguments and the shared-memory layout. LaunchKernel builds
+/// it once; while blocks run, every worker only reads it.
 struct LaunchState {
   simgpu::Device* device = nullptr;
   Module* module = nullptr;
@@ -177,11 +174,16 @@ struct LaunchState {
   uint64_t dynamic_shared_va = 0;  // CUDA extern __shared__ area
   size_t shared_total = 0;
   std::vector<Value> arg_values;   // decoded per param (dyn-local → pointer)
-  std::vector<size_t> local_arg_indices;  // args holding dyn-local pointers
+};
 
-  simgpu::FiberGroup* group = nullptr;
+/// One block as a worker runs it: its id and fibers, its shared and
+/// private memory (the worker's BlockMemory, zero-filled for the block),
+/// and the block's own sinks, so workers never touch the device's
+/// counters, or its memory on multi-worker launches, during execution.
+struct BlockState {
   Dim3 group_id;
-  int slot = 0;  // VM worker slot owning this state's shared/private VAs
+  simgpu::FiberGroup* group = nullptr;
+  simgpu::BlockMemory* memory = nullptr;
   simgpu::DeviceStats* stats = nullptr;  // per-block accumulation sink
   BlockLog* log = nullptr;  // multi-worker launches: the block's log
 };
@@ -223,12 +225,12 @@ void CollectSharedVars(const Stmt* s, std::vector<const VarDecl*>* out) {
 
 class Evaluator {
  public:
-  Evaluator(LaunchState& L, Dim3 lid, int linear_index)
-      : L_(L), lid_(lid) {
+  Evaluator(const LaunchState& L, BlockState& B, Dim3 lid, int linear_index)
+      : L_(L), B_(B), lid_(lid) {
     const Dim3& blk = L.cfg.block;
-    gid_ = Dim3(L.group_id.x * blk.x + lid.x, L.group_id.y * blk.y + lid.y,
-                L.group_id.z * blk.z + lid.z);
-    private_base_ = L.device->vm().private_base(L.slot) +
+    gid_ = Dim3(B.group_id.x * blk.x + lid.x, B.group_id.y * blk.y + lid.y,
+                B.group_id.z * blk.z + lid.z);
+    private_base_ = L.device->vm().private_base() +
                     static_cast<uint64_t>(linear_index) * kPrivateBytesPerItem;
     private_top_ = private_base_;
   }
@@ -260,13 +262,13 @@ class Evaluator {
   // -- cost accounting -----------------------------------------------------
   void ChargeOp(double c) {
     cycles_ += c;
-    ++L_.stats->ops_executed;
+    ++B_.stats->ops_executed;
   }
 
   Status ChargeAccess(uint64_t va, size_t bytes) {
     BRIDGECL_ASSIGN_OR_RETURN(Segment seg, L_.device->vm().SegmentOf(va));
     const auto& prof = L_.device->profile();
-    auto& st = *L_.stats;
+    auto& st = *B_.stats;
     switch (seg) {
       case Segment::kGlobal:
         ++st.global_accesses;
@@ -304,17 +306,23 @@ class Evaluator {
                    StrFormat(" [work-item global (%u,%u,%u), local (%u,%u,%u),"
                              " block %s]",
                              gid_.x, gid_.y, gid_.z, lid_.x, lid_.y, lid_.z,
-                             L_.group_id.ToString().c_str()));
+                             B_.group_id.ToString().c_str()));
     out.set_api_code(st.api_code());
     return out;
+  }
+
+  /// Resolve `va..va+n` as this block sees the address space: its own
+  /// shared and private memory, and the device's global and constant.
+  StatusOr<std::byte*> Resolve(uint64_t va, size_t n) {
+    return L_.device->vm().Resolve(va, n, B_.memory);
   }
 
   // Every access to global or constant memory, which all blocks share,
   // goes through Seen (loads) or Put (stores). In a multi-worker launch
   // they route it through the block's log; otherwise, and for the
-  // worker's own shared and private memory, they touch the VM directly.
+  // block's own shared and private memory, they touch memory directly.
   bool Logged(uint64_t va) const {
-    if (L_.log == nullptr) return false;
+    if (B_.log == nullptr) return false;
     auto seg = L_.device->vm().SegmentOf(va);
     return seg.ok() && (*seg == Segment::kGlobal || *seg == Segment::kConstant);
   }
@@ -323,7 +331,7 @@ class Evaluator {
   const std::byte* Seen(uint64_t va, const std::byte* p, size_t n) {
     if (!Logged(va)) return p;
     staged_.resize(n);
-    L_.log->Load(va, p, n, staged_.data());
+    B_.log->Load(va, p, n, staged_.data());
     return staged_.data();
   }
 
@@ -334,13 +342,13 @@ class Evaluator {
     if (!Logged(va)) return encode(p);
     staged_.resize(n);
     BRIDGECL_RETURN_IF_ERROR(encode(staged_.data()));
-    L_.log->Store(va, p, staged_.data(), n);
+    B_.log->Store(va, p, staged_.data(), n);
     return OkStatus();
   }
 
   StatusOr<Value> LoadMem(uint64_t va, const Type::Ptr& type) {
     size_t n = type->ByteSize();
-    auto p = L_.device->vm().Resolve(va, n);
+    auto p = Resolve(va, n);
     if (!p.ok()) return FaultAt(p.status());
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
     return DecodeValue(type, Seen(va, *p, n));
@@ -349,7 +357,7 @@ class Evaluator {
   Status StoreMem(uint64_t va, const Value& v) {
     const Type& t = *v.type();
     size_t n = t.ByteSize();
-    auto p = L_.device->vm().Resolve(va, n);
+    auto p = Resolve(va, n);
     if (!p.ok()) return FaultAt(p.status());
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
     // A 3-component vector store leaves the padding lane untouched.
@@ -518,8 +526,7 @@ class Evaluator {
       size_t size = t->ByteSize();
       BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, StackAlloc(size, t->Alignment()));
       frame().mem[var] = va;
-      BRIDGECL_ASSIGN_OR_RETURN(std::byte * p,
-                                L_.device->vm().Resolve(va, size));
+      BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, size));
       std::memset(p, 0, size);
       if (var->init) {
         if (var->init->kind == ExprKind::kInitList) {
@@ -877,7 +884,7 @@ class Evaluator {
       };
       switch (r.builtin.op()) {
         case BuiltinOp::kThreadIdx: return vec3(lid_);
-        case BuiltinOp::kBlockIdx: return vec3(L_.group_id);
+        case BuiltinOp::kBlockIdx: return vec3(B_.group_id);
         case BuiltinOp::kBlockDim: return vec3(L_.cfg.block);
         case BuiltinOp::kGridDim: return vec3(L_.cfg.grid);
         case BuiltinOp::kWarpSize:
@@ -1267,7 +1274,8 @@ class Evaluator {
   StatusOr<Value> ReadTexel(const ImageDesc& d, int x, int y, int z,
                             ScalarKind out_kind);
 
-  LaunchState& L_;
+  const LaunchState& L_;
+  BlockState& B_;
   Dim3 lid_;
   Dim3 gid_;
   uint64_t private_base_ = 0;
@@ -1282,8 +1290,7 @@ class Evaluator {
 };
 
 StatusOr<ImageDesc> Evaluator::LoadImageDesc(uint64_t va) {
-  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p,
-                            L_.device->vm().Resolve(va, sizeof(ImageDesc)));
+  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, sizeof(ImageDesc)));
   ImageDesc d;
   std::memcpy(&d, Seen(va, p, sizeof(d)), sizeof(d));
   return d;
@@ -1303,10 +1310,9 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
                 static_cast<uint64_t>(x) * texel;
   ScalarKind ek = static_cast<ScalarKind>(d.elem_kind);
   size_t esz = lang::ScalarByteSize(ek);
-  BRIDGECL_ASSIGN_OR_RETURN(std::byte * mem,
-                            L_.device->vm().Resolve(va, texel));
+  BRIDGECL_ASSIGN_OR_RETURN(std::byte * mem, Resolve(va, texel));
   const std::byte* p = Seen(va, mem, texel);
-  ++L_.stats->image_accesses;
+  ++B_.stats->image_accesses;
   cycles_ += L_.device->profile().cost_image_access;
   std::vector<ScalarVal> comps(4);
   for (uint32_t ch = 0; ch < 4; ++ch) {
@@ -1403,9 +1409,8 @@ StatusOr<Value> Evaluator::EvalImageWrite(const DeclRefExpr& ref,
   uint64_t va = d.data_va + static_cast<uint64_t>(z) * d.slice_pitch +
                 static_cast<uint64_t>(y) * d.row_pitch +
                 static_cast<uint64_t>(x) * ImageTexelBytes(d);
-  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p,
-                            L_.device->vm().Resolve(va, ImageTexelBytes(d)));
-  ++L_.stats->image_accesses;
+  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, ImageTexelBytes(d)));
+  ++B_.stats->image_accesses;
   cycles_ += L_.device->profile().cost_image_access;
   BRIDGECL_RETURN_IF_ERROR(
       Put(va, p, ImageTexelBytes(d), [&](std::byte* dst) -> Status {
@@ -1462,7 +1467,7 @@ StatusOr<Value> Evaluator::EvalAtomic(const DeclRefExpr& ref,
                        ? ptr.type()->pointee()
                        : Type::IntTy();
   uint64_t va = ptr.AsVa();
-  ++L_.stats->atomics;
+  ++B_.stats->atomics;
   cycles_ += L_.device->profile().cost_atomic;
   BRIDGECL_ASSIGN_OR_RETURN(Value old, LoadMem(va, elem));
   Value operand;
@@ -1554,7 +1559,7 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
       BuiltinOp op = b.op();
       uint64_t v = op == BuiltinOp::kGlobalId  ? gid_[d]
                    : op == BuiltinOp::kLocalId ? lid_[d]
-                   : op == BuiltinOp::kGroupId ? L_.group_id[d]
+                   : op == BuiltinOp::kGroupId ? B_.group_id[d]
                    : op == BuiltinOp::kGlobalSize
                        ? static_cast<uint64_t>(grid[d]) * block[d]
                    : op == BuiltinOp::kLocalSize ? block[d]
@@ -1569,9 +1574,9 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
     // ---- synchronization ----
     case BuiltinOp::kBarrier:
       for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-      ++L_.stats->barriers;
+      ++B_.stats->barriers;
       cycles_ += prof.cost_barrier;
-      L_.group->Barrier();
+      B_.group->Barrier();
       return Value::Void();
     case BuiltinOp::kFence:
     case BuiltinOp::kDeviceFence:
@@ -1871,9 +1876,7 @@ int WorkerCount() {
 }
 
 void SetWorkerCount(int workers) {
-  if (workers > simgpu::VirtualMemory::kMaxWorkerSlots)
-    workers = simgpu::VirtualMemory::kMaxWorkerSlots;
-  g_worker_override.store(workers < 0 ? 0 : workers,
+  g_worker_override.store(std::clamp(workers, 0, kMaxWorkers),
                           std::memory_order_relaxed);
 }
 
@@ -1935,7 +1938,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
       uint64_t va = device.vm().shared_base() + offset;
       offset += a.local_size;
       L.arg_values[i] = Value::Pointer(va, p->type);
-      L.local_arg_indices.push_back(i);
     } else {
       size_t want = p->type->ByteSize();
       if (p->type->is_named()) want = a.bytes.size();  // template param
@@ -1959,7 +1961,8 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
 
   // ---- execute blocks on the worker pool ----
   // The grid is claimed block-by-block from an atomic counter by `workers`
-  // host threads. Each worker executes into a private VM slot and a
+  // host threads. Each worker runs its blocks in its own BlockMemory, at
+  // the serial engine's shared and private VAs, and records each into a
   // private BlockResult; the reduction below then replays the serial
   // engine's bookkeeping in canonical block order, so stats, cycle totals
   // (flat FP fold), timestamps and traces are bit-identical for every
@@ -1988,7 +1991,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   // Runs the grid on `n` workers into fresh `results`; returns the lowest
   // failing block, or UINT64_MAX.
   auto execute = [&](int n) {
-    device.vm().EnsureWorkerSlots(n);
     results.clear();
     results.resize(total_blocks);
     std::atomic<uint64_t> next_block{0};
@@ -2002,19 +2004,8 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
                              std::memory_order_relaxed)) {
       }
     };
-    WorkerPool::Instance().Run(n, [&](int w) {
-      // Per-worker launch state: same layout, rebased into VM slot `w`.
-      LaunchState W = L;
-      W.slot = w;
-      uint64_t delta =
-          device.vm().shared_base(w) - device.vm().shared_base(0);
-      if (delta != 0) {
-        for (auto& [var, va] : W.shared_va) va += delta;
-        W.dynamic_shared_va += delta;
-        for (size_t ai : W.local_arg_indices)
-          W.arg_values[ai] = Value::Pointer(W.arg_values[ai].AsVa() + delta,
-                                            kernel->params[ai]->type);
-      }
+    WorkerPool::Instance().Run(n, [&](int) {
+      simgpu::BlockMemory memory;
       for (;;) {
         uint64_t b = next_block.fetch_add(1, std::memory_order_relaxed);
         if (b >= total_blocks) break;
@@ -2023,35 +2014,39 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
         if (b > first_error_block.load(std::memory_order_acquire)) continue;
         BlockResult& r = results[b];
         r.executed = true;
-        W.stats = &r.delta;
-        W.log = n > 1 ? &r.log : nullptr;
         // Per-block shared-memory mapping is an allocation event for the
         // fault plan (FaultSite::kSharedAlloc); only reachable serially.
         if (device.faults().armed()) {
           Status fs = device.faults().OnSharedAlloc(
-              std::max<size_t>(W.shared_total, 1));
+              std::max<size_t>(L.shared_total, 1));
           if (!fs.ok()) {
             fail(b, std::move(fs));
             continue;
           }
         }
-        device.vm().MapSharedSlot(w, std::max<size_t>(W.shared_total, 1));
-        device.vm().MapPrivateSlot(
-            w, static_cast<size_t>(block_items) * kPrivateBytesPerItem);
+        memory.shared.assign(std::max<size_t>(L.shared_total, 1),
+                             std::byte{0});
+        memory.priv.assign(
+            static_cast<size_t>(block_items) * kPrivateBytesPerItem,
+            std::byte{0});
         simgpu::FiberGroup group(kFiberStackBytes);
-        W.group = &group;
-        W.group_id = Dim3(static_cast<uint32_t>(b % config.grid.x),
+        BlockState B;
+        B.group_id = Dim3(static_cast<uint32_t>(b % config.grid.x),
                           static_cast<uint32_t>((b / config.grid.x) %
                                                 config.grid.y),
                           static_cast<uint32_t>(b / (uint64_t{config.grid.x} *
                                                      config.grid.y)));
+        B.group = &group;
+        B.memory = &memory;
+        B.stats = &r.delta;
+        B.log = n > 1 ? &r.log : nullptr;
         std::vector<std::unique_ptr<Evaluator>> evals(block_items);
         Status st =
             group.Run(static_cast<int>(block_items), [&](int idx) -> Status {
               Dim3 lid(idx % config.block.x,
                        (idx / config.block.x) % config.block.y,
                        idx / (config.block.x * config.block.y));
-              evals[idx] = std::make_unique<Evaluator>(W, lid, idx);
+              evals[idx] = std::make_unique<Evaluator>(L, B, lid, idx);
               return evals[idx]->Run();
             });
         r.item_cycles.assign(block_items, 0.0);

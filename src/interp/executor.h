@@ -95,8 +95,8 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
 /// each other through memory rerun with one (LaunchPath::kRerun).
 int WorkerCount();
 /// Pin the worker count for subsequent launches (tests, benches);
-/// `n == 0` restores the environment-derived default. Clamped to the
-/// VM's worker-slot capacity.
+/// `n == 0` restores the environment-derived default. Clamped to
+/// kMaxWorkers (worker_pool.h).
 void SetWorkerCount(int n);
 
 }  // namespace bridgecl::interp

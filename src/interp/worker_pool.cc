@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "simgpu/virtual_memory.h"
-
 namespace bridgecl::interp {
 
 struct WorkerPool::Impl {
@@ -84,7 +82,7 @@ int ResolveWorkerCountFromEnv() {
     unsigned hc = std::thread::hardware_concurrency();
     n = hc == 0 ? 1 : static_cast<int>(hc);
   }
-  return std::clamp(n, 1, simgpu::VirtualMemory::kMaxWorkerSlots);
+  return std::clamp(n, 1, kMaxWorkers);
 }
 
 }  // namespace bridgecl::interp

@@ -29,9 +29,12 @@ class WorkerPool {
   Impl* impl_;
 };
 
+/// The most host workers a launch uses, however many are asked for.
+inline constexpr int kMaxWorkers = 128;
+
 /// Worker count from the environment: BRIDGECL_JOBS if set (>= 1), else
-/// std::thread::hardware_concurrency, clamped to the VM's worker-slot
-/// capacity. `BRIDGECL_JOBS=1` restores the serial engine exactly.
+/// std::thread::hardware_concurrency, clamped to kMaxWorkers.
+/// `BRIDGECL_JOBS=1` restores the serial engine exactly.
 int ResolveWorkerCountFromEnv();
 
 }  // namespace bridgecl::interp

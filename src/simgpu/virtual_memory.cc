@@ -22,6 +22,23 @@ size_t RoundUpToGranule(size_t bytes) {
   return (bytes + VirtualMemory::kGranule - 1) &
          ~(VirtualMemory::kGranule - 1);
 }
+
+/// Resolve into a segment held as one byte vector that starts at VA
+/// `base`; a null `bytes` is an unmapped segment.
+StatusOr<std::byte*> ResolveFlat(uint64_t va, size_t len, uint64_t base,
+                                 std::vector<std::byte>* bytes, Segment seg) {
+  if (bytes == nullptr)
+    return InternalError(StrFormat(
+        "device memory fault: access of %zu bytes at 0x%llx (segment %s,"
+        " unmapped)",
+        len, static_cast<unsigned long long>(va), SegmentName(seg)));
+  if (va + len <= base + bytes->size()) return bytes->data() + (va - base);
+  return InternalError(StrFormat(
+      "device memory fault: access of %zu bytes at 0x%llx overruns the"
+      " %s segment [0x%llx, +%zu)",
+      len, static_cast<unsigned long long>(va), SegmentName(seg),
+      static_cast<unsigned long long>(base), bytes->size()));
+}
 }  // namespace
 
 StatusOr<uint64_t> VirtualMemory::AllocGlobal(size_t bytes) {
@@ -38,7 +55,7 @@ StatusOr<uint64_t> VirtualMemory::AllocGlobal(size_t bytes) {
   uint64_t base = (next_global_ + kGranule - 1) & ~uint64_t{kGranule - 1};
   Region r;
   r.user_size = bytes;
-  r.generation = next_generation_.fetch_add(1, std::memory_order_relaxed) + 1;
+  r.generation = ++next_generation_;
   if (guarded_) {
     // Strict span plus poisoned redzones on both sides of the user bytes.
     r.span = bytes;
@@ -88,25 +105,7 @@ Status VirtualMemory::FreeGlobal(uint64_t va) {
 }
 
 void VirtualMemory::MapConstant(size_t bytes) {
-  constant_.storage.assign(bytes, std::byte{0});
-  constant_.user_size = constant_.span = bytes;
-}
-void VirtualMemory::MapSharedSlot(int slot, size_t bytes) {
-  Region& r = shared_slots_[static_cast<size_t>(slot)];
-  r.storage.assign(bytes, std::byte{0});
-  r.user_size = r.span = bytes;
-}
-void VirtualMemory::MapPrivateSlot(int slot, size_t bytes) {
-  Region& r = private_slots_[static_cast<size_t>(slot)];
-  r.storage.assign(bytes, std::byte{0});
-  r.user_size = r.span = bytes;
-}
-
-void VirtualMemory::EnsureWorkerSlots(int slots) {
-  size_t n = static_cast<size_t>(
-      std::min(std::max(slots, 1), kMaxWorkerSlots));
-  if (shared_slots_.size() < n) shared_slots_.resize(n);
-  if (private_slots_.size() < n) private_slots_.resize(n);
+  constant_.assign(bytes, std::byte{0});
 }
 
 StatusOr<std::byte*> VirtualMemory::ResolveGlobal(uint64_t va, size_t len) {
@@ -153,48 +152,22 @@ StatusOr<std::byte*> VirtualMemory::ResolveGlobal(uint64_t va, size_t len) {
       len, static_cast<unsigned long long>(va)));
 }
 
-StatusOr<std::byte*> VirtualMemory::ResolveSlotted(uint64_t va, size_t len,
-                                                   uint64_t seg_base,
-                                                   std::vector<Region>& slots,
-                                                   Segment seg) {
-  uint64_t slot = (va - seg_base) / kWorkerSlotStride;
-  uint64_t base = seg_base + slot * kWorkerSlotStride;
-  if (slot < slots.size()) {
-    Region& r = slots[static_cast<size_t>(slot)];
-    if (va + len <= base + r.span) return r.storage.data() + (va - base);
-    return InternalError(StrFormat(
-        "device memory fault: access of %zu bytes at 0x%llx overruns the"
-        " %s segment [0x%llx, +%zu)",
-        len, static_cast<unsigned long long>(va), SegmentName(seg),
-        static_cast<unsigned long long>(base), r.span));
-  }
-  return InternalError(StrFormat(
-      "device memory fault: access of %zu bytes at 0x%llx (segment %s,"
-      " unmapped worker slot %llu)",
-      len, static_cast<unsigned long long>(va), SegmentName(seg),
-      static_cast<unsigned long long>(slot)));
-}
-
-StatusOr<std::byte*> VirtualMemory::Resolve(uint64_t va, size_t len) {
+StatusOr<std::byte*> VirtualMemory::Resolve(uint64_t va, size_t len,
+                                             BlockMemory* block) {
   if (injector_ != nullptr && injector_->armed())
     BRIDGECL_RETURN_IF_ERROR(injector_->OnMemoryAccess(va, len));
   // Order: constant (highest base) > shared > private > global.
-  if (va >= kConstantBase) {
-    Region& r = constant_;
-    if (va + len <= kConstantBase + r.span)
-      return r.storage.data() + (va - kConstantBase);
-    return InternalError(StrFormat(
-        "device memory fault: access of %zu bytes at 0x%llx overruns the"
-        " constant segment [0x%llx, +%zu)",
-        len, static_cast<unsigned long long>(va),
-        static_cast<unsigned long long>(kConstantBase), r.span));
-  }
+  if (va >= kConstantBase)
+    return ResolveFlat(va, len, kConstantBase, &constant_,
+                       Segment::kConstant);
   if (va >= kSharedBase)
-    return ResolveSlotted(va, len, kSharedBase, shared_slots_,
-                          Segment::kShared);
+    return ResolveFlat(va, len, kSharedBase,
+                       block != nullptr ? &block->shared : nullptr,
+                       Segment::kShared);
   if (va >= kPrivateBase)
-    return ResolveSlotted(va, len, kPrivateBase, private_slots_,
-                          Segment::kPrivate);
+    return ResolveFlat(va, len, kPrivateBase,
+                       block != nullptr ? &block->priv : nullptr,
+                       Segment::kPrivate);
   if (va >= kGlobalBase) return ResolveGlobal(va, len);
   return InternalError(
       StrFormat("device memory fault: access of %zu bytes at 0x%llx"

@@ -7,9 +7,18 @@
 // Layout:
 //   [kGlobalBase ...)     dynamically allocated global-memory buffers
 //   [kConstantBase ...)   per-module constant memory region
-//   [kSharedBase ...)     the shared/local memory of the block each host
-//                         worker is executing, one slot per worker
-//   [kPrivateBase ...)    per-work-item private stacks of those blocks
+//   [kSharedBase ...)     the shared/local memory of a running block
+//   [kPrivateBase ...)    the per-work-item private stacks of that block
+//
+// Only global and constant memory belong to the device. Shared and
+// private memory belong to one block: the launcher keeps them in a
+// BlockMemory and passes it to Resolve, so every block sees the same
+// shared and private VAs whichever host worker runs it.
+//
+// Concurrency: no VirtualMemory member changes while a launch's workers
+// run. Workers only resolve global memory, constant memory and their own
+// BlockMemory; allocation, freeing and MapConstant happen between
+// launches.
 //
 // Two accuracy modes, mirroring real allocator behavior:
 //   * unguarded (default): each allocation's backing store is padded to the
@@ -24,7 +33,6 @@
 //     (the device-side half of a cuda-memcheck-style tool).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -41,6 +49,14 @@ enum class Segment : uint8_t { kGlobal, kConstant, kShared, kPrivate };
 /// Human-readable segment name ("global", "constant", ...).
 const char* SegmentName(Segment seg);
 
+/// The shared and private memory of one running block. Byte i of
+/// `shared` is VA `kSharedBase + i`, byte i of `priv` is VA
+/// `kPrivateBase + i`.
+struct BlockMemory {
+  std::vector<std::byte> shared;
+  std::vector<std::byte> priv;
+};
+
 class VirtualMemory {
  public:
   static constexpr uint64_t kNullGuard = 0x1000;  // VA 0..4K never mapped
@@ -48,18 +64,6 @@ class VirtualMemory {
   static constexpr uint64_t kConstantBase = 0x0000'7F00'0000'0000ull;
   static constexpr uint64_t kSharedBase = 0x0000'7E00'0000'0000ull;
   static constexpr uint64_t kPrivateBase = 0x0000'7D00'0000'0000ull;
-
-  /// Worker slots: the block-parallel launcher gives each host worker its
-  /// own shared/private window inside the 1 TiB segment span, at
-  /// `segment base + slot * kWorkerSlotStride`. The stride is a power of
-  /// two and a multiple of every bank-word size, so a VA rebased into
-  /// slot w keeps its offset modulo any bank word — bank-conflict counts
-  /// are bit-identical across slots (SharedAccessBankWords depends only
-  /// on va modulo the word size). Slot 0 is the legacy single-threaded
-  /// window.
-  static constexpr uint64_t kWorkerSlotStride = 1ull << 33;  // 8 GiB
-  static constexpr int kMaxWorkerSlots =
-      static_cast<int>((kSharedBase - kPrivateBase) / kWorkerSlotStride);
 
   /// Allocation granule: base alignment and the unit backing stores are
   /// padded to in unguarded mode.
@@ -86,25 +90,17 @@ class VirtualMemory {
   /// Free a buffer previously returned by AllocGlobal.
   Status FreeGlobal(uint64_t va);
 
-  /// (Re)map the fixed regions. Shared/private are remapped per block by
-  /// the launcher; constant is mapped once per loaded module. The
-  /// slot-less forms map worker slot 0 (the serial engine's window).
+  /// (Re)map the zero-filled constant region; done once per loaded
+  /// module.
   void MapConstant(size_t bytes);
-  void MapShared(size_t bytes) { MapSharedSlot(0, bytes); }
-  void MapPrivate(size_t bytes) { MapPrivateSlot(0, bytes); }
-  void MapSharedSlot(int slot, size_t bytes);
-  void MapPrivateSlot(int slot, size_t bytes);
 
-  /// Pre-size the per-slot region tables so that workers can remap their
-  /// own slots without synchronization. Must be called before (never
-  /// during) a parallel phase; existing slot contents are preserved.
-  void EnsureWorkerSlots(int slots);
-  int worker_slots() const { return static_cast<int>(shared_slots_.size()); }
-
-  /// Resolve `va..va+len` to host memory. Fails on unmapped or
-  /// out-of-bounds accesses (the simulated segfault); in guarded mode the
-  /// failure names the allocation, its extent and generation.
-  StatusOr<std::byte*> Resolve(uint64_t va, size_t len);
+  /// Resolve `va..va+len` to host memory. Shared and private VAs resolve
+  /// into `block`; with no block (the host's view) they are unmapped.
+  /// Fails on unmapped or out-of-bounds accesses (the simulated
+  /// segfault); in guarded mode the failure names the allocation, its
+  /// extent and generation.
+  StatusOr<std::byte*> Resolve(uint64_t va, size_t len,
+                               BlockMemory* block = nullptr);
 
   /// Segment of a mapped address (for access-cost classification).
   StatusOr<Segment> SegmentOf(uint64_t va) const;
@@ -115,12 +111,8 @@ class VirtualMemory {
   size_t global_allocation_count() const { return live_global_count_; }
 
   uint64_t constant_base() const { return kConstantBase; }
-  uint64_t shared_base(int slot = 0) const {
-    return kSharedBase + static_cast<uint64_t>(slot) * kWorkerSlotStride;
-  }
-  uint64_t private_base(int slot = 0) const {
-    return kPrivateBase + static_cast<uint64_t>(slot) * kWorkerSlotStride;
-  }
+  uint64_t shared_base() const { return kSharedBase; }
+  uint64_t private_base() const { return kPrivateBase; }
 
  private:
   struct Region {
@@ -133,8 +125,6 @@ class VirtualMemory {
   };
 
   StatusOr<std::byte*> ResolveGlobal(uint64_t va, size_t len);
-  StatusOr<std::byte*> ResolveSlotted(uint64_t va, size_t len, uint64_t seg_base,
-                                      std::vector<Region>& slots, Segment seg);
 
   bool guarded_ = false;
   FaultInjector* injector_ = nullptr;
@@ -142,17 +132,9 @@ class VirtualMemory {
   size_t global_in_use_ = 0;
   size_t live_global_count_ = 0;
   uint64_t next_global_ = kGlobalBase;
-  // Atomic so that future device-side allocation events stay safe under
-  // the block-parallel engine (generation tags are part of the guarded
-  // use-after-free diagnostics and must never tear).
-  std::atomic<uint64_t> next_generation_{0};
+  uint64_t next_generation_ = 0;
   std::map<uint64_t, Region> global_allocs_;  // base VA -> region
-  Region constant_;
-  // Worker-slot shared/private windows; index = slot. Sized by
-  // EnsureWorkerSlots before a parallel phase so workers touch only their
-  // own element.
-  std::vector<Region> shared_slots_ = std::vector<Region>(1);
-  std::vector<Region> private_slots_ = std::vector<Region>(1);
+  std::vector<std::byte> constant_;
 };
 
 }  // namespace bridgecl::simgpu

@@ -7,12 +7,14 @@
 // report byte-identical statuses at any worker count. Direct launches pin
 // the logged execution path: blocks that write the same word, read each
 // other's output, or share an atomic counter must leave memory exactly as
-// the serial engine does. The content-hashed module cache rides along:
+// the serial engine does, and every block sees the serial engine's shared
+// and private addresses. The content-hashed module cache rides along:
 // hits skip the front end (surfaced on build trace spans), replay
 // diagnostics byte-identically, and charge the same simulated build
 // cost.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "apps/app.h"
 #include "interp/executor.h"
 #include "interp/module.h"
+#include "interp/worker_pool.h"
 #include "lang/dialect.h"
 #include "mcuda/cuda_api.h"
 #include "mocl/cl_api.h"
@@ -472,6 +475,78 @@ TEST(ParallelExecTest, FaultingBlockCommitsEarlierStoresOnly) {
   EXPECT_NE(r.status.message().find("block (3,0,0)"), std::string::npos)
       << r.status.ToString();
   for (int g = 0; g < 32; ++g) EXPECT_EQ(r.mem[g], g < 16 ? g + 1 : 0) << g;
+}
+
+TEST(ParallelExecTest, BlockAddressesMatchTheSerialEngine) {
+  // Item 0 of each block stores the high words of a __local array's
+  // address and of a private variable's address. Shared and private
+  // memory belong to the block, so the addresses must not depend on
+  // which worker ran it.
+  const char* src =
+      "__kernel void k(__global int* out) {"
+      "  __local int t[4];"
+      "  int x = get_local_id(0);"
+      "  t[x] = x;"
+      "  if (x != 0) return;"
+      "  int b = get_group_id(0);"
+      "  out[b] = (int)((ulong)t >> 32);"
+      "  out[64 + b] = (int)((ulong)&x >> 32);"
+      "}";
+  const auto shared_hi =
+      static_cast<int32_t>(simgpu::VirtualMemory::kSharedBase >> 32);
+  const auto private_hi =
+      static_cast<int32_t>(simgpu::VirtualMemory::kPrivateBase >> 32);
+  for (int rep = 0; rep < 5; ++rep) {
+    SCOPED_TRACE("repeat " + std::to_string(rep));
+    DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(64),
+                                             simgpu::Dim3(4),
+                                             std::vector<int32_t>(128, 0));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.path, interp::LaunchPath::kCommitted);
+    for (int b = 0; b < 64; ++b) {
+      EXPECT_EQ(r.mem[b], shared_hi) << b;
+      EXPECT_EQ(r.mem[64 + b], private_hi) << b;
+    }
+  }
+}
+
+TEST(ParallelExecTest, SharedOverrunInALateBlockReportsTheSerialStatus) {
+  // Block 37 stores far past its 16 bytes of shared memory. The fault
+  // names the shared VA and the segment's extent, which must read as
+  // they do in the serial engine whichever worker ran the block.
+  const char* src =
+      "__kernel void k(__global int* out) {"
+      "  __local int t[4];"
+      "  if (get_group_id(0) == 37) t[1000] = 1;"
+      "}";
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE("repeat " + std::to_string(rep));
+    DirectRun r = ExpectSerialEqualsParallel(src, simgpu::Dim3(64),
+                                             simgpu::Dim3(4), {0});
+    ASSERT_FALSE(r.status.ok());
+    EXPECT_NE(r.status.message().find("overruns the shared segment"),
+              std::string::npos)
+        << r.status.ToString();
+    EXPECT_NE(r.status.message().find("block (37,0,0)"), std::string::npos)
+        << r.status.ToString();
+  }
+}
+
+TEST(ParallelExecTest, WorkerCountIsCappedAtMaxWorkers) {
+  // Launches nothing, so no pool thread starts.
+  interp::SetWorkerCount(1 << 20);
+  EXPECT_EQ(interp::WorkerCount(), interp::kMaxWorkers);
+  EXPECT_EQ(interp::kMaxWorkers, 128);
+  interp::SetWorkerCount(0);
+
+  const char* before = std::getenv("BRIDGECL_JOBS");
+  std::string saved = before != nullptr ? before : "";
+  setenv("BRIDGECL_JOBS", "1048576", 1);
+  EXPECT_EQ(interp::ResolveWorkerCountFromEnv(), interp::kMaxWorkers);
+  if (before != nullptr)
+    setenv("BRIDGECL_JOBS", saved.c_str(), 1);
+  else
+    unsetenv("BRIDGECL_JOBS");
 }
 
 // ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ TEST(VirtualMemoryTest, SegmentsDistinct) {
   auto g = vm.AllocGlobal(64);
   ASSERT_TRUE(g.ok());
   vm.MapConstant(64);
-  vm.MapShared(64);
-  vm.MapPrivate(64);
   EXPECT_EQ(*vm.SegmentOf(*g), Segment::kGlobal);
   EXPECT_EQ(*vm.SegmentOf(vm.constant_base()), Segment::kConstant);
   EXPECT_EQ(*vm.SegmentOf(vm.shared_base()), Segment::kShared);
@@ -54,6 +52,44 @@ TEST(VirtualMemoryTest, SegmentsDistinct) {
   EXPECT_TRUE(vm.Resolve(vm.constant_base(), 64).ok());
   EXPECT_FALSE(vm.Resolve(vm.constant_base() + 32, 64).ok());
   EXPECT_FALSE(vm.SegmentOf(4).ok());  // inside the null guard
+}
+
+TEST(VirtualMemoryTest, SharedAndPrivateResolveIntoTheRunningBlock) {
+  VirtualMemory vm(1 << 20);
+  BlockMemory a, b;
+  a.shared.assign(16, std::byte{0});
+  a.priv.assign(64, std::byte{0});
+  b.shared.assign(16, std::byte{0});
+  // One shared VA is a byte of whichever block resolves it.
+  const uint64_t va = vm.shared_base() + 8;
+  auto in_a = vm.Resolve(va, 4, &a);
+  auto in_b = vm.Resolve(va, 4, &b);
+  ASSERT_TRUE(in_a.ok()) << in_a.status().ToString();
+  ASSERT_TRUE(in_b.ok()) << in_b.status().ToString();
+  EXPECT_EQ(*in_a, a.shared.data() + 8);
+  EXPECT_EQ(*in_b, b.shared.data() + 8);
+  auto priv = vm.Resolve(vm.private_base() + 60, 4, &a);
+  ASSERT_TRUE(priv.ok()) << priv.status().ToString();
+  EXPECT_EQ(*priv, a.priv.data() + 60);
+
+  // With no block (the host's view) both segments are unmapped.
+  auto no_shared = vm.Resolve(va, 4);
+  ASSERT_FALSE(no_shared.ok());
+  EXPECT_NE(no_shared.status().message().find("segment shared"),
+            std::string::npos)
+      << no_shared.status().ToString();
+  auto no_private = vm.Resolve(vm.private_base(), 4);
+  ASSERT_FALSE(no_private.ok());
+  EXPECT_NE(no_private.status().message().find("segment private"),
+            std::string::npos)
+      << no_private.status().ToString();
+
+  // The block's shared size bounds the segment.
+  auto over = vm.Resolve(vm.shared_base() + 14, 4, &a);
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.status().message().find("overruns the shared segment"),
+            std::string::npos)
+      << over.status().ToString();
 }
 
 TEST(DeviceTest, BankWordAccounting) {
