@@ -72,6 +72,9 @@ constexpr size_t kFiberStackBytes = 256 * 1024;
 #endif
 constexpr int kMaxCallDepth = 64;
 
+/// Each host worker's block memory, kept across its blocks and launches.
+thread_local simgpu::BlockMemory t_block_memory;
+
 /// Location of an assignable value.
 struct LV {
   enum class Kind { kMem, kReg };
@@ -176,10 +179,11 @@ struct LaunchState {
   std::vector<Value> arg_values;   // decoded per param (dyn-local → pointer)
 };
 
-/// One block as a worker runs it: its id and fibers, its shared and
-/// private memory (the worker's BlockMemory, zero-filled for the block),
-/// and the block's own sinks, so workers never touch the device's
-/// counters, or its memory on multi-worker launches, during execution.
+/// One block as a worker runs it: its id, its fibers (none for a kernel
+/// that cannot reach a barrier), its shared and private memory (the
+/// worker's BlockMemory, reset for the block), and the block's own sinks,
+/// so workers never touch the device's counters, or its memory on
+/// multi-worker launches, during execution.
 struct BlockState {
   Dim3 group_id;
   simgpu::FiberGroup* group = nullptr;
@@ -1573,6 +1577,9 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
 
     // ---- synchronization ----
     case BuiltinOp::kBarrier:
+      if (B_.group == nullptr)
+        return Err("barrier reached in kernel '" + L_.kernel->name +
+                   "', which sema marked as unable to reach one");
       for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
       ++B_.stats->barriers;
       cycles_ += prof.cost_barrier;
@@ -1961,17 +1968,23 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
 
   // ---- execute blocks on the worker pool ----
   // The grid is claimed block-by-block from an atomic counter by `workers`
-  // host threads. Each worker runs its blocks in its own BlockMemory, at
-  // the serial engine's shared and private VAs, and records each into a
-  // private BlockResult; the reduction below then replays the serial
-  // engine's bookkeeping in canonical block order, so stats, cycle totals
-  // (flat FP fold), timestamps and traces are bit-identical for every
-  // worker count. Memory is too: with more than one worker every block
-  // runs against pre-launch memory through its BlockLog, and the logs
-  // commit in block order unless a block read a byte an earlier block
-  // wrote, in which case the launch reruns serially on the untouched
-  // memory.
-  uint64_t block_items = config.block.Count();
+  // host threads. Each worker runs its blocks in its own BlockMemory,
+  // kept across launches and reset per block, at the serial engine's
+  // shared and private VAs. A block's items run as fibers only if the
+  // kernel can reach a barrier, else one after another in index order.
+  // Each block records into a private BlockResult; the reduction below
+  // then replays the serial engine's bookkeeping in canonical block
+  // order, so stats, cycle totals (flat FP fold), timestamps and traces
+  // are bit-identical for every worker count. Memory is too: with more
+  // than one worker every block runs against pre-launch memory through
+  // its BlockLog, and the logs commit in block order unless a block read
+  // a byte an earlier block wrote, in which case the launch reruns
+  // serially on the untouched memory.
+  const int items = static_cast<int>(config.block.Count());
+  auto local_id = [&](int idx) {
+    return Dim3(idx % config.block.x, (idx / config.block.x) % config.block.y,
+                idx / (config.block.x * config.block.y));
+  };
   uint64_t total_blocks = config.grid.Count();
   int workers = WorkerCount();
   // An armed fault plan counts per-site consults in execution order.
@@ -2005,7 +2018,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
       }
     };
     WorkerPool::Instance().Run(n, [&](int) {
-      simgpu::BlockMemory memory;
       for (;;) {
         uint64_t b = next_block.fetch_add(1, std::memory_order_relaxed);
         if (b >= total_blocks) break;
@@ -2024,34 +2036,40 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
             continue;
           }
         }
-        memory.shared.assign(std::max<size_t>(L.shared_total, 1),
-                             std::byte{0});
-        memory.priv.assign(
-            static_cast<size_t>(block_items) * kPrivateBytesPerItem,
-            std::byte{0});
-        simgpu::FiberGroup group(kFiberStackBytes);
+        t_block_memory.Reset(std::max<size_t>(L.shared_total, 1), items,
+                             kPrivateBytesPerItem);
         BlockState B;
         B.group_id = Dim3(static_cast<uint32_t>(b % config.grid.x),
                           static_cast<uint32_t>((b / config.grid.x) %
                                                 config.grid.y),
                           static_cast<uint32_t>(b / (uint64_t{config.grid.x} *
                                                      config.grid.y)));
-        B.group = &group;
-        B.memory = &memory;
+        B.memory = &t_block_memory;
         B.stats = &r.delta;
         B.log = n > 1 ? &r.log : nullptr;
-        std::vector<std::unique_ptr<Evaluator>> evals(block_items);
-        Status st =
-            group.Run(static_cast<int>(block_items), [&](int idx) -> Status {
-              Dim3 lid(idx % config.block.x,
-                       (idx / config.block.x) % config.block.y,
-                       idx / (config.block.x * config.block.y));
-              evals[idx] = std::make_unique<Evaluator>(L, B, lid, idx);
-              return evals[idx]->Run();
-            });
-        r.item_cycles.assign(block_items, 0.0);
-        for (uint64_t i = 0; i < block_items; ++i)
-          if (evals[i]) r.item_cycles[i] = evals[i]->TakeCycles();
+        r.item_cycles.assign(items, 0.0);
+        Status st;
+        if (kernel->reaches_barrier) {
+          simgpu::FiberGroup group(kFiberStackBytes);
+          B.group = &group;
+          std::vector<std::unique_ptr<Evaluator>> evals(items);
+          st = group.Run(items, [&](int idx) -> Status {
+            evals[idx] = std::make_unique<Evaluator>(L, B, local_id(idx), idx);
+            return evals[idx]->Run();
+          });
+          for (int i = 0; i < items; ++i)
+            if (evals[i]) r.item_cycles[i] = evals[i]->TakeCycles();
+        } else {
+          // What FiberGroup::Run does for tasks that never wait: each item
+          // runs to completion in index order, and the first failure is
+          // the block's.
+          for (int i = 0; i < items; ++i) {
+            Evaluator e(L, B, local_id(i), i);
+            Status item = e.Run();
+            r.item_cycles[i] = e.TakeCycles();
+            if (st.ok()) st = std::move(item);
+          }
+        }
         if (!st.ok()) fail(b, std::move(st));
       }
     });
@@ -2095,7 +2113,7 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   }
 
   int regs = module.RegistersFor(kernel);
-  uint64_t total_items = config.grid.Count() * block_items;
+  uint64_t total_items = config.grid.Count() * items;
   double before = device.now_us();
   device.ChargeKernel(total_cycles, regs, total_items);
   LaunchResult result;

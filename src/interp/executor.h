@@ -1,8 +1,10 @@
 // Kernel launcher + AST evaluator. Executes a kernel over a grid on a
 // simulated device: blocks claimed in parallel by a host worker pool
-// (docs/PERFORMANCE.md), each block's work-items as cooperatively
-// scheduled fibers (real barrier semantics), with every operation
-// charged to the device timing model. Per-block costs are reduced in
+// (docs/PERFORMANCE.md), each in the worker's own block memory, reset
+// per block. A block's work-items run as cooperatively scheduled fibers
+// (real barrier semantics) if sema marks the kernel as able to reach a
+// barrier, else one after another in index order. Every operation is
+// charged to the device timing model, and per-block costs are reduced in
 // canonical block order, so results are bit-identical for any worker
 // count.
 #pragma once

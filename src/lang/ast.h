@@ -408,6 +408,9 @@ struct FunctionDecl : Decl {
   /// Parsed from an optional `__launch_bounds__`-style annotation or
   /// estimated by sema from the body.
   int register_estimate = 0;
+  /// Set by sema: the body can reach `barrier`/`__syncthreads`, directly
+  /// or through the functions it calls.
+  bool reaches_barrier = false;
 };
 
 /// Whole parsed source file.

@@ -5,8 +5,10 @@
 // kernels like reduction/scan/FT depend on.
 //
 // Implementation: POSIX ucontext fibers with private stacks. The group
-// scheduler runs work-items round-robin between barriers; a group with no
-// barriers degenerates to plain sequential execution.
+// scheduler runs work-items round-robin between barriers. The executor
+// creates no group for a kernel that cannot reach a barrier: it runs
+// that kernel's work-items in a plain loop, in the order a group whose
+// tasks never wait would run them.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,10 @@
 #include "simgpu/virtual_memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "simgpu/fault_injector.h"
 #include "support/strings.h"
@@ -23,23 +27,65 @@ size_t RoundUpToGranule(size_t bytes) {
          ~(VirtualMemory::kGranule - 1);
 }
 
-/// Resolve into a segment held as one byte vector that starts at VA
-/// `base`; a null `bytes` is an unmapped segment.
-StatusOr<std::byte*> ResolveFlat(uint64_t va, size_t len, uint64_t base,
-                                 std::vector<std::byte>* bytes, Segment seg) {
-  if (bytes == nullptr)
-    return InternalError(StrFormat(
-        "device memory fault: access of %zu bytes at 0x%llx (segment %s,"
-        " unmapped)",
-        len, static_cast<unsigned long long>(va), SegmentName(seg)));
-  if (va + len <= base + bytes->size()) return bytes->data() + (va - base);
+/// The fault for an access past the `size` bytes of segment `seg`, which
+/// starts at VA `base`.
+Status OverrunFault(uint64_t va, size_t len, uint64_t base, size_t size,
+                    Segment seg) {
   return InternalError(StrFormat(
       "device memory fault: access of %zu bytes at 0x%llx overruns the"
       " %s segment [0x%llx, +%zu)",
       len, static_cast<unsigned long long>(va), SegmentName(seg),
-      static_cast<unsigned long long>(base), bytes->size()));
+      static_cast<unsigned long long>(base), size));
+}
+
+/// Resolve into a block segment that starts at VA `base`; a null `arena`
+/// is an unmapped segment.
+StatusOr<std::byte*> ResolveInBlock(uint64_t va, size_t len, uint64_t base,
+                                    BlockArena* arena, Segment seg) {
+  if (arena == nullptr)
+    return InternalError(StrFormat(
+        "device memory fault: access of %zu bytes at 0x%llx (segment %s,"
+        " unmapped)",
+        len, static_cast<unsigned long long>(va), SegmentName(seg)));
+  if (va + len <= base + arena->size()) return arena->Take(va - base, len);
+  return OverrunFault(va, len, base, arena->size(), seg);
 }
 }  // namespace
+
+BlockArena::~BlockArena() {
+  if (base_ != nullptr) munmap(base_, mapped_);
+}
+
+size_t BlockArena::Reset(size_t slots, size_t slot_bytes) {
+  size_t zeroed = 0;
+  for (size_t s = 0; s < marks_.size(); ++s) {
+    if (marks_[s] == 0) continue;
+    std::memset(base_ + s * slot_bytes_, 0, marks_[s]);
+    zeroed += marks_[s];
+  }
+  const size_t bytes = slots * slot_bytes;
+  if (bytes > mapped_) {
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    if (base_ != nullptr) munmap(base_, mapped_);
+    base_ = static_cast<std::byte*>(p);
+    mapped_ = bytes;
+  }
+  marks_.assign(slots, 0);
+  slot_bytes_ = slot_bytes;
+  return zeroed;
+}
+
+std::byte* BlockArena::Take(size_t offset, size_t len) {
+  if (len == 0) return base_ + offset;
+  // A range may straddle slots: each slot it covers is marked.
+  const size_t end = offset + len;
+  for (size_t s = offset / slot_bytes_; s * slot_bytes_ < end; ++s)
+    marks_[s] = std::max(marks_[s],
+                         std::min(end - s * slot_bytes_, slot_bytes_));
+  return base_ + offset;
+}
 
 StatusOr<uint64_t> VirtualMemory::AllocGlobal(size_t bytes) {
   if (injector_ != nullptr && injector_->armed())
@@ -157,17 +203,20 @@ StatusOr<std::byte*> VirtualMemory::Resolve(uint64_t va, size_t len,
   if (injector_ != nullptr && injector_->armed())
     BRIDGECL_RETURN_IF_ERROR(injector_->OnMemoryAccess(va, len));
   // Order: constant (highest base) > shared > private > global.
-  if (va >= kConstantBase)
-    return ResolveFlat(va, len, kConstantBase, &constant_,
-                       Segment::kConstant);
+  if (va >= kConstantBase) {
+    if (va + len <= kConstantBase + constant_.size())
+      return constant_.data() + (va - kConstantBase);
+    return OverrunFault(va, len, kConstantBase, constant_.size(),
+                        Segment::kConstant);
+  }
   if (va >= kSharedBase)
-    return ResolveFlat(va, len, kSharedBase,
-                       block != nullptr ? &block->shared : nullptr,
-                       Segment::kShared);
+    return ResolveInBlock(va, len, kSharedBase,
+                          block != nullptr ? &block->shared : nullptr,
+                          Segment::kShared);
   if (va >= kPrivateBase)
-    return ResolveFlat(va, len, kPrivateBase,
-                       block != nullptr ? &block->priv : nullptr,
-                       Segment::kPrivate);
+    return ResolveInBlock(va, len, kPrivateBase,
+                          block != nullptr ? &block->priv : nullptr,
+                          Segment::kPrivate);
   if (va >= kGlobalBase) return ResolveGlobal(va, len);
   return InternalError(
       StrFormat("device memory fault: access of %zu bytes at 0x%llx"

@@ -11,9 +11,10 @@
 //   [kPrivateBase ...)    the per-work-item private stacks of that block
 //
 // Only global and constant memory belong to the device. Shared and
-// private memory belong to one block: the launcher keeps them in a
-// BlockMemory and passes it to Resolve, so every block sees the same
-// shared and private VAs whichever host worker runs it.
+// private memory belong to one block: the launcher runs each block in a
+// BlockMemory, resets it for the block and passes it to Resolve, so every
+// block sees the same shared and private VAs, zero-filled, whichever host
+// worker runs it.
 //
 // Concurrency: no VirtualMemory member changes while a launch's workers
 // run. Workers only resolve global memory, constant memory and their own
@@ -49,12 +50,52 @@ enum class Segment : uint8_t { kGlobal, kConstant, kShared, kPrivate };
 /// Human-readable segment name ("global", "constant", ...).
 const char* SegmentName(Segment seg);
 
+/// One segment of block memory: `size()` zero-filled bytes laid out as
+/// equal slots, backed lazily by anonymous pages that read as zero until
+/// written, so resident memory follows the bytes blocks touch. The mapping
+/// grows and never shrinks. Per slot it keeps a high-water mark: the end
+/// of the highest range Take handed out, measured from the slot's start.
+class BlockArena {
+ public:
+  BlockArena() = default;
+  BlockArena(const BlockArena&) = delete;
+  BlockArena& operator=(const BlockArena&) = delete;
+  ~BlockArena();
+
+  /// Zero every marked byte of the previous layout, then lay out `slots`
+  /// slots of `slot_bytes` with no marks. Returns the bytes zeroed.
+  size_t Reset(size_t slots, size_t slot_bytes);
+
+  /// Host address of the `len` bytes at `offset`, which the caller has
+  /// checked lie inside `size()`; marks them for the next Reset.
+  std::byte* Take(size_t offset, size_t len);
+
+  std::byte* data() const { return base_; }
+  size_t size() const { return marks_.size() * slot_bytes_; }
+
+ private:
+  std::byte* base_ = nullptr;
+  size_t mapped_ = 0;
+  size_t slot_bytes_ = 0;
+  std::vector<size_t> marks_;  // one per slot
+};
+
 /// The shared and private memory of one running block. Byte i of
 /// `shared` is VA `kSharedBase + i`, byte i of `priv` is VA
-/// `kPrivateBase + i`.
+/// `kPrivateBase + i`. A launcher keeps one per host worker across blocks
+/// and launches. Every host pointer into it comes from Resolve, which
+/// marks what it hands out, so the marked bytes cover every byte a block
+/// wrote and every unmarked byte is still zero: Reset re-zeroes only the
+/// marked ones, and the next block cannot tell it from fresh memory.
 struct BlockMemory {
-  std::vector<std::byte> shared;
-  std::vector<std::byte> priv;
+  BlockArena shared;  // one slot
+  BlockArena priv;    // one slot per work-item
+
+  /// Prepare for a block with `shared_bytes` of shared memory and
+  /// `items` private slots of `bytes_per_item`; returns the bytes zeroed.
+  size_t Reset(size_t shared_bytes, size_t items, size_t bytes_per_item) {
+    return shared.Reset(1, shared_bytes) + priv.Reset(items, bytes_per_item);
+  }
 };
 
 class VirtualMemory {
@@ -95,7 +136,8 @@ class VirtualMemory {
   void MapConstant(size_t bytes);
 
   /// Resolve `va..va+len` to host memory. Shared and private VAs resolve
-  /// into `block`; with no block (the host's view) they are unmapped.
+  /// into `block`, which marks the range for its next Reset; with no
+  /// block (the host's view) they are unmapped.
   /// Fails on unmapped or out-of-bounds accesses (the simulated
   /// segfault); in guarded mode the failure names the allocation, its
   /// extent and generation.

@@ -153,6 +153,59 @@ TEST_F(InterpTest, BarrierReduction) {
   EXPECT_GT(device_.stats().barriers, 0u);
 }
 
+TEST_F(InterpTest, BarrierInsideAHelperSynchronizesTheBlock) {
+  // The kernel's only barrier sits in a helper, so the kernel reaches a
+  // barrier only through the call and must still run as fibers.
+  auto m = Compile(
+      "void tile_sync() { barrier(CLK_LOCAL_MEM_FENCE); }"
+      "__kernel void rev(__global int* io) {"
+      "  __local int tile[64];"
+      "  int l = get_local_id(0);"
+      "  tile[l] = io[l];"
+      "  tile_sync();"
+      "  io[l] = tile[63 - l];"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  std::vector<int> in(64);
+  std::iota(in.begin(), in.end(), 0);
+  uint64_t vio = Alloc(64 * 4);
+  WriteBuf(vio, in);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(64);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vio)};
+  auto r = LaunchKernel(device_, *m, "rev", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto out = ReadBuf<int>(vio, 64);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(out[i], 63 - i) << i;
+  EXPECT_EQ(device_.stats().barriers, 64u);
+}
+
+TEST_F(InterpTest, BarrierInAKernelMarkedBarrierFreeFailsTheLaunch) {
+  // A kernel without reaches_barrier runs with no fibers; were sema to
+  // miss a barrier, reaching it must fail the launch, naming the kernel.
+  // The source is unique to this test, so clearing the mark on its
+  // analyzed unit (which the module cache shares) touches no other test.
+  auto m = Compile(
+      "__kernel void unmarked_sync(__global int* o) {"
+      "  o[get_local_id(0)] = 1;"
+      "  barrier(CLK_LOCAL_MEM_FENCE);"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  m->tu().FindFunction("unmarked_sync")->reaches_barrier = false;
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(4);
+  std::vector<KernelArg> args = {KernelArg::Pointer(Alloc(16))};
+  auto r = LaunchKernel(device_, *m, "unmarked_sync", cfg, args);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_NE(r.status().message().find("'unmarked_sync'"), std::string::npos)
+      << r.status().ToString();
+}
+
 TEST_F(InterpTest, CudaDynamicSharedMemory) {
   auto m = Compile(
       "__global__ void rev(float* d) {"

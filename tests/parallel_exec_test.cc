@@ -510,6 +510,46 @@ TEST(ParallelExecTest, BlockAddressesMatchTheSerialEngine) {
   }
 }
 
+TEST(ParallelExecTest, BlockMemoryReadsZeroInEveryBlock) {
+  // Each worker keeps its block memory across blocks and launches and
+  // re-zeroes only the bytes earlier blocks resolved. Item l reads words
+  // no item of its block has written yet and ORs them into out[g]: with a
+  // barrier an unwritten __local word, a private word past its array and
+  // a word of the next item's private slot; without one the private word
+  // only. Then it writes each word. Every block must still read zeros.
+  const char* with_barrier =
+      "__kernel void k(__global int* out) {"
+      "  __local int t[4];"
+      "  int a[2];"
+      "  int* p = a;"
+      "  int l = get_local_id(0);"
+      "  int v = t[l] | p[64];"
+      "  if (l + 1 < 4) v |= p[16384 + 96];"
+      "  out[get_global_id(0)] = v;"
+      "  barrier(CLK_LOCAL_MEM_FENCE);"
+      "  t[l] = l + 1;"
+      "  p[64] = l + 1;"
+      "  if (l + 1 < 4) p[16384 + 96] = l + 1;"
+      "}";
+  const char* barrier_free =
+      "__kernel void k(__global int* out) {"
+      "  int a[2];"
+      "  int* p = a;"
+      "  out[get_global_id(0)] = p[64];"
+      "  p[64] = get_local_id(0) + 1;"
+      "}";
+  for (const char* src : {with_barrier, barrier_free}) {
+    SCOPED_TRACE(src == with_barrier ? "with a barrier" : "barrier-free");
+    for (int rep = 0; rep < 5; ++rep) {
+      SCOPED_TRACE("repeat " + std::to_string(rep));
+      DirectRun r = ExpectSerialEqualsParallel(
+          src, simgpu::Dim3(64), simgpu::Dim3(4), std::vector<int32_t>(256, 7));
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      for (int g = 0; g < 256; ++g) EXPECT_EQ(r.mem[g], 0) << g;
+    }
+  }
+}
+
 TEST(ParallelExecTest, SharedOverrunInALateBlockReportsTheSerialStatus) {
   // Block 37 stores far past its 16 bytes of shared memory. The fault
   // names the shared VA and the segment's extent, which must read as

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "simgpu/device.h"
 #include "simgpu/fiber.h"
 
@@ -57,9 +60,8 @@ TEST(VirtualMemoryTest, SegmentsDistinct) {
 TEST(VirtualMemoryTest, SharedAndPrivateResolveIntoTheRunningBlock) {
   VirtualMemory vm(1 << 20);
   BlockMemory a, b;
-  a.shared.assign(16, std::byte{0});
-  a.priv.assign(64, std::byte{0});
-  b.shared.assign(16, std::byte{0});
+  a.Reset(16, 1, 64);
+  b.Reset(16, 0, 0);
   // One shared VA is a byte of whichever block resolves it.
   const uint64_t va = vm.shared_base() + 8;
   auto in_a = vm.Resolve(va, 4, &a);
@@ -90,6 +92,54 @@ TEST(VirtualMemoryTest, SharedAndPrivateResolveIntoTheRunningBlock) {
   EXPECT_NE(over.status().message().find("overruns the shared segment"),
             std::string::npos)
       << over.status().ToString();
+}
+
+TEST(VirtualMemoryTest, BlockMemoryResetZeroesWhatTheBlockResolved) {
+  VirtualMemory vm(1 << 20);
+  constexpr size_t kSlot = 1024;
+  const uint64_t priv = vm.private_base();
+  const uint64_t shared = vm.shared_base();
+  BlockMemory m;
+  EXPECT_EQ(m.Reset(256, 4, kSlot), 0u);
+  // Resolve and scribble over known ranges; each Reset must zero exactly
+  // the high-water marks: 108 bytes of slot 0, all of slot 1 (the
+  // straddling range), 304 bytes of slot 2 and 48 bytes of shared.
+  auto scribble = [&] {
+    const std::pair<uint64_t, size_t> ranges[] = {
+        {priv + 100, 8},                 // inside slot 0
+        {priv + 2 * kSlot + 300, 4},     // at an offset in slot 2
+        {priv + 2 * kSlot - 8, 16},      // straddles slots 1 and 2
+        {shared + 40, 8},                // shared
+    };
+    for (auto [va, len] : ranges) {
+      auto p = vm.Resolve(va, len, &m);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      std::memset(*p, 0xAB, len);
+    }
+  };
+  constexpr size_t kMarked = 108 + kSlot + 304 + 48;
+  auto expect_all_zero = [&](const BlockArena& arena) {
+    for (size_t i = 0; i < arena.size(); ++i)
+      ASSERT_EQ(arena.data()[i], std::byte{0}) << "byte " << i;
+  };
+
+  scribble();
+  EXPECT_EQ(m.Reset(256, 8, kSlot), kMarked);  // a block of more items
+  EXPECT_EQ(m.priv.size(), 8 * kSlot);
+  expect_all_zero(m.shared);
+  expect_all_zero(m.priv);
+
+  scribble();
+  EXPECT_EQ(m.Reset(64, 2, kSlot), kMarked);  // a block of fewer items
+  EXPECT_EQ(m.shared.size(), 64u);
+  EXPECT_EQ(m.priv.size(), 2 * kSlot);
+  expect_all_zero(m.shared);
+  expect_all_zero(m.priv);
+
+  // Slot 2 lay outside the smaller block but was zeroed all the same.
+  EXPECT_EQ(m.Reset(256, 4, kSlot), 0u);
+  expect_all_zero(m.shared);
+  expect_all_zero(m.priv);
 }
 
 TEST(DeviceTest, BankWordAccounting) {
