@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "interp/constants.h"
@@ -63,12 +65,14 @@ using simgpu::Segment;
 namespace {
 
 constexpr size_t kPrivateBytesPerItem = 64 * 1024;
-// ASan's redzones grow the evaluator's frames several-fold: the call-depth
-// limit below needs more than 2 MiB of host stack under it.
+// The evaluator's frames hold Values with their lanes inline, 8-12 KiB of
+// host stack per device call: the call-depth limit below needs up to
+// ~800 KiB, and ASan's redzones grow the frames several-fold. A kernel
+// touches only as much of its stack as its calls use.
 #if defined(__SANITIZE_ADDRESS__)
 constexpr size_t kFiberStackBytes = 8 * 1024 * 1024;
 #else
-constexpr size_t kFiberStackBytes = 256 * 1024;
+constexpr size_t kFiberStackBytes = 1024 * 1024;
 #endif
 constexpr int kMaxCallDepth = 64;
 
@@ -79,10 +83,22 @@ thread_local simgpu::BlockMemory t_block_memory;
 struct LV {
   enum class Kind { kMem, kReg };
   Kind kind = Kind::kReg;
-  uint64_t va = 0;      // kMem
-  Value* reg = nullptr; // kReg
-  Type::Ptr type;       // type stored at the location (pre-swizzle)
-  std::vector<int> swizzle;  // component selection on a vector location
+  uint64_t va = 0;            // kMem
+  uint32_t slot = 0;          // kReg: index into the evaluator's slots
+  Type::Ptr type = nullptr;   // type stored at the location (pre-swizzle)
+  /// Component selection on a vector location: `lanes` of `swizzle`, or
+  /// the whole location when `lanes` is 0.
+  uint8_t lanes = 0;
+  uint8_t swizzle[Value::kMaxLanes] = {};
+};
+
+/// One slot of a call's frame: a parameter or local, held in a register
+/// (`reg`, at `loc`), in private or shared memory (at `loc`), or, for a
+/// C++ reference parameter, at its argument's location `loc`.
+struct Slot {
+  bool bound = false;
+  Value reg;
+  LV loc;
 };
 
 enum class FlowKind { kNormal, kReturn, kBreak, kContinue };
@@ -227,52 +243,86 @@ void CollectSharedVars(const Stmt* s, std::vector<const VarDecl*>* out) {
   }
 }
 
+/// Runs work-items one at a time. An evaluator keeps its frame slots
+/// across items, so after its first items running one allocates nothing.
 class Evaluator {
  public:
-  Evaluator(const LaunchState& L, BlockState& B, Dim3 lid, int linear_index)
-      : L_(L), B_(B), lid_(lid) {
+  /// Run the work-item `lid` (`linear_index` in its block) of block `B`.
+  Status Run(const LaunchState& L, BlockState& B, Dim3 lid, int linear_index) {
+    L_ = &L;
+    B_ = &B;
+    lid_ = lid;
     const Dim3& blk = L.cfg.block;
     gid_ = Dim3(B.group_id.x * blk.x + lid.x, B.group_id.y * blk.y + lid.y,
                 B.group_id.z * blk.z + lid.z);
     private_base_ = L.device->vm().private_base() +
                     static_cast<uint64_t>(linear_index) * kPrivateBytesPerItem;
     private_top_ = private_base_;
+    cycles_ = 0;
+    base_ = top_ = 0;
+    ReserveFrame(*L.kernel);
+    depth_ = 1;
+    BRIDGECL_RETURN_IF_ERROR(BindKernelParams());
+    auto flow = Exec(*L.kernel->body);
+    if (!flow.ok()) return flow.status();
+    return OkStatus();
   }
 
   double cycles() const { return cycles_; }
 
-  Status Run() {
-    frames_.emplace_back();
-    frames_.back().stack_top = private_top_;
-    BRIDGECL_RETURN_IF_ERROR(BindKernelParams());
-    auto flow = Exec(*L_.kernel->body);
-    if (!flow.ok()) return flow.status();
-    frames_.pop_back();
-    return OkStatus();
+ private:
+  /// Reserve `fn`'s frame above the current top, every slot unbound, and
+  /// return its base.
+  uint32_t ReserveFrame(const FunctionDecl& fn) {
+    uint32_t base = top_;
+    top_ += static_cast<uint32_t>(fn.frame_slots);
+    if (slots_.size() < top_) slots_.resize(top_);
+    for (uint32_t i = base; i < top_; ++i) slots_[i].bound = false;
+    return base;
   }
 
- private:
-  struct Frame {
-    std::unordered_map<const VarDecl*, Value> regs;
-    std::unordered_map<const VarDecl*, uint64_t> mem;
-    std::unordered_map<const VarDecl*, LV> refs;
-    uint64_t stack_top = 0;
-  };
+  /// The current frame's slot for a parameter or local.
+  Slot& SlotOf(const VarDecl* var) {
+    assert(var->slot >= 0 && base_ + var->slot < top_);
+    return slots_[base_ + var->slot];
+  }
 
-  Frame& frame() { return frames_.back(); }
+  void BindMem(const VarDecl* var, uint64_t va) {
+    Slot& s = SlotOf(var);
+    s.bound = true;
+    s.loc = LV{LV::Kind::kMem, va, 0, var->type};
+  }
+
+  void BindReg(const VarDecl* var, Value v) {
+    Slot& s = SlotOf(var);
+    s.bound = true;
+    s.reg = std::move(v);
+    s.loc = LV{LV::Kind::kReg, 0, base_ + static_cast<uint32_t>(var->slot),
+               s.reg.type() ? s.reg.type() : var->type};
+  }
+
+  /// Where the variable `r` names lives: its slot in the current frame,
+  /// else module-scope memory.
+  StatusOr<LV> VarLocation(const DeclRefExpr& r) {
+    const VarDecl* var = r.var;
+    if (var->slot >= 0 && SlotOf(var).bound) return SlotOf(var).loc;
+    if (uint64_t va = L_->module->VaOf(var))
+      return LV{LV::Kind::kMem, va, 0, var->type};
+    return Err("unbound variable '" + r.name + "'");
+  }
 
   Status Err(std::string msg) { return InternalError(std::move(msg)); }
 
   // -- cost accounting -----------------------------------------------------
   void ChargeOp(double c) {
     cycles_ += c;
-    ++B_.stats->ops_executed;
+    ++B_->stats->ops_executed;
   }
 
   Status ChargeAccess(uint64_t va, size_t bytes) {
-    BRIDGECL_ASSIGN_OR_RETURN(Segment seg, L_.device->vm().SegmentOf(va));
-    const auto& prof = L_.device->profile();
-    auto& st = *B_.stats;
+    BRIDGECL_ASSIGN_OR_RETURN(Segment seg, L_->device->vm().SegmentOf(va));
+    const auto& prof = L_->device->profile();
+    auto& st = *B_->stats;
     switch (seg) {
       case Segment::kGlobal:
         ++st.global_accesses;
@@ -280,7 +330,7 @@ class Evaluator {
                    std::max<size_t>(1, (bytes + 15) / 16);
         break;
       case Segment::kShared: {
-        int words = L_.device->SharedAccessBankWords(va, bytes);
+        int words = L_->device->SharedAccessBankWords(va, bytes);
         ++st.shared_accesses;
         st.shared_bank_words += words;
         cycles_ += prof.cost_shared_access * words;
@@ -310,7 +360,7 @@ class Evaluator {
                    StrFormat(" [work-item global (%u,%u,%u), local (%u,%u,%u),"
                              " block %s]",
                              gid_.x, gid_.y, gid_.z, lid_.x, lid_.y, lid_.z,
-                             B_.group_id.ToString().c_str()));
+                             B_->group_id.ToString().c_str()));
     out.set_api_code(st.api_code());
     return out;
   }
@@ -318,7 +368,7 @@ class Evaluator {
   /// Resolve `va..va+n` as this block sees the address space: its own
   /// shared and private memory, and the device's global and constant.
   StatusOr<std::byte*> Resolve(uint64_t va, size_t n) {
-    return L_.device->vm().Resolve(va, n, B_.memory);
+    return L_->device->vm().Resolve(va, n, B_->memory);
   }
 
   // Every access to global or constant memory, which all blocks share,
@@ -326,8 +376,8 @@ class Evaluator {
   // they route it through the block's log; otherwise, and for the
   // block's own shared and private memory, they touch memory directly.
   bool Logged(uint64_t va) const {
-    if (B_.log == nullptr) return false;
-    auto seg = L_.device->vm().SegmentOf(va);
+    if (B_->log == nullptr) return false;
+    auto seg = L_->device->vm().SegmentOf(va);
     return seg.ok() && (*seg == Segment::kGlobal || *seg == Segment::kConstant);
   }
 
@@ -335,7 +385,7 @@ class Evaluator {
   const std::byte* Seen(uint64_t va, const std::byte* p, size_t n) {
     if (!Logged(va)) return p;
     staged_.resize(n);
-    B_.log->Load(va, p, n, staged_.data());
+    B_->log->Load(va, p, n, staged_.data());
     return staged_.data();
   }
 
@@ -346,7 +396,7 @@ class Evaluator {
     if (!Logged(va)) return encode(p);
     staged_.resize(n);
     BRIDGECL_RETURN_IF_ERROR(encode(staged_.data()));
-    B_.log->Store(va, p, staged_.data(), n);
+    B_->log->Store(va, p, staged_.data(), n);
     return OkStatus();
   }
 
@@ -379,10 +429,10 @@ class Evaluator {
 
   // -- kernel parameter binding ---------------------------------------------
   Status BindKernelParams() {
-    const auto& params = L_.kernel->params;
+    const auto& params = L_->kernel->params;
     for (size_t i = 0; i < params.size(); ++i) {
       VarDecl* p = params[i].get();
-      const Value& v = L_.arg_values[i];
+      const Value& v = L_->arg_values[i];
       BRIDGECL_RETURN_IF_ERROR(BindVar(p, v));
     }
     return OkStatus();
@@ -399,18 +449,14 @@ class Evaluator {
       size_t size = t->ByteSize();
       BRIDGECL_ASSIGN_OR_RETURN(uint64_t va,
                                 StackAlloc(size, t->Alignment()));
-      frame().mem[var] = va;
-      Value stored = v;
-      if (!lang::SameType(v.type(), t) && !v.is_aggregate())
-        stored = v.ConvertTo(t);
+      BindMem(var, va);
+      Value stored = v.is_aggregate() ? v : v.ConvertTo(t);
       stored.set_type(t);
       if (stored.is_aggregate() && stored.bytes().size() < size)
         stored.bytes().resize(size);
       return StoreMem(va, stored);
     }
-    Value stored = v;
-    if (t && !lang::SameType(v.type(), t)) stored = v.ConvertTo(t);
-    frame().regs[var] = std::move(stored);
+    BindReg(var, v.ConvertTo(t));
     return OkStatus();
   }
 
@@ -418,7 +464,7 @@ class Evaluator {
   StatusOr<FlowKind> Exec(const Stmt& s) {
     // Deterministic instruction trap: one interpreted statement is one
     // "instruction" for FaultSite::kInstruction plans.
-    if (simgpu::FaultInjector& inj = L_.device->faults(); inj.armed())
+    if (simgpu::FaultInjector& inj = L_->device->faults(); inj.armed())
       BRIDGECL_RETURN_IF_ERROR(FaultAt(inj.OnInstruction()));
     switch (s.kind) {
       case StmtKind::kCompound: {
@@ -440,7 +486,7 @@ class Evaluator {
       case StmtKind::kIf: {
         const auto* i = s.As<IfStmt>();
         BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*i->cond));
-        ChargeOp(L_.device->profile().cost_alu);
+        ChargeOp(L_->device->profile().cost_alu);
         if (c.AsBool()) return Exec(*i->then_stmt);
         if (i->else_stmt) return Exec(*i->else_stmt);
         return FlowKind::kNormal;
@@ -454,7 +500,7 @@ class Evaluator {
         while (true) {
           if (f->cond) {
             BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*f->cond));
-            ChargeOp(L_.device->profile().cost_alu);
+            ChargeOp(L_->device->profile().cost_alu);
             if (!c.AsBool()) break;
           }
           BRIDGECL_ASSIGN_OR_RETURN(FlowKind fb, Exec(*f->body));
@@ -468,7 +514,7 @@ class Evaluator {
         const auto* w = s.As<WhileStmt>();
         while (true) {
           BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*w->cond));
-          ChargeOp(L_.device->profile().cost_alu);
+          ChargeOp(L_->device->profile().cost_alu);
           if (!c.AsBool()) break;
           BRIDGECL_ASSIGN_OR_RETURN(FlowKind fb, Exec(*w->body));
           if (fb == FlowKind::kReturn) return fb;
@@ -483,7 +529,7 @@ class Evaluator {
           if (fb == FlowKind::kReturn) return fb;
           if (fb == FlowKind::kBreak) break;
           BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*d->cond));
-          ChargeOp(L_.device->profile().cost_alu);
+          ChargeOp(L_->device->profile().cost_alu);
           if (!c.AsBool()) break;
         }
         return FlowKind::kNormal;
@@ -514,13 +560,13 @@ class Evaluator {
     // area start.
     if (var->quals.space == AddressSpace::kLocal) {
       if (var->quals.is_extern) {
-        frame().mem[var] = L_.dynamic_shared_va;
+        BindMem(var, L_->dynamic_shared_va);
         return OkStatus();
       }
-      auto it = L_.shared_va.find(var);
-      if (it == L_.shared_va.end())
+      auto it = L_->shared_va.find(var);
+      if (it == L_->shared_va.end())
         return Err("unlaid-out shared variable '" + var->name + "'");
-      frame().mem[var] = it->second;
+      BindMem(var, it->second);
       return OkStatus();
     }
     Type::Ptr t = var->type;
@@ -529,7 +575,7 @@ class Evaluator {
     if (needs_mem) {
       size_t size = t->ByteSize();
       BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, StackAlloc(size, t->Alignment()));
-      frame().mem[var] = va;
+      BindMem(var, va);
       BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, size));
       std::memset(p, 0, size);
       if (var->init) {
@@ -556,19 +602,19 @@ class Evaluator {
       BRIDGECL_ASSIGN_OR_RETURN(init, Eval(*var->init));
       if (t && t->is_named() && init.type()) {
         // Template-typed local: adopt the runtime type.
-        frame().regs[var] = std::move(init);
+        BindReg(var, std::move(init));
         return OkStatus();
       }
       init = init.ConvertTo(t);
     } else {
       // Zero-initialized register (deterministic simulation).
       if (t && t->is_vector()) {
-        init = Value::Vector(t, std::vector<ScalarVal>(t->vector_width()));
+        init = Value::Vector(t);
       } else {
         init = Value::Int(0).ConvertTo(t ? t : Type::IntTy());
       }
     }
-    frame().regs[var] = std::move(init);
+    BindReg(var, std::move(init));
     return OkStatus();
   }
 
@@ -577,36 +623,9 @@ class Evaluator {
     switch (e.kind) {
       case ExprKind::kDeclRef: {
         const auto* r = e.As<DeclRefExpr>();
-        const VarDecl* var = r->var;
-        if (var == nullptr)
+        if (r->var == nullptr)
           return Err("assignment to non-variable '" + r->name + "'");
-        // Reference parameter: indirect through the recorded LV.
-        for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-          if (auto f = it->refs.find(var); f != it->refs.end())
-            return f->second;
-          if (auto f = it->mem.find(var); f != it->mem.end()) {
-            LV lv;
-            lv.kind = LV::Kind::kMem;
-            lv.va = f->second;
-            lv.type = var->type;
-            return lv;
-          }
-          if (auto f = it->regs.find(var); f != it->regs.end()) {
-            LV lv;
-            lv.kind = LV::Kind::kReg;
-            lv.reg = &f->second;
-            lv.type = f->second.type() ? f->second.type() : var->type;
-            return lv;
-          }
-        }
-        if (uint64_t va = L_.module->VaOf(var)) {
-          LV lv;
-          lv.kind = LV::Kind::kMem;
-          lv.va = va;
-          lv.type = var->type;
-          return lv;
-        }
-        return Err("unbound variable '" + r->name + "'");
+        return VarLocation(*r);
       }
       case ExprKind::kParen:
         return Lval(*e.As<ParenExpr>()->inner);
@@ -631,13 +650,17 @@ class Evaluator {
         if (bt && bt->is_vector()) {
           BRIDGECL_ASSIGN_OR_RETURN(LV base, Lval(*ix->base));
           BRIDGECL_ASSIGN_OR_RETURN(Value idx, Eval(*ix->index));
-          base.swizzle = {static_cast<int>(idx.AsI64())};
+          int64_t i = idx.AsI64();
+          if (i < 0 || i >= bt->vector_width())
+            return Err("vector component index out of range");
+          base.lanes = 1;
+          base.swizzle[0] = static_cast<uint8_t>(i);
           return base;
         }
         BRIDGECL_ASSIGN_OR_RETURN(Value idx, Eval(*ix->index));
         Type::Ptr elem = e.type;
         if (!elem) return Err("untyped subscript");
-        ChargeOp(L_.device->profile().cost_alu);
+        ChargeOp(L_->device->profile().cost_alu);
         uint64_t base_va;
         if (bt && bt->is_array()) {
           // Multi-dimensional arrays: the base is itself an aggregate
@@ -660,13 +683,14 @@ class Evaluator {
         const auto* m = e.As<MemberExpr>();
         if (m->is_swizzle) {
           BRIDGECL_ASSIGN_OR_RETURN(LV base, Lval(*m->base));
-          if (!base.swizzle.empty())
+          if (base.lanes != 0)
             return Err("nested swizzle assignment is not supported");
-          base.swizzle = m->swizzle;
+          base.lanes = static_cast<uint8_t>(m->swizzle.size());
+          std::copy(m->swizzle.begin(), m->swizzle.end(), base.swizzle);
           return base;
         }
         // Struct member.
-        Type::Ptr agg_t;
+        Type::Ptr agg_t = nullptr;
         uint64_t base_va = 0;
         if (m->is_arrow) {
           BRIDGECL_ASSIGN_OR_RETURN(Value p, Eval(*m->base));
@@ -700,26 +724,23 @@ class Evaluator {
     if (lv.kind == LV::Kind::kMem) {
       BRIDGECL_ASSIGN_OR_RETURN(whole, LoadMem(lv.va, lv.type));
     } else {
-      whole = *lv.reg;
+      whole = slots_[lv.slot].reg;
     }
-    if (lv.swizzle.empty()) return whole;
+    if (lv.lanes == 0) return whole;
     if (!whole.is_vector()) return Err("swizzle read of non-vector");
-    if (lv.swizzle.size() == 1) return whole.Component(lv.swizzle[0]);
-    std::vector<ScalarVal> comps;
-    comps.reserve(lv.swizzle.size());
-    for (int i : lv.swizzle) comps.push_back(whole.comps()[i]);
-    return Value::Vector(Type::Vector(whole.type()->scalar_kind(),
-                                      static_cast<int>(lv.swizzle.size())),
-                         std::move(comps));
+    if (lv.lanes == 1) return whole.Component(lv.swizzle[0]);
+    Value out =
+        Value::Vector(Type::Vector(whole.type()->scalar_kind(), lv.lanes));
+    for (int i = 0; i < lv.lanes; ++i)
+      out.comps()[i] = whole.comps()[lv.swizzle[i]];
+    return out;
   }
 
   Status Write(const LV& lv, const Value& v) {
-    if (lv.swizzle.empty()) {
-      Value stored = v;
-      if (lv.type && !lang::SameType(v.type(), lv.type))
-        stored = v.ConvertTo(lv.type);
+    if (lv.lanes == 0) {
+      Value stored = v.ConvertTo(lv.type);
       if (lv.kind == LV::Kind::kMem) return StoreMem(lv.va, stored);
-      *lv.reg = std::move(stored);
+      slots_[lv.slot].reg = std::move(stored);
       return OkStatus();
     }
     // Swizzled store: read-modify-write the base vector.
@@ -727,21 +748,20 @@ class Evaluator {
     if (lv.kind == LV::Kind::kMem) {
       BRIDGECL_ASSIGN_OR_RETURN(whole, LoadMem(lv.va, lv.type));
     } else {
-      whole = *lv.reg;
+      whole = slots_[lv.slot].reg;
     }
     if (!whole.is_vector()) return Err("swizzle write of non-vector");
     ScalarKind ek = whole.type()->scalar_kind();
-    if (lv.swizzle.size() == 1) {
+    if (lv.lanes == 1) {
       Value c = v.ConvertTo(Type::Scalar(ek));
       whole.comps()[lv.swizzle[0]] = c.scalar();
     } else {
-      Value src = v.ConvertTo(
-          Type::Vector(ek, static_cast<int>(lv.swizzle.size())));
-      for (size_t i = 0; i < lv.swizzle.size(); ++i)
+      Value src = v.ConvertTo(Type::Vector(ek, lv.lanes));
+      for (int i = 0; i < lv.lanes; ++i)
         whole.comps()[lv.swizzle[i]] = src.comps()[i];
     }
     if (lv.kind == LV::Kind::kMem) return StoreMem(lv.va, whole);
-    *lv.reg = std::move(whole);
+    slots_[lv.slot].reg = std::move(whole);
     return OkStatus();
   }
 
@@ -775,7 +795,7 @@ class Evaluator {
       case ExprKind::kConditional: {
         const auto* c = e.As<ConditionalExpr>();
         BRIDGECL_ASSIGN_OR_RETURN(Value cond, Eval(*c->cond));
-        ChargeOp(L_.device->profile().cost_alu);
+        ChargeOp(L_->device->profile().cost_alu);
         return cond.AsBool() ? Eval(*c->then_expr) : Eval(*c->else_expr);
       }
       case ExprKind::kCall:
@@ -799,7 +819,7 @@ class Evaluator {
       case ExprKind::kCast: {
         const auto* c = e.As<CastExpr>();
         BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c->operand));
-        ChargeOp(L_.device->profile().cost_alu * 0.5);
+        ChargeOp(L_->device->profile().cost_alu * 0.5);
         if (c->style == lang::CastStyle::kReinterpret && c->target &&
             !c->target->is_pointer() && v.type() &&
             v.type()->ByteSize() == c->target->ByteSize()) {
@@ -821,7 +841,8 @@ class Evaluator {
         const auto* v = e.As<VectorLitExpr>();
         int w = v->vec_type->vector_width();
         ScalarKind ek = v->vec_type->scalar_kind();
-        std::vector<ScalarVal> comps(w);
+        Value out = Value::Vector(v->vec_type);
+        std::span<ScalarVal> comps = out.comps();
         if (v->elems.size() == 1) {
           BRIDGECL_ASSIGN_OR_RETURN(Value ev, Eval(*v->elems[0]));
           ScalarVal c = ev.ConvertTo(Type::Scalar(ek)).scalar();
@@ -841,8 +862,8 @@ class Evaluator {
           if (at != w)
             return Err("wrong number of vector literal components");
         }
-        ChargeOp(L_.device->profile().cost_alu);
-        return Value::Vector(v->vec_type, std::move(comps));
+        ChargeOp(L_->device->profile().cost_alu);
+        return out;
       }
     }
     return Err("unhandled expression kind");
@@ -850,49 +871,31 @@ class Evaluator {
 
   StatusOr<Value> EvalDeclRef(const DeclRefExpr& r) {
     if (r.var != nullptr) {
-      const VarDecl* var = r.var;
-      for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-        if (auto f = it->refs.find(var); f != it->refs.end())
-          return Read(f->second);
-        if (auto f = it->mem.find(var); f != it->mem.end()) {
-          Type::Ptr t = var->type;
-          // Arrays decay to a pointer to their first element.
-          if (t && t->is_array()) {
-            AddressSpace sp = var->quals.space;
-            return Value::Pointer(f->second,
-                                  Type::Pointer(t->element(), sp));
-          }
-          return LoadMem(f->second, t);
-        }
-        if (auto f = it->regs.find(var); f != it->regs.end())
-          return f->second;
-      }
-      if (uint64_t va = L_.module->VaOf(var)) {
-        Type::Ptr t = var->type;
-        if (t && t->is_array())
-          return Value::Pointer(va, Type::Pointer(t->element(),
-                                                  var->quals.space));
-        return LoadMem(va, t);
-      }
-      return Err("unbound variable '" + r.name + "'");
+      BRIDGECL_ASSIGN_OR_RETURN(LV lv, VarLocation(r));
+      // Arrays in memory decay to a pointer to their first element.
+      Type::Ptr t = r.var->type;
+      if (lv.kind == LV::Kind::kMem && t && t->is_array())
+        return Value::Pointer(lv.va,
+                              Type::Pointer(t->element(), r.var->quals.space));
+      return Read(lv);
     }
     // CUDA built-in index variables.
     if (r.builtin) {
       auto vec3 = [&](const Dim3& d) {
-        std::vector<ScalarVal> c(3);
+        Value v = Value::Vector(Type::Vector(ScalarKind::kUInt, 3));
+        std::span<ScalarVal> c = v.comps();
         c[0].u = d.x;
         c[1].u = d.y;
         c[2].u = d.z;
-        return Value::Vector(Type::Vector(ScalarKind::kUInt, 3),
-                             std::move(c));
+        return v;
       };
       switch (r.builtin.op()) {
         case BuiltinOp::kThreadIdx: return vec3(lid_);
-        case BuiltinOp::kBlockIdx: return vec3(B_.group_id);
-        case BuiltinOp::kBlockDim: return vec3(L_.cfg.block);
-        case BuiltinOp::kGridDim: return vec3(L_.cfg.grid);
+        case BuiltinOp::kBlockIdx: return vec3(B_->group_id);
+        case BuiltinOp::kBlockDim: return vec3(L_->cfg.block);
+        case BuiltinOp::kGridDim: return vec3(L_->cfg.grid);
         case BuiltinOp::kWarpSize:
-          return Value::Int(L_.device->profile().warp_size);
+          return Value::Int(L_->device->profile().warp_size);
         default:
           return Err("built-in function '" + r.name + "' used as a value");
       }
@@ -902,9 +905,9 @@ class Evaluator {
       return Err("unknown builtin constant '" + r.name + "'");
     }
     // Texture reference.
-    if (L_.module->FindTextureRef(r.name) != nullptr) {
+    if (L_->module->FindTextureRef(r.name) != nullptr) {
       BRIDGECL_ASSIGN_OR_RETURN(uint64_t desc_va,
-                                L_.module->TextureBinding(r.name));
+                                L_->module->TextureBinding(r.name));
       return Value::Pointer(desc_va, r.type ? r.type : Type::IntTy());
     }
     return Err("unresolved identifier '" + r.name + "'");
@@ -915,17 +918,15 @@ class Evaluator {
       BRIDGECL_ASSIGN_OR_RETURN(Value base, Eval(*m.base));
       if (!base.is_vector()) return Err("swizzle on non-vector");
       if (m.swizzle.size() == 1) return base.Component(m.swizzle[0]);
-      std::vector<ScalarVal> comps;
-      for (int i : m.swizzle) {
-        if (i >= static_cast<int>(base.comps().size()))
+      Value out = Value::Vector(
+          Type::Vector(base.type()->scalar_kind(),
+                       static_cast<int>(m.swizzle.size())));
+      for (size_t i = 0; i < m.swizzle.size(); ++i) {
+        if (m.swizzle[i] >= static_cast<int>(base.comps().size()))
           return Err("swizzle component out of range");
-        comps.push_back(base.comps()[i]);
+        out.comps()[i] = base.comps()[m.swizzle[i]];
       }
-      // Width must be captured before std::move(comps): C++ does not
-      // specify argument evaluation order.
-      int width = static_cast<int>(comps.size());
-      return Value::Vector(Type::Vector(base.type()->scalar_kind(), width),
-                           std::move(comps));
+      return out;
     }
     // Struct member.
     Type::Ptr bt = m.base->type;
@@ -945,7 +946,7 @@ class Evaluator {
   }
 
   StatusOr<Value> EvalUnary(const UnaryExpr& u) {
-    const auto& prof = L_.device->profile();
+    const auto& prof = L_->device->profile();
     switch (u.op) {
       case UnaryOp::kAddrOf: {
         BRIDGECL_ASSIGN_OR_RETURN(LV lv, Lval(*u.operand));
@@ -1108,7 +1109,7 @@ class Evaluator {
   }
 
   StatusOr<Value> ApplyBinary(BinaryOp op, const Value& a, const Value& b) {
-    const auto& prof = L_.device->profile();
+    const auto& prof = L_->device->profile();
     double c = (op == BinaryOp::kDiv || op == BinaryOp::kRem)
                    ? prof.cost_div
                    : prof.cost_alu;
@@ -1139,23 +1140,21 @@ class Evaluator {
       int w = vec.type()->vector_width();
       ScalarKind ek = ArithmeticResultType(a.type(), b.type())
                           ->scalar_kind();
-      Type::Ptr et = Type::Scalar(ek);
       Value av = a.ConvertTo(Type::Vector(ek, w));
       Value bv = b.ConvertTo(Type::Vector(ek, w));
-      std::vector<ScalarVal> comps(w);
+      Value out = Value::Vector(
+          Type::Vector(cmp ? ScalarKind::kInt : ek, w));
+      std::span<ScalarVal> comps = out.comps();
       Status err;
       for (int i = 0; i < w; ++i) {
         comps[i] = ApplyScalarOp(op, av.comps()[i], bv.comps()[i], ek, &err);
         if (!err.ok()) return err;
       }
       ChargeOp(c * w);
-      if (cmp) {
-        // Vector comparisons produce an int vector of 0/-1 per OpenCL.
+      // Vector comparisons produce an int vector of 0/-1 per OpenCL.
+      if (cmp)
         for (auto& s : comps) s.i = s.i ? -1 : 0;
-        return Value::Vector(Type::Vector(ScalarKind::kInt, w),
-                             std::move(comps));
-      }
-      return Value::Vector(Type::Vector(ek, w), std::move(comps));
+      return out;
     }
     // Scalars: usual conversions.
     Type::Ptr rt = ArithmeticResultType(a.type(), b.type());
@@ -1185,14 +1184,14 @@ class Evaluator {
   StatusOr<Value> EvalBinary(const BinaryExpr& b) {
     if (b.op == BinaryOp::kLAnd) {
       BRIDGECL_ASSIGN_OR_RETURN(Value l, Eval(*b.lhs));
-      ChargeOp(L_.device->profile().cost_alu);
+      ChargeOp(L_->device->profile().cost_alu);
       if (!l.AsBool()) return Value::Int(0);
       BRIDGECL_ASSIGN_OR_RETURN(Value r, Eval(*b.rhs));
       return Value::Int(r.AsBool() ? 1 : 0);
     }
     if (b.op == BinaryOp::kLOr) {
       BRIDGECL_ASSIGN_OR_RETURN(Value l, Eval(*b.lhs));
-      ChargeOp(L_.device->profile().cost_alu);
+      ChargeOp(L_->device->profile().cost_alu);
       if (l.AsBool()) return Value::Int(1);
       BRIDGECL_ASSIGN_OR_RETURN(Value r, Eval(*b.rhs));
       return Value::Int(r.AsBool() ? 1 : 0);
@@ -1229,69 +1228,83 @@ class Evaluator {
   }
 
   StatusOr<Value> CallFunction(const FunctionDecl* fn, const CallExpr& c) {
-    if (static_cast<int>(frames_.size()) > kMaxCallDepth)
+    if (depth_ > kMaxCallDepth)
       return Err("device call stack overflow (recursion too deep)");
     if (c.args.size() != fn->params.size())
       return Err("wrong argument count calling '" + fn->name + "'");
-    Frame new_frame;
-    new_frame.stack_top = private_top_;
-    // Evaluate arguments in the caller's frame.
-    std::vector<Value> vals(c.args.size());
-    std::vector<LV> ref_lvs(c.args.size());
-    std::vector<bool> is_ref(c.args.size(), false);
-    for (size_t i = 0; i < c.args.size(); ++i) {
-      bool by_ref = i < fn->param_is_reference.size() &&
-                    fn->param_is_reference[i];
-      if (by_ref) {
-        BRIDGECL_ASSIGN_OR_RETURN(ref_lvs[i], Lval(*c.args[i]));
-        is_ref[i] = true;
-      } else {
-        BRIDGECL_ASSIGN_OR_RETURN(vals[i], Eval(*c.args[i]));
-      }
-    }
-    uint64_t saved_top = private_top_;
-    frames_.push_back(std::move(new_frame));
-    for (size_t i = 0; i < c.args.size(); ++i) {
-      if (is_ref[i]) {
-        frame().refs[fn->params[i].get()] = ref_lvs[i];
-      } else {
-        BRIDGECL_RETURN_IF_ERROR(BindVar(fn->params[i].get(), vals[i]));
-      }
-    }
-    ret_ = Value::Void();
-    auto flow = Exec(*fn->body);
-    frames_.pop_back();
-    private_top_ = saved_top;
-    if (!flow.ok()) return flow.status();
-    ChargeOp(L_.device->profile().cost_alu);  // call overhead
+    const uint32_t caller_base = base_, callee_base = ReserveFrame(*fn);
+    const int caller_depth = depth_;
+    const uint64_t caller_private_top = private_top_;
+    Status st = RunCall(*fn, c, callee_base);
+    // The caller's frame is current again however the call ended: a failed
+    // struct-member lvalue is retried as an rvalue (EvalMember).
+    base_ = caller_base;
+    top_ = callee_base;
+    depth_ = caller_depth;
+    private_top_ = caller_private_top;
+    BRIDGECL_RETURN_IF_ERROR(st);
+    ChargeOp(L_->device->profile().cost_alu);  // call overhead
     return ret_;
   }
 
+  /// Bind `c`'s arguments into `fn`'s frame at `base` and run its body.
+  Status RunCall(const FunctionDecl& fn, const CallExpr& c, uint32_t base) {
+    // Evaluate the arguments in the caller's frame, straight into the
+    // callee's slots; a reference parameter takes its argument's location.
+    for (size_t i = 0; i < c.args.size(); ++i) {
+      if (i < fn.param_is_reference.size() && fn.param_is_reference[i]) {
+        BRIDGECL_ASSIGN_OR_RETURN(slots_[base + i].loc, Lval(*c.args[i]));
+        slots_[base + i].bound = true;
+      } else {
+        BRIDGECL_ASSIGN_OR_RETURN(slots_[base + i].reg, Eval(*c.args[i]));
+      }
+    }
+    base_ = base;
+    ++depth_;
+    for (size_t i = 0; i < c.args.size(); ++i) {
+      if (slots_[base + i].bound) continue;  // a reference
+      BRIDGECL_RETURN_IF_ERROR(
+          BindVar(fn.params[i].get(), slots_[base + i].reg));
+    }
+    ret_ = Value::Void();
+    return Exec(*fn.body).status();
+  }
+
   // ---- builtin implementations ----
-  // `ref` is the call's callee, resolved by sema to a catalog entry.
-  StatusOr<Value> CallBuiltin(const DeclRefExpr& ref, const CallExpr& c);
+  // `ref` is the call's callee, resolved by sema to a catalog entry. Kept
+  // out of line: inlined, their locals would grow every Eval frame.
+  [[gnu::noinline]] StatusOr<Value> CallBuiltin(const DeclRefExpr& ref,
+                                                const CallExpr& c);
   StatusOr<Value> EvalImageRead(ScalarKind out_kind, const CallExpr& c);
   StatusOr<Value> EvalImageWrite(const DeclRefExpr& ref, const CallExpr& c);
   StatusOr<Value> EvalTexFetch(const CallExpr& c);
-  StatusOr<Value> EvalAtomic(const DeclRefExpr& ref, const CallExpr& c);
+  [[gnu::noinline]] StatusOr<Value> EvalAtomic(const DeclRefExpr& ref,
+                                               const CallExpr& c);
   StatusOr<ImageDesc> LoadImageDesc(uint64_t va);
   StatusOr<Value> ReadTexel(const ImageDesc& d, int x, int y, int z,
                             ScalarKind out_kind);
 
-  const LaunchState& L_;
-  BlockState& B_;
+  const LaunchState* L_ = nullptr;
+  BlockState* B_ = nullptr;
   Dim3 lid_;
   Dim3 gid_;
   uint64_t private_base_ = 0;
   uint64_t private_top_ = 0;
   double cycles_ = 0;
-  std::vector<Frame> frames_;
+  /// Every frame's slots, the kernel's at 0 and each call's above its
+  /// caller's; kept across items. The current frame is [base_, top_).
+  std::vector<Slot> slots_;
+  uint32_t base_ = 0;
+  uint32_t top_ = 0;
+  int depth_ = 0;  // frames live: the kernel's and one per call
   Value ret_;
   std::vector<std::byte> staged_;  // logged accesses: bytes in flight
-
- public:
-  double TakeCycles() { return cycles_; }
 };
+
+/// Each host worker's evaluators, kept across its blocks and launches:
+/// the plain loop runs every item on the first, and a fiber block gives
+/// each item its own.
+thread_local std::vector<Evaluator> t_evaluators;
 
 StatusOr<ImageDesc> Evaluator::LoadImageDesc(uint64_t va) {
   BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, sizeof(ImageDesc)));
@@ -1316,9 +1329,10 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
   size_t esz = lang::ScalarByteSize(ek);
   BRIDGECL_ASSIGN_OR_RETURN(std::byte * mem, Resolve(va, texel));
   const std::byte* p = Seen(va, mem, texel);
-  ++B_.stats->image_accesses;
-  cycles_ += L_.device->profile().cost_image_access;
-  std::vector<ScalarVal> comps(4);
+  ++B_->stats->image_accesses;
+  cycles_ += L_->device->profile().cost_image_access;
+  Value out = Value::Vector(Type::Vector(out_kind, 4));
+  std::span<ScalarVal> comps = out.comps();
   for (uint32_t ch = 0; ch < 4; ++ch) {
     if (ch < d.channels) {
       BRIDGECL_ASSIGN_OR_RETURN(Value v,
@@ -1329,7 +1343,7 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
       if (ch == 3 && IsFloatScalar(out_kind)) comps[ch].f = 1.0;
     }
   }
-  return Value::Vector(Type::Vector(out_kind, 4), std::move(comps));
+  return out;
 }
 
 StatusOr<Value> Evaluator::EvalImageRead(ScalarKind out_kind,
@@ -1374,14 +1388,14 @@ StatusOr<Value> Evaluator::EvalImageRead(ScalarKind out_kind,
         t01, ReadTexel(d, x0, y0 + 1, static_cast<int>(fz), out_kind));
     BRIDGECL_ASSIGN_OR_RETURN(
         t11, ReadTexel(d, x0 + 1, y0 + 1, static_cast<int>(fz), out_kind));
-    std::vector<ScalarVal> comps(4);
+    Value out = Value::Vector(Type::Vector(out_kind, 4));
     for (int i = 0; i < 4; ++i) {
       double r = t00.comps()[i].f * (1 - a) * (1 - b) +
                  t10.comps()[i].f * a * (1 - b) +
                  t01.comps()[i].f * (1 - a) * b + t11.comps()[i].f * a * b;
-      comps[i].f = r;
+      out.comps()[i].f = r;
     }
-    return Value::Vector(Type::Vector(out_kind, 4), std::move(comps));
+    return out;
   }
   return ReadTexel(d, static_cast<int>(fx), static_cast<int>(fy),
                    static_cast<int>(fz), out_kind);
@@ -1414,8 +1428,8 @@ StatusOr<Value> Evaluator::EvalImageWrite(const DeclRefExpr& ref,
                 static_cast<uint64_t>(y) * d.row_pitch +
                 static_cast<uint64_t>(x) * ImageTexelBytes(d);
   BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, ImageTexelBytes(d)));
-  ++B_.stats->image_accesses;
-  cycles_ += L_.device->profile().cost_image_access;
+  ++B_->stats->image_accesses;
+  cycles_ += L_->device->profile().cost_image_access;
   BRIDGECL_RETURN_IF_ERROR(
       Put(va, p, ImageTexelBytes(d), [&](std::byte* dst) -> Status {
         for (uint32_t ch = 0; ch < d.channels; ++ch) {
@@ -1458,10 +1472,11 @@ StatusOr<Value> Evaluator::EvalTexFetch(const CallExpr& c) {
       Value texel, ReadTexel(d, static_cast<int>(fx), static_cast<int>(fy),
                              static_cast<int>(fz), fetch_kind));
   if (out_width == 1) return texel.Component(0).ConvertTo(Type::Scalar(out_kind));
-  std::vector<ScalarVal> comps(out_width);
+  Value out = Value::Vector(Type::Vector(out_kind, out_width));
   for (int i = 0; i < out_width; ++i)
-    comps[i] = texel.Component(i).ConvertTo(Type::Scalar(out_kind)).scalar();
-  return Value::Vector(Type::Vector(out_kind, out_width), std::move(comps));
+    out.comps()[i] =
+        texel.Component(i).ConvertTo(Type::Scalar(out_kind)).scalar();
+  return out;
 }
 
 StatusOr<Value> Evaluator::EvalAtomic(const DeclRefExpr& ref,
@@ -1471,8 +1486,8 @@ StatusOr<Value> Evaluator::EvalAtomic(const DeclRefExpr& ref,
                        ? ptr.type()->pointee()
                        : Type::IntTy();
   uint64_t va = ptr.AsVa();
-  ++B_.stats->atomics;
-  cycles_ += L_.device->profile().cost_atomic;
+  ++B_->stats->atomics;
+  cycles_ += L_->device->profile().cost_atomic;
   BRIDGECL_ASSIGN_OR_RETURN(Value old, LoadMem(va, elem));
   Value operand;
   if (c.args.size() > 1) {
@@ -1541,7 +1556,7 @@ StatusOr<Value> Evaluator::EvalAtomic(const DeclRefExpr& ref,
 StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
                                        const CallExpr& c) {
   const lang::BuiltinRef& b = ref.builtin;
-  const auto& prof = L_.device->profile();
+  const auto& prof = L_->device->profile();
   auto dim_arg = [&]() -> StatusOr<int> {
     if (c.args.empty()) return 0;
     BRIDGECL_ASSIGN_OR_RETURN(Value d, Eval(*c.args[0]));
@@ -1558,12 +1573,12 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
     case BuiltinOp::kLocalSize:
     case BuiltinOp::kNumGroups: {
       BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-      const Dim3& grid = L_.cfg.grid;
-      const Dim3& block = L_.cfg.block;
+      const Dim3& grid = L_->cfg.grid;
+      const Dim3& block = L_->cfg.block;
       BuiltinOp op = b.op();
       uint64_t v = op == BuiltinOp::kGlobalId  ? gid_[d]
                    : op == BuiltinOp::kLocalId ? lid_[d]
-                   : op == BuiltinOp::kGroupId ? B_.group_id[d]
+                   : op == BuiltinOp::kGroupId ? B_->group_id[d]
                    : op == BuiltinOp::kGlobalSize
                        ? static_cast<uint64_t>(grid[d]) * block[d]
                    : op == BuiltinOp::kLocalSize ? block[d]
@@ -1577,13 +1592,13 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
 
     // ---- synchronization ----
     case BuiltinOp::kBarrier:
-      if (B_.group == nullptr)
-        return Err("barrier reached in kernel '" + L_.kernel->name +
+      if (B_->group == nullptr)
+        return Err("barrier reached in kernel '" + L_->kernel->name +
                    "', which sema marked as unable to reach one");
       for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-      ++B_.stats->barriers;
+      ++B_->stats->barriers;
       cycles_ += prof.cost_barrier;
-      B_.group->Barrier();
+      B_->group->Barrier();
       return Value::Void();
     case BuiltinOp::kFence:
     case BuiltinOp::kDeviceFence:
@@ -1610,14 +1625,14 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
 
     // ---- vector family ----
     case BuiltinOp::kMakeVector: {
-      std::vector<ScalarVal> comps(b.width);
+      Value out = Value::Vector(Type::Vector(b.elem, b.width));
       for (int i = 0; i < b.width && i < static_cast<int>(c.args.size());
            ++i) {
         BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
-        comps[i] = v.ConvertTo(Type::Scalar(b.elem)).scalar();
+        out.comps()[i] = v.ConvertTo(Type::Scalar(b.elem)).scalar();
       }
       ChargeOp(prof.cost_alu);
-      return Value::Vector(Type::Vector(b.elem, b.width), std::move(comps));
+      return out;
     }
     case BuiltinOp::kConvert: {
       BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
@@ -1639,13 +1654,13 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
       Type::Ptr vt = Type::Vector(elem->scalar_kind(), w);
       uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
       // vload reads w packed elements (no vec3 padding).
-      std::vector<ScalarVal> comps(w);
+      Value out = Value::Vector(vt);
       for (int i = 0; i < w; ++i) {
         BRIDGECL_ASSIGN_OR_RETURN(Value v,
                                   LoadMem(va + i * elem->ByteSize(), elem));
-        comps[i] = v.scalar();
+        out.comps()[i] = v.scalar();
       }
-      return Value::Vector(vt, std::move(comps));
+      return out;
     }
     case BuiltinOp::kVstore: {
       int w = b.width;
@@ -1701,11 +1716,12 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
   }
 
   // ---- math & integer builtins (elementwise over vectors) ----
-  std::vector<Value> args;
-  args.reserve(c.args.size());
-  for (const auto& a : c.args) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*a));
-    args.push_back(std::move(v));
+  // None takes more than three arguments; any further ones are evaluated
+  // for their side effects only.
+  Value args[3];
+  for (size_t i = 0; i < c.args.size(); ++i) {
+    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
+    if (i < std::size(args)) args[i] = std::move(v);
   }
   switch (b.op()) {
     case BuiltinOp::kMathUnary: {
@@ -1843,7 +1859,7 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
       break;
   }
   return Err("unimplemented builtin '" + ref.name + "' in " +
-             std::string(lang::DialectName(L_.dialect)) + " device code");
+             std::string(lang::DialectName(L_->dialect)) + " device code");
 }
 
 // ---------------------------------------------------------------------------
@@ -2049,24 +2065,24 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
         B.log = n > 1 ? &r.log : nullptr;
         r.item_cycles.assign(items, 0.0);
         Status st;
+        std::vector<Evaluator>& evals = t_evaluators;
         if (kernel->reaches_barrier) {
           simgpu::FiberGroup group(kFiberStackBytes);
           B.group = &group;
-          std::vector<std::unique_ptr<Evaluator>> evals(items);
+          if (evals.size() < static_cast<size_t>(items)) evals.resize(items);
           st = group.Run(items, [&](int idx) -> Status {
-            evals[idx] = std::make_unique<Evaluator>(L, B, local_id(idx), idx);
-            return evals[idx]->Run();
+            Status item = evals[idx].Run(L, B, local_id(idx), idx);
+            r.item_cycles[idx] = evals[idx].cycles();
+            return item;
           });
-          for (int i = 0; i < items; ++i)
-            if (evals[i]) r.item_cycles[i] = evals[i]->TakeCycles();
         } else {
           // What FiberGroup::Run does for tasks that never wait: each item
           // runs to completion in index order, and the first failure is
           // the block's.
+          if (evals.empty()) evals.resize(1);
           for (int i = 0; i < items; ++i) {
-            Evaluator e(L, B, local_id(i), i);
-            Status item = e.Run();
-            r.item_cycles[i] = e.TakeCycles();
+            Status item = evals[0].Run(L, B, local_id(i), i);
+            r.item_cycles[i] = evals[0].cycles();
             if (st.ok()) st = std::move(item);
           }
         }

@@ -349,8 +349,6 @@ void KernelRegisterTable::Set(const std::string& kernel, int opencl_regs,
   entries_[kernel] = Entry{opencl_regs, cuda_regs};
 }
 
-void KernelRegisterTable::Clear() { entries_.clear(); }
-
 int KernelRegisterTable::For(const std::string& kernel,
                              Dialect dialect) const {
   auto it = entries_.find(kernel);

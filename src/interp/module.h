@@ -27,7 +27,6 @@ class KernelRegisterTable {
   static KernelRegisterTable& Instance();
 
   void Set(const std::string& kernel, int opencl_regs, int cuda_regs);
-  void Clear();
   /// Registers for `kernel` when built by the `dialect` toolchain;
   /// 0 when no entry exists.
   int For(const std::string& kernel, lang::Dialect dialect) const;

@@ -1,5 +1,6 @@
 #include "interp/value.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "support/strings.h"
@@ -31,30 +32,24 @@ Value Value::Float(double v, ScalarKind k) {
   return out;
 }
 
-Value Value::Bool(bool v) {
-  Value out;
-  out.type_ = Type::BoolTy();
-  out.s_.i = v ? 1 : 0;
-  return out;
-}
-
 Value Value::Pointer(uint64_t va, Type::Ptr pointer_type) {
   Value out;
-  out.type_ = std::move(pointer_type);
+  out.type_ = pointer_type;
   out.s_.u = va;
   return out;
 }
 
-Value Value::Vector(Type::Ptr vec_type, std::vector<ScalarVal> comps) {
+Value Value::Vector(Type::Ptr vec_type, std::span<const ScalarVal> lanes) {
+  assert(lanes.size() <= kMaxLanes);
   Value out;
-  out.type_ = std::move(vec_type);
-  out.v_ = std::move(comps);
+  out.type_ = vec_type;
+  std::copy(lanes.begin(), lanes.end(), out.lanes_);
   return out;
 }
 
 Value Value::Aggregate(Type::Ptr type, std::vector<std::byte> bytes) {
   Value out;
-  out.type_ = std::move(type);
+  out.type_ = type;
   out.agg_ = std::move(bytes);
   return out;
 }
@@ -96,10 +91,10 @@ bool Value::AsBool() const {
 
 Value Value::Component(int i) const {
   assert(is_vector());
-  assert(i >= 0 && i < static_cast<int>(v_.size()));
+  assert(i >= 0 && i < static_cast<int>(LaneCount()));
   Value out;
   out.type_ = Type::Scalar(type_->scalar_kind());
-  out.s_ = v_[i];
+  out.s_ = lanes_[i];
   return out;
 }
 
@@ -140,9 +135,8 @@ ScalarVal ConvertScalar(ScalarVal v, ScalarKind from, ScalarKind to) {
   return out;
 }
 
-Value Value::ConvertTo(const Type::Ptr& target) const {
-  if (!target || !type_) return *this;
-  if (lang::SameType(type_, target)) return *this;
+Value Value::ConvertTo(Type::Ptr target) const {
+  if (!target || !type_ || type_ == target) return *this;
   // Pointer <-> pointer / integer: keep the VA payload.
   if (target->is_pointer() || target->is_image() || target->is_sampler() ||
       target->is_texture()) {
@@ -161,24 +155,23 @@ Value Value::ConvertTo(const Type::Ptr& target) const {
     Value out;
     out.type_ = target;
     int w = target->vector_width();
-    out.v_.resize(w);
     if (is_vector()) {
-      for (int i = 0; i < w && i < static_cast<int>(v_.size()); ++i)
-        out.v_[i] = ConvertScalar(v_[i], type_->scalar_kind(),
-                                  target->scalar_kind());
+      for (int i = 0; i < w && i < static_cast<int>(LaneCount()); ++i)
+        out.lanes_[i] = ConvertScalar(lanes_[i], type_->scalar_kind(),
+                                      target->scalar_kind());
     } else {
       // Scalar broadcast (OpenCL scalar-to-vector conversion).
       ScalarVal c = ConvertScalar(
           s_, type_->is_scalar() ? type_->scalar_kind() : ScalarKind::kULong,
           target->scalar_kind());
-      for (int i = 0; i < w; ++i) out.v_[i] = c;
+      for (int i = 0; i < w; ++i) out.lanes_[i] = c;
     }
     return out;
   }
   if (target->is_scalar()) {
     Value out;
     out.type_ = target;
-    ScalarVal src = is_vector() ? v_[0] : s_;
+    ScalarVal src = is_vector() ? lanes_[0] : s_;
     ScalarKind from =
         type_->is_scalar() || type_->is_vector() ? type_->scalar_kind()
                                                  : ScalarKind::kULong;
@@ -191,28 +184,35 @@ Value Value::ConvertTo(const Type::Ptr& target) const {
   return out;
 }
 
-StatusOr<Value> Value::BitcastTo(const Type::Ptr& target) const {
+StatusOr<Value> Value::BitcastTo(Type::Ptr target) const {
   if (!target || !type_)
     return InvalidArgumentError("bitcast with missing type");
   if (type_->ByteSize() != target->ByteSize())
     return InvalidArgumentError(
         StrFormat("as_type between different sizes: %zu vs %zu",
                   type_->ByteSize(), target->ByteSize()));
-  std::vector<std::byte> buf(type_->ByteSize());
-  BRIDGECL_RETURN_IF_ERROR(EncodeValue(*this, buf.data()));
-  return DecodeValue(target, buf.data());
+  // Scalars and vectors fit in a stack buffer; only aggregates need heap.
+  std::byte small[sizeof(lanes_)];
+  std::vector<std::byte> large;
+  std::byte* buf = small;
+  if (type_->ByteSize() > sizeof(small)) {
+    large.resize(type_->ByteSize());
+    buf = large.data();
+  }
+  BRIDGECL_RETURN_IF_ERROR(EncodeValue(*this, buf));
+  return DecodeValue(target, buf);
 }
 
 std::string Value::ToString() const {
   if (!type_) return "<untyped>";
   if (type_->is_vector()) {
     std::string out = type_->ToString() + "(";
-    for (size_t i = 0; i < v_.size(); ++i) {
+    for (size_t i = 0; i < LaneCount(); ++i) {
       if (i) out += ", ";
       if (IsFloatScalar(type_->scalar_kind()))
-        out += StrFormat("%g", v_[i].f);
+        out += StrFormat("%g", lanes_[i].f);
       else
-        out += std::to_string(v_[i].i);
+        out += std::to_string(lanes_[i].i);
     }
     return out + ")";
   }
@@ -277,7 +277,7 @@ ScalarVal DecodeScalar(ScalarKind k, const std::byte* src) {
 }  // namespace
 
 Status EncodeValue(const Value& v, std::byte* dst) {
-  const Type::Ptr& t = v.type();
+  Type::Ptr t = v.type();
   if (!t) return InternalError("encode of untyped value");
   switch (t->kind()) {
     case lang::TypeKind::kScalar:
@@ -315,7 +315,7 @@ Status EncodeValue(const Value& v, std::byte* dst) {
   return InternalError("encode: unhandled type kind");
 }
 
-StatusOr<Value> DecodeValue(const Type::Ptr& type, const std::byte* src) {
+StatusOr<Value> DecodeValue(Type::Ptr type, const std::byte* src) {
   if (!type) return InternalError("decode of untyped location");
   switch (type->kind()) {
     case lang::TypeKind::kScalar: {
@@ -326,11 +326,11 @@ StatusOr<Value> DecodeValue(const Type::Ptr& type, const std::byte* src) {
     }
     case lang::TypeKind::kVector: {
       size_t esz = ScalarByteSize(type->scalar_kind());
-      int w = type->vector_width();
-      std::vector<ScalarVal> comps(w);
-      for (int i = 0; i < w; ++i)
-        comps[i] = DecodeScalar(type->scalar_kind(), src + i * esz);
-      return Value::Vector(type, std::move(comps));
+      Value out = Value::Vector(type);
+      std::span<ScalarVal> lanes = out.comps();
+      for (size_t i = 0; i < lanes.size(); ++i)
+        lanes[i] = DecodeScalar(type->scalar_kind(), src + i * esz);
+      return out;
     }
     case lang::TypeKind::kPointer:
     case lang::TypeKind::kImage:

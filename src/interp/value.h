@@ -1,11 +1,15 @@
 // Runtime values for the kernel interpreter. A Value is a typed scalar,
 // vector, pointer (a simgpu virtual address), or an aggregate byte image
-// (struct/array rvalues). Encode/Decode convert between Values and device
-// memory bytes under the shared ABI defined by lang::Type::ByteSize().
+// (struct/array rvalues). It holds its interned type and up to 16 vector
+// lanes inline, so copying a scalar, vector or pointer value never
+// allocates; only an aggregate keeps its bytes on the heap.
+// Encode/Decode convert between Values and device memory bytes under the
+// shared ABI defined by lang::Type::ByteSize().
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,25 +30,26 @@ union ScalarVal {
 
 class Value {
  public:
+  /// The widest vector either dialect has.
+  static constexpr int kMaxLanes = 16;
+
   Value() = default;
 
   // -- constructors --------------------------------------------------------
   static Value Int(int64_t v, ScalarKind k = ScalarKind::kInt);
   static Value UInt(uint64_t v, ScalarKind k = ScalarKind::kUInt);
   static Value Float(double v, ScalarKind k = ScalarKind::kFloat);
-  static Value Bool(bool v);
   static Value Pointer(uint64_t va, Type::Ptr pointer_type);
-  static Value Vector(Type::Ptr vec_type, std::vector<ScalarVal> comps);
+  /// A vector of type `vec_type` whose first lanes are `lanes`; the rest
+  /// are zero.
+  static Value Vector(Type::Ptr vec_type,
+                      std::span<const ScalarVal> lanes = {});
   static Value Aggregate(Type::Ptr type, std::vector<std::byte> bytes);
   static Value Void();
 
   // -- observers -----------------------------------------------------------
-  const Type::Ptr& type() const { return type_; }
+  Type::Ptr type() const { return type_; }
   bool is_vector() const { return type_ && type_->is_vector(); }
-  bool is_pointer_like() const {
-    return type_ && (type_->is_pointer() || type_->is_image() ||
-                     type_->is_sampler() || type_->is_texture());
-  }
   bool is_aggregate() const { return type_ && (type_->is_struct() || type_->is_array()); }
 
   /// Scalar payload (also the pointer VA / opaque handle).
@@ -57,8 +62,9 @@ class Value {
   double AsF64() const;
   bool AsBool() const;
 
-  const std::vector<ScalarVal>& comps() const { return v_; }
-  std::vector<ScalarVal>& comps() { return v_; }
+  /// The vector lanes: one per component of a vector type, none otherwise.
+  std::span<const ScalarVal> comps() const { return {lanes_, LaneCount()}; }
+  std::span<ScalarVal> comps() { return {lanes_, LaneCount()}; }
   const std::vector<std::byte>& bytes() const { return agg_; }
   std::vector<std::byte>& bytes() { return agg_; }
 
@@ -67,21 +73,25 @@ class Value {
 
   /// Convert to another scalar/vector type (C conversion rules; vectors
   /// convert elementwise, scalar→vector broadcasts only via explicit ops).
-  Value ConvertTo(const Type::Ptr& target) const;
+  Value ConvertTo(Type::Ptr target) const;
 
   /// Bit-reinterpret (OpenCL as_typeN) — sizes must match.
-  StatusOr<Value> BitcastTo(const Type::Ptr& target) const;
+  StatusOr<Value> BitcastTo(Type::Ptr target) const;
 
   std::string ToString() const;  // debugging / test failures
 
-  void set_type(Type::Ptr t) { type_ = std::move(t); }
+  void set_type(Type::Ptr t) { type_ = t; }
   void set_scalar(ScalarVal s) { s_ = s; }
 
  private:
-  Type::Ptr type_;
+  size_t LaneCount() const {
+    return is_vector() ? static_cast<size_t>(type_->vector_width()) : 0;
+  }
+
+  Type::Ptr type_ = nullptr;
   ScalarVal s_{};
-  std::vector<ScalarVal> v_;     // vector components
-  std::vector<std::byte> agg_;   // struct/array payload
+  ScalarVal lanes_[kMaxLanes] = {};  // vector components
+  std::vector<std::byte> agg_;       // struct/array payload
 };
 
 /// Encode `v` into `dst` (device memory bytes) as type `v.type()`.
@@ -89,7 +99,7 @@ class Value {
 Status EncodeValue(const Value& v, std::byte* dst);
 
 /// Decode a value of `type` from `src`.
-StatusOr<Value> DecodeValue(const Type::Ptr& type, const std::byte* src);
+StatusOr<Value> DecodeValue(Type::Ptr type, const std::byte* src);
 
 /// Scalar conversion helper shared with the interpreter: reinterprets the
 /// payload of kind `from` as kind `to` with C conversion semantics.

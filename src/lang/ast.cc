@@ -41,16 +41,6 @@ const FunctionDecl* TranslationUnit::FindFunction(
   return nullptr;
 }
 
-std::vector<FunctionDecl*> TranslationUnit::Kernels() {
-  std::vector<FunctionDecl*> out;
-  for (auto& d : decls) {
-    if (d->kind != DeclKind::kFunction) continue;
-    auto* f = d->As<FunctionDecl>();
-    if (f->quals.is_kernel && f->body) out.push_back(f);
-  }
-  return out;
-}
-
 std::unique_ptr<IntLitExpr> MakeIntLit(uint64_t v) {
   auto e = std::make_unique<IntLitExpr>();
   e->value = v;
@@ -92,13 +82,6 @@ std::unique_ptr<MemberExpr> MakeMember(ExprPtr base, std::string member) {
   auto e = std::make_unique<MemberExpr>();
   e->base = std::move(base);
   e->member = std::move(member);
-  return e;
-}
-
-std::unique_ptr<IndexExpr> MakeIndex(ExprPtr base, ExprPtr index) {
-  auto e = std::make_unique<IndexExpr>();
-  e->base = std::move(base);
-  e->index = std::move(index);
   return e;
 }
 

@@ -96,7 +96,7 @@ struct Expr {
   ExprKind kind;
   SourceLoc loc;
   /// Set by sema; null until then.
-  Type::Ptr type;
+  Type::Ptr type = nullptr;
 
   template <typename T>
   T* As() { return static_cast<T*>(this); }
@@ -191,7 +191,7 @@ struct MemberExpr : Expr {
 struct CastExpr : Expr {
   CastExpr() : Expr(ExprKind::kCast) {}
   CastStyle style = CastStyle::kCStyle;
-  Type::Ptr target;
+  Type::Ptr target = nullptr;
   /// Name used to spell the target type when it is a struct/typedef.
   std::string target_spelling;
   ExprPtr operand;
@@ -209,7 +209,7 @@ struct InitListExpr : Expr {
 
 struct SizeofExpr : Expr {
   SizeofExpr() : Expr(ExprKind::kSizeof) {}
-  Type::Ptr arg_type;          // sizeof(T) — null if expression form
+  Type::Ptr arg_type = nullptr;  // sizeof(T) — null if expression form
   std::string type_spelling;
   ExprPtr arg_expr;            // sizeof expr — null if type form
 };
@@ -218,7 +218,7 @@ struct SizeofExpr : Expr {
 /// translating CUDA `make_float4(a,b,c,d)`.
 struct VectorLitExpr : Expr {
   VectorLitExpr() : Expr(ExprKind::kVectorLit) {}
-  Type::Ptr vec_type;
+  Type::Ptr vec_type = nullptr;
   std::vector<ExprPtr> elems;
 };
 
@@ -343,7 +343,7 @@ using DeclPtr = std::unique_ptr<Decl>;
 /// A variable (global, local, or parameter — parameters set `is_param`).
 struct VarDecl : Decl {
   VarDecl() : Decl(DeclKind::kVar) {}
-  Type::Ptr type;
+  Type::Ptr type = nullptr;
   VarQuals quals;
   ExprPtr init;              // may be null
   bool is_param = false;
@@ -353,13 +353,14 @@ struct VarDecl : Decl {
   /// Set by sema when the variable's address is taken (&v); the
   /// interpreter spills such variables to addressable private memory.
   bool address_taken = false;
-  /// Filled by the interpreter's layout pass: frame slot / buffer binding.
+  /// Set by sema for parameters and locals: the variable's index in its
+  /// function's frame. -1 at program scope.
   int slot = -1;
 };
 
 struct StructField {
   std::string name;
-  Type::Ptr type;
+  Type::Ptr type = nullptr;
   std::string type_spelling;
   size_t offset = 0;  // computed layout
 };
@@ -375,7 +376,7 @@ struct StructDecl : Decl {
 
 struct TypedefDecl : Decl {
   TypedefDecl() : Decl(DeclKind::kTypedef) {}
-  Type::Ptr underlying;
+  Type::Ptr underlying = nullptr;
 };
 
 /// CUDA `texture<float, 2, cudaReadModeElementType> tex;` file-scope
@@ -396,7 +397,7 @@ struct TemplateParam {
 struct FunctionDecl : Decl {
   FunctionDecl() : Decl(DeclKind::kFunction) {}
   FunctionQuals quals;
-  Type::Ptr return_type;
+  Type::Ptr return_type = nullptr;
   std::string return_type_spelling;
   std::vector<std::unique_ptr<VarDecl>> params;
   std::unique_ptr<CompoundStmt> body;  // null for prototypes
@@ -411,6 +412,9 @@ struct FunctionDecl : Decl {
   /// Set by sema: the body can reach `barrier`/`__syncthreads`, directly
   /// or through the functions it calls.
   bool reaches_barrier = false;
+  /// Set by sema: the frame slots a call needs, one per parameter and
+  /// local (VarDecl::slot).
+  int frame_slots = 0;
 };
 
 /// Whole parsed source file.
@@ -419,7 +423,6 @@ struct TranslationUnit {
   /// Convenience lookups populated by sema.
   FunctionDecl* FindFunction(const std::string& name);
   const FunctionDecl* FindFunction(const std::string& name) const;
-  std::vector<FunctionDecl*> Kernels();
 };
 
 // ---------------------------------------------------------------------------
@@ -433,7 +436,6 @@ std::unique_ptr<CallExpr> MakeCall(std::string callee,
 std::unique_ptr<BinaryExpr> MakeBinary(BinaryOp op, ExprPtr l, ExprPtr r);
 std::unique_ptr<AssignExpr> MakeAssign(ExprPtr l, ExprPtr r);
 std::unique_ptr<MemberExpr> MakeMember(ExprPtr base, std::string member);
-std::unique_ptr<IndexExpr> MakeIndex(ExprPtr base, ExprPtr index);
 
 /// Deep copies (used when a rewrite duplicates subtrees, e.g. expanding
 /// `v1.lo = v2.lo` into per-component assignments).

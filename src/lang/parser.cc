@@ -53,7 +53,7 @@ class Parser {
 
   // -- type machinery ------------------------------------------------------
   struct DeclSpec {
-    Type::Ptr base;                 // base type before declarators
+    Type::Ptr base = nullptr;  // base type before declarators
     std::string base_spelling;      // for structs/typedefs
     VarQuals quals;                 // collected qualifiers
     FunctionQuals fquals;           // function qualifiers seen

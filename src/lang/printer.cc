@@ -596,27 +596,4 @@ std::string PrintTranslationUnit(const TranslationUnit& tu,
   return p.Result();
 }
 
-std::string PrintDecl(const Decl& d, const PrintOptions& opts) {
-  Printer p(opts);
-  p.EmitDecl(d);
-  return p.Result();
-}
-
-std::string PrintStmt(const Stmt& s, const PrintOptions& opts) {
-  Printer p(opts);
-  p.EmitStmt(s);
-  return p.Result();
-}
-
-std::string PrintExpr(const Expr& e, const PrintOptions& opts) {
-  Printer p(opts);
-  p.EmitExpr(e);
-  return p.Result();
-}
-
-std::string PrintType(const Type::Ptr& t, const PrintOptions& opts) {
-  Printer p(opts);
-  return p.TypeSpelling(t, true);
-}
-
 }  // namespace bridgecl::lang

@@ -19,11 +19,5 @@ struct PrintOptions {
 
 std::string PrintTranslationUnit(const TranslationUnit& tu,
                                  const PrintOptions& opts);
-std::string PrintDecl(const Decl& d, const PrintOptions& opts);
-std::string PrintStmt(const Stmt& s, const PrintOptions& opts);
-std::string PrintExpr(const Expr& e, const PrintOptions& opts);
-/// Type spelling in the target dialect, including a leading address-space
-/// qualifier for pointer types when the dialect keeps one.
-std::string PrintType(const Type::Ptr& t, const PrintOptions& opts);
 
 }  // namespace bridgecl::lang

@@ -235,20 +235,24 @@ Status Sema::AnalyzeFunction(FunctionDecl* fn) {
   local_var_count_ = 0;
   InferKernelParamSpaces(fn);
   Push();
-  for (auto& p : fn->params) {
+  for (size_t i = 0; i < fn->params.size(); ++i) {
+    VarDecl* p = fn->params[i].get();
     p->is_param = true;
+    p->slot = static_cast<int>(i);
     BRIDGECL_RETURN_IF_ERROR(CheckTypeAllowed(p->loc, p->type));
-    Bind(p.get());
+    Bind(p);
   }
   if (fn->body) BRIDGECL_RETURN_IF_ERROR(AnalyzeStmt(fn->body.get()));
   Pop();
+  fn->frame_slots = static_cast<int>(fn->params.size()) + local_var_count_;
   EstimateRegisters(fn);
   current_fn_ = nullptr;
   return OkStatus();
 }
 
 Status Sema::AnalyzeVarDecl(VarDecl* v) {
-  ++local_var_count_;
+  // Locals take the frame slots after the parameters, one each.
+  v->slot = static_cast<int>(current_fn_->params.size()) + local_var_count_++;
   BRIDGECL_RETURN_IF_ERROR(CheckTypeAllowed(v->loc, v->type));
   if (v->init) {
     BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(v->init.get()));

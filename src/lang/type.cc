@@ -1,7 +1,9 @@
 #include "lang/type.h"
 
-#include <array>
 #include <cassert>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 namespace bridgecl::lang {
 
@@ -94,74 +96,123 @@ const char* AddressSpaceName(AddressSpace s) {
   return "?";
 }
 
-Type::Ptr Type::Scalar(ScalarKind k) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kScalar;
-  t->scalar_ = k;
+namespace {
+constexpr int kScalarKinds = static_cast<int>(ScalarKind::kSizeT) + 1;
+constexpr int kVectorWidths = 17;  // indexed by width, 1..16
+
+/// Guards the keyed tables below and the first build of a pointer type.
+std::mutex& TableMutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+/// The type `table` holds for `key`, made by `make` on first use. Tables
+/// and types are never destroyed, so every type stays reachable.
+template <typename Table, typename Key, typename Make>
+Type::Ptr Intern(Table& table, const Key& key, const Make& make) {
+  std::lock_guard<std::mutex> lock(TableMutex());
+  Type::Ptr& t = table[key];
+  if (t == nullptr) t = make();
   return t;
+}
+}  // namespace
+
+Type::Ptr Type::Scalar(ScalarKind k) {
+  static const Type* const scalars = [] {
+    Type* t = new Type[kScalarKinds];
+    for (int i = 0; i < kScalarKinds; ++i)
+      t[i].scalar_ = static_cast<ScalarKind>(i);
+    return t;
+  }();
+  return &scalars[static_cast<int>(k)];
 }
 
 Type::Ptr Type::Vector(ScalarKind elem, int width) {
   assert(width == 1 || width == 2 || width == 3 || width == 4 || width == 8 ||
          width == 16);
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kVector;
-  t->scalar_ = elem;
-  t->width_ = width;
-  return t;
+  static const Type* const vectors = [] {
+    Type* t = new Type[kScalarKinds * kVectorWidths];
+    for (int i = 0; i < kScalarKinds * kVectorWidths; ++i) {
+      t[i].kind_ = TypeKind::kVector;
+      t[i].scalar_ = static_cast<ScalarKind>(i / kVectorWidths);
+      t[i].width_ = i % kVectorWidths;
+    }
+    return t;
+  }();
+  return &vectors[static_cast<int>(elem) * kVectorWidths + width];
 }
 
 Type::Ptr Type::Pointer(Ptr pointee, AddressSpace pointee_space) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kPointer;
-  t->elem_ = std::move(pointee);
+  // Holds the pointers to a null pointee.
+  static const Type* const no_pointee = new Type();
+  std::atomic<Ptr>& cached = (pointee ? pointee : no_pointee)
+                                 ->pointer_to_[static_cast<int>(pointee_space)];
+  if (Ptr t = cached.load(std::memory_order_acquire)) return t;
+  std::lock_guard<std::mutex> lock(TableMutex());
+  if (Ptr t = cached.load(std::memory_order_relaxed)) return t;
+  Type* t = new Type(TypeKind::kPointer);
+  t->elem_ = pointee;
   t->space_ = pointee_space;
+  cached.store(t, std::memory_order_release);
   return t;
 }
 
 Type::Ptr Type::Array(Ptr elem, size_t extent) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kArray;
-  t->elem_ = std::move(elem);
-  t->extent_ = extent;
-  return t;
+  static auto& arrays = *new std::map<std::pair<Ptr, size_t>, Ptr>();
+  return Intern(arrays, std::pair(elem, extent), [&] {
+    Type* t = new Type(TypeKind::kArray);
+    t->elem_ = elem;
+    t->extent_ = extent;
+    return t;
+  });
 }
 
 Type::Ptr Type::Struct(const StructDecl* decl) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kStruct;
-  t->struct_ = decl;
-  return t;
+  static auto& structs = *new std::map<const StructDecl*, Ptr>();
+  return Intern(structs, decl, [&] {
+    Type* t = new Type(TypeKind::kStruct);
+    t->struct_ = decl;
+    return t;
+  });
 }
 
 Type::Ptr Type::Image(int dims) {
   assert(dims >= 1 && dims <= 3);
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kImage;
-  t->dims_ = dims;
-  return t;
+  static const Type* const images = [] {
+    Type* t = new Type[3];
+    for (int d = 1; d <= 3; ++d) {
+      t[d - 1].kind_ = TypeKind::kImage;
+      t[d - 1].dims_ = d;
+    }
+    return t;
+  }();
+  return &images[dims - 1];
 }
 
 Type::Ptr Type::Sampler() {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kSampler;
-  return t;
+  static const Type* const sampler = new Type(TypeKind::kSampler);
+  return sampler;
 }
 
 Type::Ptr Type::Texture(ScalarKind elem, int elem_width, int dims) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kTexture;
-  t->scalar_ = elem;
-  t->width_ = elem_width;
-  t->dims_ = dims;
-  return t;
+  static auto& textures =
+      *new std::map<std::tuple<ScalarKind, int, int>, Ptr>();
+  return Intern(textures, std::tuple(elem, elem_width, dims), [&] {
+    Type* t = new Type(TypeKind::kTexture);
+    t->scalar_ = elem;
+    t->width_ = elem_width;
+    t->dims_ = dims;
+    return t;
+  });
 }
 
 Type::Ptr Type::Named(std::string name) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kNamed;
-  t->name_ = std::move(name);
-  return t;
+  static auto& named = *new std::map<std::string, Ptr>();
+  return Intern(named, name, [&] {
+    Type* t = new Type(TypeKind::kNamed);
+    t->name_ = name;
+    return t;
+  });
 }
 
 // StructLayout is computed in ast.cc (needs field list); forward here.
@@ -246,38 +297,6 @@ std::string Type::ToString() const {
       return name_;
   }
   return "?";
-}
-
-bool operator==(const Type& a, const Type& b) {
-  if (a.kind_ != b.kind_) return false;
-  switch (a.kind_) {
-    case TypeKind::kScalar:
-      return a.scalar_ == b.scalar_;
-    case TypeKind::kVector:
-      return a.scalar_ == b.scalar_ && a.width_ == b.width_;
-    case TypeKind::kPointer:
-      return a.space_ == b.space_ && SameType(a.elem_, b.elem_);
-    case TypeKind::kArray:
-      return a.extent_ == b.extent_ && SameType(a.elem_, b.elem_);
-    case TypeKind::kStruct:
-      return a.struct_ == b.struct_;
-    case TypeKind::kImage:
-      return a.dims_ == b.dims_;
-    case TypeKind::kSampler:
-      return true;
-    case TypeKind::kTexture:
-      return a.scalar_ == b.scalar_ && a.width_ == b.width_ &&
-             a.dims_ == b.dims_;
-    case TypeKind::kNamed:
-      return a.name_ == b.name_;
-  }
-  return false;
-}
-
-bool SameType(const Type::Ptr& a, const Type::Ptr& b) {
-  if (a == b) return true;
-  if (!a || !b) return false;
-  return *a == *b;
 }
 
 bool ParseVectorTypeName(const std::string& name, ScalarKind* elem,

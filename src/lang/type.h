@@ -5,8 +5,8 @@
 // texture references, and (CUDA-only) reference types.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,12 +69,22 @@ enum class TypeKind : uint8_t {
   kNamed,     // unresolved name: template parameter (CUDA C++) or typedef
 };
 
-/// Immutable structural type. Shared (interned per-parse via TypeFactory
-/// below is unnecessary: types are small shared_ptr trees and compared
-/// structurally).
+/// Immutable, hash-consed type. Every factory returns one pointer per
+/// distinct argument tuple for the life of the process, so two types are
+/// the same exactly when their pointers are equal. Types are never freed.
+///
+/// The interpreter builds types while work-items run (scalar and vector
+/// results, pointers on array decay and `&x`). Those lookups take no lock
+/// and do no atomic read-modify-write: scalars, vectors, images and the
+/// sampler come from fixed tables, and each type caches the pointer types
+/// to it, one per address space (only the first build of one locks).
+/// Arrays, structs, textures and named types are built only by the front
+/// end and the translators, under a mutex. An array keys on (element,
+/// extent), so rebuilding a program adds no array type; a struct keys on
+/// its `StructDecl`.
 class Type {
  public:
-  using Ptr = std::shared_ptr<const Type>;
+  using Ptr = const Type*;
 
   // -- factories ----------------------------------------------------------
   static Ptr Scalar(ScalarKind k);
@@ -93,7 +103,6 @@ class Type {
   static Ptr IntTy() { return Scalar(ScalarKind::kInt); }
   static Ptr UIntTy() { return Scalar(ScalarKind::kUInt); }
   static Ptr FloatTy() { return Scalar(ScalarKind::kFloat); }
-  static Ptr BoolTy() { return Scalar(ScalarKind::kBool); }
   static Ptr SizeTy() { return Scalar(ScalarKind::kSizeT); }
 
   // -- observers ----------------------------------------------------------
@@ -110,9 +119,6 @@ class Type {
   bool is_void() const {
     return is_scalar() && scalar_ == ScalarKind::kVoid;
   }
-  bool is_integer() const {
-    return is_scalar() && IsIntegerScalar(scalar_);
-  }
   bool is_float() const { return is_scalar() && IsFloatScalar(scalar_); }
   bool is_arithmetic() const {
     return is_scalar() && scalar_ != ScalarKind::kVoid;
@@ -121,8 +127,8 @@ class Type {
   ScalarKind scalar_kind() const { return scalar_; }  // scalar/vector/texture
   int vector_width() const { return width_; }          // vector/texture
   int image_dims() const { return dims_; }             // image/texture
-  const Ptr& pointee() const { return elem_; }         // pointer
-  const Ptr& element() const { return elem_; }         // array
+  Ptr pointee() const { return elem_; }                // pointer
+  Ptr element() const { return elem_; }                // array
   AddressSpace pointee_space() const { return space_; }
   size_t array_extent() const { return extent_; }
   const StructDecl* struct_decl() const { return struct_; }
@@ -138,25 +144,21 @@ class Type {
   /// Dialect-neutral spelling used in diagnostics and tests.
   std::string ToString() const;
 
-  friend bool operator==(const Type& a, const Type& b);
-  friend bool operator!=(const Type& a, const Type& b) { return !(a == b); }
-
  private:
-  Type() = default;
+  explicit Type(TypeKind kind = TypeKind::kScalar) : kind_(kind) {}
 
   TypeKind kind_ = TypeKind::kScalar;
   ScalarKind scalar_ = ScalarKind::kVoid;
   int width_ = 1;          // vector width
   int dims_ = 0;           // image/texture dimensionality
-  Ptr elem_;               // pointee / array element
+  Ptr elem_ = nullptr;     // pointee / array element
   AddressSpace space_ = AddressSpace::kPrivate;
   size_t extent_ = 0;      // array extent
   const StructDecl* struct_ = nullptr;
   std::string name_;       // kNamed
+  /// Pointer(this, space) for each AddressSpace, built on first use.
+  mutable std::atomic<Ptr> pointer_to_[4] = {};
 };
-
-/// Structural equality on Type::Ptr (null-safe).
-bool SameType(const Type::Ptr& a, const Type::Ptr& b);
 
 /// Parse a vector-type spelling ("float4", "uchar16", "longlong2",
 /// "double3") into element kind and width. Width 1 spellings ("int1") are

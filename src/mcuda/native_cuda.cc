@@ -400,12 +400,13 @@ class NativeCudaApi final : public CudaApi {
     // stream's previously enqueued work completes.
     sched::CommandSpec spec;
     spec.queue = q;
-    auto res = sched_.Enqueue(spec, /*blocking=*/false, queued,
-                              [] { return OkStatus(); });
-    BRIDGECL_RETURN_IF_ERROR(
-        span.Sealed(Seal(std::move(res.status), cudaErrorLaunchFailure)));
+    uint64_t recorded = 0;
+    BRIDGECL_RETURN_IF_ERROR(span.Sealed(Seal(
+        sched_.Enqueue(spec, /*blocking=*/false, queued,
+                       [] { return OkStatus(); }, &recorded),
+        cudaErrorLaunchFailure)));
     if (it->second != 0) sched_.ReleaseEvent(it->second);  // re-record
-    it->second = res.event;
+    it->second = recorded;
     return OkStatus();
   }
 
@@ -571,8 +572,8 @@ class NativeCudaApi final : public CudaApi {
     if (!exec)
       return span.Sealed(AsCuda(InvalidArgumentError("bad memcpy kind"),
                                 cudaErrorInvalidMemcpyDirection));
-    auto res = sched_.Enqueue(spec, blocking, queued, exec);
-    return span.Sealed(Seal(std::move(res.status), cudaErrorLaunchFailure));
+    return span.Sealed(Seal(sched_.Enqueue(spec, blocking, queued, exec),
+                            cudaErrorLaunchFailure));
   }
 
   Status LaunchImpl(const std::string& kernel, Dim3 grid, Dim3 block,
@@ -607,7 +608,7 @@ class NativeCudaApi final : public CudaApi {
     spec.kernel = kernel;
     interp::LaunchResult result{};
     bool launched = false;
-    auto res = sched_.Enqueue(spec, blocking, queued, [&] {
+    Status status = sched_.Enqueue(spec, blocking, queued, [&] {
       Status st = RetryTransient(device_.faults(), [&] {
         auto r = interp::LaunchKernel(device_, *m, kernel, cfg, kargs);
         if (r.ok()) result = *r;
@@ -625,8 +626,7 @@ class NativeCudaApi final : public CudaApi {
     if (launched)
       span.SetKernel(kernel, m->RegistersFor(m->FindKernel(kernel)),
                      result.occupancy);
-    return span.Sealed(
-        Seal(std::move(res.status), cudaErrorLaunchOutOfResources));
+    return span.Sealed(Seal(std::move(status), cudaErrorLaunchOutOfResources));
   }
 
   /// Validate a device-pointer range at the API boundary: a range the VM

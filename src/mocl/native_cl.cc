@@ -31,6 +31,12 @@ using trace::TraceKind;
 /// Fixed simulated cost of an on-line clBuildProgram (front end + codegen).
 constexpr double kBuildCostUs = 4000.0;
 
+/// Where an enqueue stores its event handle: the caller's `out_event`, or
+/// nowhere, so that no event is recorded, when the caller passed none.
+uint64_t* EventOut(ClEvent* out_event) {
+  return out_event != nullptr ? &out_event->handle : nullptr;
+}
+
 struct BufferRec {
   uint64_t va = 0;
   size_t size = 0;
@@ -234,11 +240,10 @@ class NativeClApi final : public OpenClApi {
     spec.bytes = size;
     BRIDGECL_ASSIGN_OR_RETURN(spec.wait_events, WaitList(wait_events));
     const uint64_t va = b->va + offset;
-    auto res = sched_.Enqueue(spec, blocking, queued, [&] {
+    Status status = sched_.Enqueue(spec, blocking, queued, [&] {
       return Seal(CopyIn(va, src, size), CL_OUT_OF_RESOURCES);
-    });
-    if (out_event != nullptr) *out_event = ClEvent{res.event};
-    return span.Sealed(Seal(std::move(res.status), CL_OUT_OF_RESOURCES));
+    }, EventOut(out_event));
+    return span.Sealed(Seal(std::move(status), CL_OUT_OF_RESOURCES));
   }
 
   Status EnqueueReadBufferOn(ClQueue queue, ClMem mem, size_t offset,
@@ -261,11 +266,10 @@ class NativeClApi final : public OpenClApi {
     spec.bytes = size;
     BRIDGECL_ASSIGN_OR_RETURN(spec.wait_events, WaitList(wait_events));
     const uint64_t va = b->va + offset;
-    auto res = sched_.Enqueue(spec, blocking, queued, [&] {
+    Status status = sched_.Enqueue(spec, blocking, queued, [&] {
       return Seal(CopyOut(dst, va, size), CL_OUT_OF_RESOURCES);
-    });
-    if (out_event != nullptr) *out_event = ClEvent{res.event};
-    return span.Sealed(Seal(std::move(res.status), CL_OUT_OF_RESOURCES));
+    }, EventOut(out_event));
+    return span.Sealed(Seal(std::move(status), CL_OUT_OF_RESOURCES));
   }
 
   Status EnqueueCopyBufferOn(ClQueue queue, ClMem src, ClMem dst,
@@ -573,7 +577,7 @@ class NativeClApi final : public OpenClApi {
     bool launched = false;
     std::string name = k.name;
     auto args = k.args;  // by value: `k` may dangle if the map rehashes
-    auto res = sched_.Enqueue(spec, blocking, queued, [&] {
+    Status status = sched_.Enqueue(spec, blocking, queued, [&] {
       Status st = RetryTransient(device_.faults(), [&] {
         auto r = interp::LaunchKernel(device_, *module, name, cfg, args);
         if (r.ok()) result = *r;
@@ -583,12 +587,11 @@ class NativeClApi final : public OpenClApi {
       // Device-side failures (memory faults, traps, exhausted resources)
       // surface at the launch/finish boundary as CL_OUT_OF_RESOURCES.
       return Seal(std::move(st), CL_OUT_OF_RESOURCES);
-    });
+    }, EventOut(out_event));
     if (launched)
       span.SetKernel(name, module->RegistersFor(module->FindKernel(name)),
                      result.occupancy);
-    if (out_event != nullptr) *out_event = ClEvent{res.event};
-    return span.Sealed(Seal(std::move(res.status), CL_OUT_OF_RESOURCES));
+    return span.Sealed(Seal(std::move(status), CL_OUT_OF_RESOURCES));
   }
 
   Status Finish() override {
@@ -655,11 +658,12 @@ class NativeClApi final : public OpenClApi {
     sched::CommandSpec spec;
     spec.queue = queue.handle;
     BRIDGECL_ASSIGN_OR_RETURN(spec.wait_events, WaitList(wait_events));
-    auto res = sched_.Enqueue(spec, /*blocking=*/false, queued,
-                              [] { return OkStatus(); });
-    BRIDGECL_RETURN_IF_ERROR(
-        span.Sealed(Seal(std::move(res.status), CL_OUT_OF_RESOURCES)));
-    return ClEvent{res.event};
+    ClEvent event;
+    BRIDGECL_RETURN_IF_ERROR(span.Sealed(Seal(
+        sched_.Enqueue(spec, /*blocking=*/false, queued,
+                       [] { return OkStatus(); }, &event.handle),
+        CL_OUT_OF_RESOURCES)));
+    return event;
   }
 
   StatusOr<ClEvent> EnqueueBarrier(ClQueue queue) override {
@@ -671,11 +675,12 @@ class NativeClApi final : public OpenClApi {
     sched::CommandSpec spec;
     spec.kind = sched::CommandKind::kBarrier;
     spec.queue = queue.handle;
-    auto res = sched_.Enqueue(spec, /*blocking=*/false, queued,
-                              [] { return OkStatus(); });
-    BRIDGECL_RETURN_IF_ERROR(
-        span.Sealed(Seal(std::move(res.status), CL_OUT_OF_RESOURCES)));
-    return ClEvent{res.event};
+    ClEvent event;
+    BRIDGECL_RETURN_IF_ERROR(span.Sealed(Seal(
+        sched_.Enqueue(spec, /*blocking=*/false, queued,
+                       [] { return OkStatus(); }, &event.handle),
+        CL_OUT_OF_RESOURCES)));
+    return event;
   }
 
   Status WaitForEvents(std::span<const ClEvent> events) override {
@@ -847,16 +852,15 @@ class NativeClApi final : public OpenClApi {
     BRIDGECL_ASSIGN_OR_RETURN(spec.wait_events, WaitList(wait_events));
     void* sptr = *sp;
     void* dptr = *dp;
-    auto res = sched_.Enqueue(spec, blocking, queued, [&] {
+    Status status = sched_.Enqueue(spec, blocking, queued, [&] {
       Status st = TransferWithFaults(device_.faults(), size, [&](size_t n) {
         std::memmove(dptr, sptr, n);
         device_.ChargeCopy(n / 4);  // on-device copies are faster
         device_.stats().device_to_device_bytes += n;
       });
       return Seal(std::move(st), CL_OUT_OF_RESOURCES);
-    });
-    if (out_event != nullptr) *out_event = ClEvent{res.event};
-    return Seal(std::move(res.status), CL_OUT_OF_RESOURCES);
+    }, EventOut(out_event));
+    return Seal(std::move(status), CL_OUT_OF_RESOURCES);
   }
 
   StatusOr<BufferRec*> FindBuffer(ClMem mem) {

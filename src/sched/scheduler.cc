@@ -23,11 +23,6 @@ bool Scheduler::HasQueue(uint64_t queue) const {
   return queues_.count(queue) != 0;
 }
 
-bool Scheduler::IsOutOfOrder(uint64_t queue) const {
-  const QueueRec* q = Find(queue);
-  return q != nullptr && q->ooo;
-}
-
 Status Scheduler::ReleaseQueue(uint64_t queue) {
   if (queue == kDefaultQueue)
     return InvalidArgumentError("the default queue cannot be released");
@@ -40,31 +35,24 @@ Status Scheduler::ReleaseQueue(uint64_t queue) {
   return pending;
 }
 
-Scheduler::Result Scheduler::Enqueue(const CommandSpec& spec, bool blocking,
-                                     double queued_us,
-                                     const std::function<Status()>& exec) {
-  Result r;
+Status Scheduler::Enqueue(const CommandSpec& spec, bool blocking,
+                          double queued_us,
+                          const std::function<Status()>& exec,
+                          uint64_t* event) {
+  if (event != nullptr) *event = 0;
   QueueRec* q = Find(spec.queue);
-  if (q == nullptr) {
-    r.status = NotFoundError("unknown command queue/stream");
-    return r;
-  }
+  if (q == nullptr) return NotFoundError("unknown command queue/stream");
   // A blocking command is a synchronization point for its queue: a parked
   // deferred error surfaces here, *before* new side effects run.
-  if (blocking && !q->pending.ok()) {
-    r.status = TakePending(*q);
-    return r;
-  }
+  if (blocking && !q->pending.ok()) return TakePending(*q);
 
   const double now = device_.now_us();
   double ready = std::max(now, q->barrier_end);
   if (!q->ooo) ready = std::max(ready, q->last_end);
   for (uint64_t ev : spec.wait_events) {
     auto it = events_.find(ev);
-    if (it == events_.end()) {
-      r.status = NotFoundError("unknown event in wait list");
-      return r;
-    }
+    if (it == events_.end())
+      return NotFoundError("unknown event in wait list");
     ready = std::max(ready, it->second.times.end_us);
   }
   // A marker with an empty wait list on an out-of-order queue waits for
@@ -108,19 +96,18 @@ Scheduler::Result Scheduler::Enqueue(const CommandSpec& spec, bool blocking,
   q->max_end = std::max(q->max_end, end);
 
   const uint64_t id = next_event_++;
-  EventRec rec;
-  rec.times = EventTimes{queued_us, start, end};
-  rec.status = cmd_status;
-  events_[id] = std::move(rec);
-  r.event = id;
+  if (event != nullptr) {
+    events_[id] = EventRec{EventTimes{queued_us, start, end}, cmd_status};
+    *event = id;
+  }
 
   if (blocking) {
     RollClockTo(end);
-    r.status = std::move(cmd_status);
-  } else if (!cmd_status.ok() && q->pending.ok()) {
-    q->pending = std::move(cmd_status);  // surfaces at the next sync point
+    return cmd_status;
   }
-  return r;
+  if (!cmd_status.ok() && q->pending.ok())
+    q->pending = std::move(cmd_status);  // surfaces at the next sync point
+  return OkStatus();
 }
 
 Status Scheduler::Synchronize(uint64_t queue) {

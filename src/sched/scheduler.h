@@ -84,17 +84,11 @@ class Scheduler {
   /// handle is never null when smuggled through a cudaStream_t pointer).
   uint64_t CreateQueue(bool out_of_order);
   bool HasQueue(uint64_t queue) const;
-  bool IsOutOfOrder(uint64_t queue) const;
   /// Implicit Finish, then removal. Surfaces the queue's parked error.
   /// The default queue cannot be released. Events outlive their queue.
   Status ReleaseQueue(uint64_t queue);
 
   // -- enqueue --------------------------------------------------------------
-  struct Result {
-    uint64_t event = 0;  // recorded for every command (0 if enqueue failed)
-    Status status;       // blocking: the command's outcome; else enqueue's
-  };
-
   /// Enqueues one command. `queued_us` is the host clock captured at the
   /// API entry (before its ChargeApiCall). `exec` runs the command's side
   /// effects and must return a Status already sealed with the entry
@@ -103,8 +97,14 @@ class Scheduler {
   /// executing, and the host clock rolls to the command's end. For
   /// non-blocking commands a failure parks on the queue and the call
   /// reports success. Wait-list events must exist (KnowsEvent).
-  Result Enqueue(const CommandSpec& spec, bool blocking, double queued_us,
-                 const std::function<Status()>& exec);
+  ///
+  /// Every enqueued command takes the next event handle, but only a
+  /// caller that passes `event` gets it, and only then is an event
+  /// recorded, to be dropped by ReleaseEvent. `*event` is 0 if the
+  /// enqueue failed.
+  Status Enqueue(const CommandSpec& spec, bool blocking, double queued_us,
+                 const std::function<Status()>& exec,
+                 uint64_t* event = nullptr);
 
   // -- synchronization ------------------------------------------------------
   /// clFinish(queue) / cudaStreamSynchronize: rolls the host clock to the

@@ -90,8 +90,6 @@ FiberGroup::FiberGroup(size_t stack_bytes) : impl_(std::make_unique<Impl>()) {
 
 FiberGroup::~FiberGroup() = default;
 
-bool FiberGroup::InFiber() const { return impl_->in_fiber; }
-
 void FiberGroup::Barrier() {
   assert(impl_->in_fiber && "Barrier() outside of a running work-item");
   Impl* impl = impl_.get();

@@ -49,9 +49,6 @@ class FiberGroup {
   /// Called from inside a running task: wait for all live siblings.
   void Barrier();
 
-  /// True while called from inside a task (barrier is only legal then).
-  bool InFiber() const;
-
   struct Impl;  // public so the ucontext trampoline can reach it
 
  private:

@@ -42,9 +42,4 @@ std::string DiagnosticEngine::ToString() const {
   return out;
 }
 
-void DiagnosticEngine::Clear() {
-  diags_.clear();
-  error_count_ = 0;
-}
-
 }  // namespace bridgecl

@@ -43,8 +43,6 @@ class DiagnosticEngine {
   /// All diagnostics, one per line; for error messages and tests.
   std::string ToString() const;
 
-  void Clear();
-
  private:
   std::vector<Diagnostic> diags_;
   int error_count_ = 0;

@@ -90,12 +90,6 @@ void TraceRecorder::AppendCompleted(TraceKind kind, const char* layer,
   events_.push_back(std::move(e));
 }
 
-void TraceRecorder::Clear() {
-  events_.clear();
-  open_.clear();
-  snapshots_.clear();
-}
-
 std::vector<size_t> TraceRecorder::ChildrenOf(size_t index) const {
   std::vector<size_t> kids;
   for (size_t i = index + 1; i < events_.size(); ++i)

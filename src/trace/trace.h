@@ -100,7 +100,6 @@ class TraceRecorder {
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::vector<TraceEvent>& mutable_events() { return events_; }
-  void Clear();
 
   /// Direct children of `index` (same-order indices with parent == index).
   std::vector<size_t> ChildrenOf(size_t index) const;

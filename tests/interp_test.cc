@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 
 #include "interp/executor.h"
@@ -8,6 +10,82 @@
 #include "interp/module.h"
 #include "interp/value.h"
 #include "simgpu/device.h"
+
+// Every form of global operator new is replaced so that the allocation
+// test below can count the heap allocations one launch makes. Counting is
+// per thread and off except around the launch under test; the matching
+// deletes free what malloc returned.
+namespace {
+thread_local bool t_count_news = false;
+thread_local uint64_t t_news = 0;
+
+void* CountedNew(std::size_t n, std::size_t align = 0) {
+  if (t_count_news) ++t_news;
+  if (n == 0) n = 1;
+  void* p = align > alignof(std::max_align_t)
+                ? std::aligned_alloc(align, (n + align - 1) / align * align)
+                : std::malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* CountedNewNoThrow(std::size_t n, std::size_t align = 0) noexcept {
+  try {
+    return CountedNew(n, align);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n); }
+void* operator new[](std::size_t n) { return CountedNew(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedNew(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedNew(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedNewNoThrow(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedNewNoThrow(n);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return CountedNewNoThrow(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return CountedNewNoThrow(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace bridgecl::interp {
 namespace {
@@ -794,6 +872,115 @@ TEST_F(InterpTest, MultiDimensionalGrid) {
   auto out = ReadBuf<int>(vo, w * h);
   EXPECT_EQ(out[0], 0);
   EXPECT_EQ(out[3 * w + 7], 7 + 30);
+}
+
+// A fiber kernel can recurse to the call-depth limit: its fiber stacks
+// hold that many evaluator frames, and one call deeper fails the launch
+// instead of overflowing the stack.
+TEST_F(InterpTest, FiberKernelRecursesToTheCallDepthLimit) {
+  auto m = Compile(
+      "int down(int n, __global int* c, float4 v) {"
+      "  if (n == 0) return 1;"
+      "  float4 w = clamp(v, (float4)(0.0f), (float4)(1.0f)) + (float4)(1.0f);"
+      "  return atomic_add(c, max(down(n - 1, c, w.wzyx),"
+      "                           (int)fma(w.x, w.y, w.z)));"
+      "}"
+      "__kernel void k(__global int* c, int depth) {"
+      "  __local int t[4];"
+      "  int l = get_local_id(0);"
+      "  t[l] = down(depth, c, (float4)(l));"
+      "  barrier(CLK_LOCAL_MEM_FENCE);"
+      "  c[1 + l] = t[(l + 1) % 4];"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vc = Alloc(5 * 4);
+  auto launch = [&](int depth) {
+    LaunchConfig cfg;
+    cfg.grid = Dim3(1);
+    cfg.block = Dim3(4);
+    std::vector<KernelArg> args = {KernelArg::Pointer(vc),
+                                   KernelArg::Value<int>(depth)};
+    return LaunchKernel(device_, *m, "k", cfg, args);
+  };
+  auto deepest = launch(63);  // the kernel's frame plus 63 calls
+  EXPECT_TRUE(deepest.ok()) << deepest.status().ToString();
+  auto too_deep = launch(64);
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_NE(too_deep.status().message().find("recursion too deep"),
+            std::string::npos)
+      << too_deep.status().ToString();
+}
+
+// A launch's heap allocations do not grow with its work-items: once a
+// kernel has run, interpreting one more item allocates nothing. Kernel
+// `plain` covers int, uint and float scalars, float4 arithmetic with a
+// swizzle read and store, pointer arithmetic on a __global buffer, a
+// private array indexed in a loop and a helper with a scalar and a
+// __global pointer parameter and locals; `tiled` adds a __local tile and
+// a barrier, so its items run as fibers.
+TEST_F(InterpTest, LaunchAllocationsDoNotGrowWithWorkItems) {
+  const std::string helper =
+      "int mix_in(int x, __global const int* table) {"
+      "  int doubled = x * 2;"
+      "  uint mask = 0xffu;"
+      "  return (doubled + table[x & 7]) & (int)mask;"
+      "}";
+  const std::string params =
+      "(__global float4* vecs, __global const int* table,"
+      " __global int* ints, __global float* out) {";
+  const std::string body =
+      "  int i = get_global_id(0);"
+      "  uint u = (uint)i * 3u;"
+      "  float f = (float)i * 0.5f;"
+      "  float4 v = vecs[i] * 2.0f + (float4)(f, f, f, 1.0f);"
+      "  v.xy = v.zw;"
+      "  float2 hi = v.zw;"
+      "  __global int* p = ints + i;"
+      "  int a[8];"
+      "  for (int k = 0; k < 8; ++k) a[k] = k * i;"
+      "  int acc = 0;"
+      "  for (int k = 0; k < 8; ++k) acc += a[k];"
+      "  *p = acc + mix_in(i, table) + (int)(u % 7u);"
+      "  vecs[i] = v;"
+      "  float s = hi.x + hi.y + f;";
+  auto m = Compile(helper + "__kernel void plain" + params + body +
+                       "  out[i] = s;"
+                       "}"
+                       "__kernel void tiled" + params +
+                       "  __local float tile[256];" + body +
+                       "  int l = get_local_id(0);"
+                       "  tile[l] = s;"
+                       "  barrier(CLK_LOCAL_MEM_FENCE);"
+                       "  out[i] = tile[(l + 1) % get_local_size(0)];"
+                       "}",
+                   Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  const int n = 256;
+  uint64_t vvecs = Alloc(n * 16), vtable = Alloc(8 * 4), vints = Alloc(n * 4),
+           vout = Alloc(n * 4);
+  WriteBuf(vtable, std::vector<int>{3, 1, 4, 1, 5, 9, 2, 6});
+  std::vector<KernelArg> args = {
+      KernelArg::Pointer(vvecs), KernelArg::Pointer(vtable),
+      KernelArg::Pointer(vints), KernelArg::Pointer(vout)};
+  SetWorkerCount(1);
+  auto news = [&](const char* kernel, uint32_t items) -> uint64_t {
+    LaunchConfig cfg;
+    cfg.grid = Dim3(1);
+    cfg.block = Dim3(items);
+    t_news = 0;
+    t_count_news = true;
+    auto r = LaunchKernel(device_, *m, kernel, cfg, args);
+    t_count_news = false;
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return t_news;
+  };
+  for (const char* kernel : {"plain", "tiled"}) {
+    news(kernel, n);  // warm-up: sizes every per-worker pool
+    EXPECT_EQ(news(kernel, 32), news(kernel, n)) << kernel;
+  }
+  EXPECT_GT(device_.stats().barriers, 0u);
+  SetWorkerCount(0);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "lang/builtins.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -400,6 +405,127 @@ TEST_P(BuiltinArityTest, FailsToBuildWithADiagnosticAtTheCall) {
   EXPECT_EQ(d.loc.column, line2.find(std::string(c.builtin) + "(") +
                               std::string(c.builtin).size() + 1)
       << d.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Frame slots: sema numbers each function's parameters, then its locals.
+
+TEST(SemaTest, NumbersParamsAndLocalsIntoFrameSlots) {
+  auto tu = Analyzed(
+      "__constant int table[2] = {1, 2};"
+      "int helper(int x) { int y = x; return y + table[0]; }"
+      "__kernel void k(__global int* a, int n) {"
+      "  int i = get_global_id(0);"
+      "  for (int j = 0; j < n; ++j) { int t = helper(j); a[i] += t; }"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(tu, nullptr);
+  const FunctionDecl* k = tu->FindFunction("k");
+  EXPECT_EQ(k->params[0]->slot, 0);
+  EXPECT_EQ(k->params[1]->slot, 1);
+  const auto* i = k->body->body[0]->As<DeclStmt>()->vars[0].get();
+  const auto* loop = k->body->body[1]->As<ForStmt>();
+  const auto* j = loop->init->As<DeclStmt>()->vars[0].get();
+  const auto* t =
+      loop->body->As<CompoundStmt>()->body[0]->As<DeclStmt>()->vars[0].get();
+  EXPECT_EQ(i->slot, 2);
+  EXPECT_EQ(j->slot, 3);
+  EXPECT_EQ(t->slot, 4);
+  EXPECT_EQ(k->frame_slots, 5);
+  EXPECT_EQ(tu->FindFunction("helper")->frame_slots, 2);
+  EXPECT_EQ(tu->decls[0]->As<VarDecl>()->slot, -1);  // program scope
+}
+
+// ---------------------------------------------------------------------------
+// Hash-consed types: one pointer per distinct type, for the whole process.
+
+TEST(TypeTest, FactoriesReturnOnePointerPerType) {
+  using AS = AddressSpace;
+  using SK = ScalarKind;
+  Type::Ptr f4 = Type::Vector(SK::kFloat, 4);
+  EXPECT_EQ(Type::Scalar(SK::kInt), Type::IntTy());
+  EXPECT_NE(Type::Scalar(SK::kInt), Type::Scalar(SK::kUInt));
+  EXPECT_EQ(f4, Type::Vector(SK::kFloat, 4));
+  EXPECT_NE(f4, Type::Vector(SK::kFloat, 2));
+  EXPECT_NE(f4, Type::Vector(SK::kInt, 4));
+  EXPECT_EQ(Type::Pointer(f4, AS::kGlobal), Type::Pointer(f4, AS::kGlobal));
+  EXPECT_NE(Type::Pointer(f4, AS::kGlobal), Type::Pointer(f4, AS::kLocal));
+  EXPECT_NE(Type::Pointer(f4, AS::kGlobal),
+            Type::Pointer(Type::FloatTy(), AS::kGlobal));
+  EXPECT_EQ(Type::Pointer(f4, AS::kGlobal)->pointee(), f4);
+  EXPECT_EQ(Type::Pointer(nullptr, AS::kPrivate),
+            Type::Pointer(nullptr, AS::kPrivate));
+  EXPECT_EQ(Type::Pointer(nullptr, AS::kPrivate)->pointee(), nullptr);
+  EXPECT_EQ(Type::Array(f4, 8), Type::Array(f4, 8));
+  EXPECT_NE(Type::Array(f4, 8), Type::Array(f4, 9));
+  EXPECT_NE(Type::Array(f4, 8), Type::Array(Type::IntTy(), 8));
+  EXPECT_EQ(Type::Array(f4, 8)->element(), f4);
+  StructDecl a, b;
+  EXPECT_EQ(Type::Struct(&a), Type::Struct(&a));
+  EXPECT_NE(Type::Struct(&a), Type::Struct(&b));
+  EXPECT_EQ(Type::Image(2), Type::Image(2));
+  EXPECT_NE(Type::Image(2), Type::Image(3));
+  EXPECT_EQ(Type::Sampler(), Type::Sampler());
+  EXPECT_EQ(Type::Texture(SK::kFloat, 1, 2), Type::Texture(SK::kFloat, 1, 2));
+  EXPECT_NE(Type::Texture(SK::kFloat, 1, 2), Type::Texture(SK::kFloat, 1, 1));
+  EXPECT_NE(Type::Texture(SK::kFloat, 1, 2), Type::Texture(SK::kFloat, 4, 2));
+  EXPECT_EQ(Type::Named("T"), Type::Named("T"));
+  EXPECT_NE(Type::Named("T"), Type::Named("U"));
+}
+
+TEST(TypeTest, AnalyzingOneSourceTwiceGivesTheSameTypes) {
+  const std::string src =
+      "__kernel void k(__global float4* v, __local int* l,"
+      "                __constant uchar16* c, __global float** pp,"
+      "                read_only image2d_t img, sampler_t s, double d) {"
+      "  int a[8];"
+      "  float4 m[2][3];"
+      "}";
+  auto first = Analyzed(src, Dialect::kOpenCL);
+  auto second = Analyzed(src, Dialect::kOpenCL);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  const FunctionDecl* k1 = first->FindFunction("k");
+  const FunctionDecl* k2 = second->FindFunction("k");
+  ASSERT_EQ(k1->params.size(), k2->params.size());
+  for (size_t i = 0; i < k1->params.size(); ++i)
+    EXPECT_EQ(k1->params[i]->type, k2->params[i]->type) << i;
+  for (size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(k1->body->body[i]->As<DeclStmt>()->vars[0]->type,
+              k2->body->body[i]->As<DeclStmt>()->vars[0]->type)
+        << i;
+}
+
+TEST(TypeTest, ConcurrentFactoriesReturnOnePointer) {
+  // Extents no other test uses, so the threads race to build each array,
+  // and each pointer to it, first.
+  constexpr int kThreads = 8;
+  constexpr int kTypes = 32;
+  using Seen = std::array<Type::Ptr, 4 * kTypes>;
+  std::vector<Seen> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kTypes; ++i) {
+        Type::Ptr vec = Type::Vector(ScalarKind::kFloat, 4);
+        Type::Ptr arr = Type::Array(vec, 7000 + i);
+        Type::Ptr ptr = Type::Pointer(arr, AddressSpace::kGlobal);
+        seen[t][4 * i] = vec;
+        seen[t][4 * i + 1] = arr;
+        seen[t][4 * i + 2] = ptr;
+        seen[t][4 * i + 3] = Type::Pointer(ptr, AddressSpace::kPrivate);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]) << t;
+  for (int i = 1; i < kTypes; ++i) {
+    EXPECT_NE(seen[0][4 * i + 1], seen[0][1]);
+    EXPECT_NE(seen[0][4 * i + 2], seen[0][2]);
+  }
+  EXPECT_EQ(seen[0][3]->pointee(), seen[0][2]);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   - non-blocking failures park on the queue and surface, sticky, at the
 //     next synchronization point with their sealed error code;
 //   - events stay queryable after their queue is released, and releasing
-//     every event leaves no live records;
+//     every event leaves no live records; a command whose event handle
+//     nobody asked for leaves no record, though handles still advance;
 //   - a traced out-of-order multi-queue run is deterministic: two fresh
 //     runs agree on the clock, the stats counters and the exported trace
 //     JSON byte-for-byte.
@@ -77,13 +78,15 @@ TEST(SchedTest, InOrderQueueSerializesCommands) {
   Device dev(TitanProfile());
   Scheduler sch(dev, "test");
   uint64_t q = sch.CreateQueue(/*out_of_order=*/false);
-  auto r1 = sch.Enqueue(CopySpec(q, 1 << 20), /*blocking=*/false,
-                        dev.now_us(), ChargeCopy(dev, 1 << 20));
-  auto r2 = sch.Enqueue(KernelSpec(q), /*blocking=*/false, dev.now_us(),
-                        ChargeKernel(dev));
-  ASSERT_TRUE(r1.status.ok() && r2.status.ok());
-  auto t1 = sch.TimesOf(r1.event);
-  auto t2 = sch.TimesOf(r2.event);
+  uint64_t e1 = 0, e2 = 0;
+  ASSERT_TRUE(sch.Enqueue(CopySpec(q, 1 << 20), /*blocking=*/false,
+                          dev.now_us(), ChargeCopy(dev, 1 << 20), &e1)
+                  .ok());
+  ASSERT_TRUE(sch.Enqueue(KernelSpec(q), /*blocking=*/false, dev.now_us(),
+                          ChargeKernel(dev), &e2)
+                  .ok());
+  auto t1 = sch.TimesOf(e1);
+  auto t2 = sch.TimesOf(e2);
   ASSERT_TRUE(t1.ok() && t2.ok());
   EXPECT_GT(t1->end_us, t1->start_us);
   // FIFO: the kernel starts no earlier than the copy ends...
@@ -99,14 +102,16 @@ TEST(SchedTest, IndependentQueuesOverlapCopyAndCompute) {
   Scheduler sch(dev, "test");
   uint64_t qa = sch.CreateQueue(false);
   uint64_t qb = sch.CreateQueue(false);
-  auto rc = sch.Enqueue(CopySpec(qa, 1 << 20), false, dev.now_us(),
-                        ChargeCopy(dev, 1 << 20));
-  auto rk = sch.Enqueue(KernelSpec(qb), false, dev.now_us(),
-                        ChargeKernel(dev));
-  ASSERT_TRUE(rc.status.ok() && rk.status.ok());
+  uint64_t ec = 0, ek = 0;
+  ASSERT_TRUE(sch.Enqueue(CopySpec(qa, 1 << 20), false, dev.now_us(),
+                          ChargeCopy(dev, 1 << 20), &ec)
+                  .ok());
+  ASSERT_TRUE(sch.Enqueue(KernelSpec(qb), false, dev.now_us(),
+                          ChargeKernel(dev), &ek)
+                  .ok());
   ASSERT_TRUE(sch.SynchronizeAll().ok());
-  auto tc = sch.TimesOf(rc.event);
-  auto tk = sch.TimesOf(rk.event);
+  auto tc = sch.TimesOf(ec);
+  auto tk = sch.TimesOf(ek);
   ASSERT_TRUE(tc.ok() && tk.ok());
   // Both commands had no dependencies, so they share their windows: the
   // total wall time is less than the serialized sum.
@@ -126,9 +131,12 @@ TEST(SchedTest, OutOfOrderQueueOverlapsWhereInOrderCannot) {
     Device dev(TitanProfile());
     Scheduler sch(dev, "test");
     uint64_t q = sch.CreateQueue(/*out_of_order=*/true);
-    sch.Enqueue(CopySpec(q, 1 << 20), false, dev.now_us(),
-                ChargeCopy(dev, 1 << 20));
-    sch.Enqueue(KernelSpec(q), false, dev.now_us(), ChargeKernel(dev));
+    ASSERT_TRUE(sch.Enqueue(CopySpec(q, 1 << 20), false, dev.now_us(),
+                            ChargeCopy(dev, 1 << 20))
+                    .ok());
+    ASSERT_TRUE(
+        sch.Enqueue(KernelSpec(q), false, dev.now_us(), ChargeKernel(dev))
+            .ok());
     ASSERT_TRUE(sch.Synchronize(q).ok());
     ooo_overlap = dev.EngineOverlapUs();
   }
@@ -136,9 +144,12 @@ TEST(SchedTest, OutOfOrderQueueOverlapsWhereInOrderCannot) {
     Device dev(TitanProfile());
     Scheduler sch(dev, "test");
     uint64_t q = sch.CreateQueue(/*out_of_order=*/false);
-    sch.Enqueue(CopySpec(q, 1 << 20), false, dev.now_us(),
-                ChargeCopy(dev, 1 << 20));
-    sch.Enqueue(KernelSpec(q), false, dev.now_us(), ChargeKernel(dev));
+    ASSERT_TRUE(sch.Enqueue(CopySpec(q, 1 << 20), false, dev.now_us(),
+                            ChargeCopy(dev, 1 << 20))
+                    .ok());
+    ASSERT_TRUE(
+        sch.Enqueue(KernelSpec(q), false, dev.now_us(), ChargeKernel(dev))
+            .ok());
     ASSERT_TRUE(sch.Synchronize(q).ok());
     io_overlap = dev.EngineOverlapUs();
   }
@@ -151,38 +162,44 @@ TEST(SchedTest, WaitListOrdersAcrossQueues) {
   Scheduler sch(dev, "test");
   uint64_t qa = sch.CreateQueue(false);
   uint64_t qb = sch.CreateQueue(false);
-  auto rc = sch.Enqueue(CopySpec(qa, 1 << 20), false, dev.now_us(),
-                        ChargeCopy(dev, 1 << 20));
-  auto rk = sch.Enqueue(KernelSpec(qb, {rc.event}), false, dev.now_us(),
-                        ChargeKernel(dev));
-  ASSERT_TRUE(rc.status.ok() && rk.status.ok());
-  auto tc = sch.TimesOf(rc.event);
-  auto tk = sch.TimesOf(rk.event);
+  uint64_t ec = 0, ek = 0;
+  ASSERT_TRUE(sch.Enqueue(CopySpec(qa, 1 << 20), false, dev.now_us(),
+                          ChargeCopy(dev, 1 << 20), &ec)
+                  .ok());
+  ASSERT_TRUE(sch.Enqueue(KernelSpec(qb, {ec}), false, dev.now_us(),
+                          ChargeKernel(dev), &ek)
+                  .ok());
+  auto tc = sch.TimesOf(ec);
+  auto tk = sch.TimesOf(ek);
   ASSERT_TRUE(tc.ok() && tk.ok());
   EXPECT_GE(tk->start_us, tc->end_us);
   EXPECT_DOUBLE_EQ(dev.EngineOverlapUs(), 0.0);
   // An unknown wait-list event is an immediate enqueue failure.
-  auto bad = sch.Enqueue(KernelSpec(qb, {0xdeadbeefULL}), false,
-                         dev.now_us(), ChargeKernel(dev));
-  EXPECT_FALSE(bad.status.ok());
+  uint64_t bad = 1;
+  EXPECT_FALSE(sch.Enqueue(KernelSpec(qb, {0xdeadbeefULL}), false,
+                           dev.now_us(), ChargeKernel(dev), &bad)
+                   .ok());
+  EXPECT_EQ(bad, 0u);
 }
 
 TEST(SchedTest, BarrierOrdersLaterCommandsOnOutOfOrderQueue) {
   Device dev(TitanProfile());
   Scheduler sch(dev, "test");
   uint64_t q = sch.CreateQueue(/*out_of_order=*/true);
-  auto rc = sch.Enqueue(CopySpec(q, 1 << 20), false, dev.now_us(),
-                        ChargeCopy(dev, 1 << 20));
+  uint64_t ec = 0, eb = 0, ek = 0;
+  ASSERT_TRUE(sch.Enqueue(CopySpec(q, 1 << 20), false, dev.now_us(),
+                          ChargeCopy(dev, 1 << 20), &ec)
+                  .ok());
   CommandSpec bar;
   bar.kind = CommandKind::kBarrier;
   bar.queue = q;
-  auto rb = sch.Enqueue(bar, false, dev.now_us(), {});
-  auto rk = sch.Enqueue(KernelSpec(q), false, dev.now_us(),
-                        ChargeKernel(dev));
-  ASSERT_TRUE(rc.status.ok() && rb.status.ok() && rk.status.ok());
-  auto tc = sch.TimesOf(rc.event);
-  auto tb = sch.TimesOf(rb.event);
-  auto tk = sch.TimesOf(rk.event);
+  ASSERT_TRUE(sch.Enqueue(bar, false, dev.now_us(), {}, &eb).ok());
+  ASSERT_TRUE(sch.Enqueue(KernelSpec(q), false, dev.now_us(),
+                          ChargeKernel(dev), &ek)
+                  .ok());
+  auto tc = sch.TimesOf(ec);
+  auto tb = sch.TimesOf(eb);
+  auto tk = sch.TimesOf(ek);
   ASSERT_TRUE(tc.ok() && tb.ok() && tk.ok());
   EXPECT_GE(tb->end_us, tc->end_us);
   EXPECT_GE(tk->start_us, tb->end_us);
@@ -201,38 +218,40 @@ TEST(SchedTest, DeferredErrorSurfacesStickyAtSynchronize) {
     };
   };
   // Two failures: the first parks, the second is dropped (first wins).
-  auto r1 = sch.Enqueue(CopySpec(q, 64), false, dev.now_us(),
-                        fail("first", -5));
-  auto r2 = sch.Enqueue(CopySpec(q, 64), false, dev.now_us(),
-                        fail("second", -4));
-  EXPECT_TRUE(r1.status.ok());  // deferred: the enqueues report success
-  EXPECT_TRUE(r2.status.ok());
+  uint64_t e1 = 0;
+  // Deferred: the enqueues report success.
+  EXPECT_TRUE(sch.Enqueue(CopySpec(q, 64), false, dev.now_us(),
+                          fail("first", -5), &e1)
+                  .ok());
+  EXPECT_TRUE(sch.Enqueue(CopySpec(q, 64), false, dev.now_us(),
+                          fail("second", -4))
+                  .ok());
   Status st = sch.Synchronize(q);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.api_code(), -5);  // the first failure's sealed code
   // Surfacing clears the parked error.
   EXPECT_TRUE(sch.Synchronize(q).ok());
   // The failing command's event carries the failure by value.
-  EXPECT_FALSE(sch.EventSynchronize(r1.event).ok());
+  EXPECT_FALSE(sch.EventSynchronize(e1).ok());
 }
 
 TEST(SchedTest, BlockingCommandSurfacesParkedErrorBeforeExecuting) {
   Device dev(TitanProfile());
   Scheduler sch(dev, "test");
   uint64_t q = sch.CreateQueue(false);
-  sch.Enqueue(CopySpec(q, 64), false, dev.now_us(), [] {
-    Status st = InternalError("async fault");
-    st.set_api_code(-5);
-    return st;
-  });
+  ASSERT_TRUE(sch.Enqueue(CopySpec(q, 64), false, dev.now_us(), [] {
+                   Status st = InternalError("async fault");
+                   st.set_api_code(-5);
+                   return st;
+                 }).ok());
   int executed = 0;
-  auto r = sch.Enqueue(CopySpec(q, 64), /*blocking=*/true, dev.now_us(),
-                       [&executed] {
-                         ++executed;
-                         return OkStatus();
-                       });
-  EXPECT_FALSE(r.status.ok());
-  EXPECT_EQ(r.status.api_code(), -5);
+  Status st = sch.Enqueue(CopySpec(q, 64), /*blocking=*/true, dev.now_us(),
+                          [&executed] {
+                            ++executed;
+                            return OkStatus();
+                          });
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.api_code(), -5);
   EXPECT_EQ(executed, 0);  // the parked error preempts the new command
 }
 
@@ -240,19 +259,66 @@ TEST(SchedTest, EventsOutliveTheirQueue) {
   Device dev(TitanProfile());
   Scheduler sch(dev, "test");
   uint64_t q = sch.CreateQueue(false);
-  auto r = sch.Enqueue(CopySpec(q, 1 << 16), false, dev.now_us(),
-                       ChargeCopy(dev, 1 << 16));
-  ASSERT_TRUE(r.status.ok());
+  uint64_t e = 0;
+  ASSERT_TRUE(sch.Enqueue(CopySpec(q, 1 << 16), false, dev.now_us(),
+                          ChargeCopy(dev, 1 << 16), &e)
+                  .ok());
   ASSERT_TRUE(sch.ReleaseQueue(q).ok());
   EXPECT_FALSE(sch.HasQueue(q));
-  auto t = sch.TimesOf(r.event);  // still queryable: recorded by value
+  auto t = sch.TimesOf(e);  // still queryable: recorded by value
   ASSERT_TRUE(t.ok());
   EXPECT_GT(t->end_us, t->start_us);
-  EXPECT_TRUE(sch.ReleaseEvent(r.event));
+  EXPECT_TRUE(sch.ReleaseEvent(e));
   EXPECT_EQ(sch.LiveEvents(), 0u);
-  EXPECT_FALSE(sch.ReleaseEvent(r.event));  // double release is rejected
+  EXPECT_FALSE(sch.ReleaseEvent(e));  // double release is rejected
   // The default queue can never be released.
   EXPECT_FALSE(sch.ReleaseQueue(sched::kDefaultQueue).ok());
+}
+
+TEST(SchedTest, CommandsWithoutAnEventHandleLeaveNoRecord) {
+  // A caller that does not ask for a command's event (mcuda's copies and
+  // launches, mocl's enqueues with a null out-event) leaves no record
+  // behind, yet every command still takes its handle.
+  Device dev(TitanProfile());
+  Scheduler sch(dev, "test");
+  uint64_t q = sch.CreateQueue(/*out_of_order=*/true);
+  uint64_t first = 0;
+  ASSERT_TRUE(sch.Enqueue(CopySpec(q, 64), false, dev.now_us(),
+                          ChargeCopy(dev, 64), &first)
+                  .ok());
+  ASSERT_TRUE(sch.ReleaseEvent(first));
+  CommandSpec marker, barrier;
+  marker.queue = barrier.queue = q;
+  barrier.kind = CommandKind::kBarrier;
+  const std::vector<CommandSpec> kinds = {
+      CopySpec(q, 64),
+      [](CommandSpec s) {
+        s.kind = CommandKind::kCopyD2H;
+        return s;
+      }(CopySpec(q, 64)),
+      [](CommandSpec s) {
+        s.kind = CommandKind::kCopyD2D;
+        return s;
+      }(CopySpec(q, 64)),
+      KernelSpec(q), marker, barrier};
+  uint64_t enqueued = 1;
+  for (const CommandSpec& spec : kinds) {
+    for (int i = 0; i < 1000; ++i, ++enqueued) {
+      ASSERT_TRUE(sch.Enqueue(spec, /*blocking=*/i % 2 == 0, dev.now_us(),
+                              ChargeCopy(dev, 64))
+                      .ok());
+    }
+  }
+  EXPECT_EQ(sch.LiveEvents(), 0u);
+  uint64_t e = 0;
+  ASSERT_TRUE(sch.Enqueue(KernelSpec(q), false, dev.now_us(),
+                          ChargeKernel(dev), &e)
+                  .ok());
+  EXPECT_EQ(sch.LiveEvents(), 1u);
+  EXPECT_EQ(e, first + enqueued);
+  auto t = sch.TimesOf(e);
+  ASSERT_TRUE(t.ok());
+  EXPECT_GT(t->end_us, t->start_us);
 }
 
 // ---------------------------------------------------------------------------
