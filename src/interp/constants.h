@@ -1,5 +1,5 @@
 // Named device-code constants (OpenCL CLK_* flags and the few cuda* enums
-// that can appear in device code). Shared by the evaluator and module
+// that can appear in device code). Shared by the executor and module
 // initializer folding.
 #pragma once
 

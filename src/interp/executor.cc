@@ -7,73 +7,43 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <span>
 #include <unordered_map>
 
 #include "interp/constants.h"
 #include "interp/image.h"
+#include "interp/lower.h"
 #include "interp/value.h"
 #include "interp/worker_pool.h"
 #include "lang/builtins.h"
 #include "lang/sema.h"
-#include "simgpu/fiber.h"
 #include "support/strings.h"
 
 namespace bridgecl::interp {
 
 using lang::AddressSpace;
 using lang::ArithmeticResultType;
-using lang::AssignExpr;
-using lang::BinaryExpr;
 using lang::BinaryOp;
 using lang::BuiltinOp;
 using lang::CallExpr;
 using lang::CastExpr;
-using lang::CompoundStmt;
-using lang::ConditionalExpr;
 using lang::DeclRefExpr;
-using lang::DeclStmt;
 using lang::Dialect;
-using lang::Expr;
-using lang::ExprKind;
-using lang::ExprStmt;
-using lang::FloatLitExpr;
-using lang::ForStmt;
 using lang::FunctionDecl;
-using lang::IfStmt;
-using lang::IndexExpr;
-using lang::InitListExpr;
-using lang::IntLitExpr;
 using lang::IsFloatScalar;
 using lang::IsSignedScalar;
 using lang::MemberExpr;
-using lang::ParenExpr;
-using lang::ReturnStmt;
 using lang::ScalarKind;
-using lang::SizeofExpr;
-using lang::Stmt;
-using lang::StmtKind;
 using lang::Type;
-using lang::UnaryExpr;
 using lang::UnaryOp;
 using lang::VarDecl;
-using lang::VectorLitExpr;
-using lang::WhileStmt;
 using simgpu::Dim3;
 using simgpu::Segment;
 
 namespace {
 
 constexpr size_t kPrivateBytesPerItem = 64 * 1024;
-// The evaluator's frames hold Values with their lanes inline, 8-12 KiB of
-// host stack per device call: the call-depth limit below needs up to
-// ~800 KiB, and ASan's redzones grow the frames several-fold. A kernel
-// touches only as much of its stack as its calls use.
-#if defined(__SANITIZE_ADDRESS__)
-constexpr size_t kFiberStackBytes = 8 * 1024 * 1024;
-#else
-constexpr size_t kFiberStackBytes = 1024 * 1024;
-#endif
 constexpr int kMaxCallDepth = 64;
 
 /// Each host worker's block memory, kept across its blocks and launches.
@@ -84,7 +54,7 @@ struct LV {
   enum class Kind { kMem, kReg };
   Kind kind = Kind::kReg;
   uint64_t va = 0;            // kMem
-  uint32_t slot = 0;          // kReg: index into the evaluator's slots
+  uint32_t slot = 0;          // kReg: index into the item's registers
   Type::Ptr type = nullptr;   // type stored at the location (pre-swizzle)
   /// Component selection on a vector location: `lanes` of `swizzle`, or
   /// the whole location when `lanes` is 0.
@@ -92,16 +62,39 @@ struct LV {
   uint8_t swizzle[Value::kMaxLanes] = {};
 };
 
-/// One slot of a call's frame: a parameter or local, held in a register
-/// (`reg`, at `loc`), in private or shared memory (at `loc`), or, for a
-/// C++ reference parameter, at its argument's location `loc`.
-struct Slot {
-  bool bound = false;
-  Value reg;
-  LV loc;
+/// One active call: its code, where it resumes, its registers and
+/// locations, and what returning restores in the caller.
+struct Frame {
+  const LoweredFunction* fn = nullptr;
+  uint32_t pc = 0;     // the next op once a callee returns or a barrier
+  uint32_t base = 0;   // first register
+  uint32_t lbase = 0;  // first location
+  int32_t dst = kNoReg;       // the caller's register for the result
+  uint64_t private_top = 0;   // the caller's private-stack top
 };
 
-enum class FlowKind { kNormal, kReturn, kBreak, kContinue };
+/// An active kTry region; once a failure is caught, the failure it holds
+/// until the fallback code reads it.
+struct Handler {
+  uint32_t pc = 0;
+  uint32_t frames = 0;
+  bool active = true;
+  Status caught;
+};
+
+/// One work-item between its start and its end: plain data, so a barrier
+/// only saves the pc and returns to the block loop. Workers keep their
+/// items, with the capacity of every vector, across blocks and launches.
+struct Item {
+  Dim3 lid, gid;
+  uint64_t private_base = 0, private_top = 0;
+  double cycles = 0;
+  std::vector<Frame> frames;
+  std::vector<Value> regs;
+  std::vector<LV> lvs;
+  std::vector<Handler> handlers;
+  Value ret;  // the last value a call returned
+};
 
 /// Bytes of 8-byte words: word address -> mask, bit i for byte i.
 using WordMasks = std::unordered_map<uint64_t, uint8_t>;
@@ -179,143 +172,261 @@ class BlockLog {
   WordMasks reads_;
 };
 
-/// What every block of one launch shares: the kernel, its configuration,
-/// the decoded arguments and the shared-memory layout. LaunchKernel builds
-/// it once; while blocks run, every worker only reads it.
+/// What every block of one launch shares: the kernel and its code, its
+/// configuration, the decoded arguments and the shared-memory layout.
+/// LaunchKernel builds it once; while blocks run, every worker only
+/// reads it.
 struct LaunchState {
   simgpu::Device* device = nullptr;
   Module* module = nullptr;
   const FunctionDecl* kernel = nullptr;
+  const LoweredFunction* code = nullptr;
   LaunchConfig cfg;
   Dialect dialect = Dialect::kOpenCL;
 
-  std::unordered_map<const VarDecl*, uint64_t> shared_va;  // static __local
   uint64_t dynamic_shared_va = 0;  // CUDA extern __shared__ area
   size_t shared_total = 0;
-  std::vector<Value> arg_values;   // decoded per param (dyn-local → pointer)
+  /// Per param (dyn-local → pointer); a register parameter's value is
+  /// already converted to its type.
+  std::vector<Value> arg_values;
 };
 
-/// One block as a worker runs it: its id, its fibers (none for a kernel
-/// that cannot reach a barrier), its shared and private memory (the
-/// worker's BlockMemory, reset for the block), and the block's own sinks,
-/// so workers never touch the device's counters, or its memory on
+/// One block as a worker runs it: its id, its shared and private memory
+/// (the worker's BlockMemory, reset for the block), and the block's own
+/// sinks, so workers never touch the device's counters, or its memory on
 /// multi-worker launches, during execution.
 struct BlockState {
   Dim3 group_id;
-  simgpu::FiberGroup* group = nullptr;
   simgpu::BlockMemory* memory = nullptr;
   simgpu::DeviceStats* stats = nullptr;  // per-block accumulation sink
   BlockLog* log = nullptr;  // multi-worker launches: the block's log
 };
 
-/// Collect every __local/__shared__ variable declared in a statement tree.
-void CollectSharedVars(const Stmt* s, std::vector<const VarDecl*>* out) {
-  if (s == nullptr) return;
-  switch (s->kind) {
-    case StmtKind::kCompound:
-      for (const auto& st : s->As<CompoundStmt>()->body)
-        CollectSharedVars(st.get(), out);
-      return;
-    case StmtKind::kDecl:
-      for (const auto& v : s->As<DeclStmt>()->vars)
-        if (v->quals.space == AddressSpace::kLocal) out->push_back(v.get());
-      return;
-    case StmtKind::kIf: {
-      const auto* i = s->As<IfStmt>();
-      CollectSharedVars(i->then_stmt.get(), out);
-      CollectSharedVars(i->else_stmt.get(), out);
-      return;
-    }
-    case StmtKind::kFor: {
-      const auto* f = s->As<ForStmt>();
-      CollectSharedVars(f->init.get(), out);
-      CollectSharedVars(f->body.get(), out);
-      return;
-    }
-    case StmtKind::kWhile:
-      CollectSharedVars(s->As<WhileStmt>()->body.get(), out);
-      return;
-    case StmtKind::kDo:
-      CollectSharedVars(s->As<lang::DoStmt>()->body.get(), out);
-      return;
+ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
+                        Status* err) {
+  ScalarVal out{};
+  bool flt = IsFloatScalar(k);
+  bool sgn = IsSignedScalar(k);
+  auto div0 = [&] {
+    *err = InternalError("division by zero in kernel");
+    return out;
+  };
+  // Integer +, - and * wrap: computed on the unsigned lanes, they give
+  // the two's-complement result signed overflow would leave undefined.
+  switch (op) {
+    case BinaryOp::kAdd:
+      if (flt) out.f = a.f + b.f; else out.u = a.u + b.u;
+      return out;
+    case BinaryOp::kSub:
+      if (flt) out.f = a.f - b.f; else out.u = a.u - b.u;
+      return out;
+    case BinaryOp::kMul:
+      if (flt) out.f = a.f * b.f; else out.u = a.u * b.u;
+      return out;
+    case BinaryOp::kDiv:
+      if (flt) {
+        out.f = a.f / b.f;
+      } else if (sgn) {
+        if (b.i == 0) return div0();
+        out.i = a.i / b.i;
+      } else {
+        if (b.u == 0) return div0();
+        out.u = a.u / b.u;
+      }
+      return out;
+    case BinaryOp::kRem:
+      if (flt) {
+        out.f = std::fmod(a.f, b.f);
+      } else if (sgn) {
+        if (b.i == 0) return div0();
+        out.i = a.i % b.i;
+      } else {
+        if (b.u == 0) return div0();
+        out.u = a.u % b.u;
+      }
+      return out;
+    case BinaryOp::kShl:
+      out.u = a.u << (b.u & 63);
+      return out;
+    case BinaryOp::kShr:
+      if (sgn) out.i = a.i >> (b.u & 63);
+      else out.u = a.u >> (b.u & 63);
+      return out;
+    case BinaryOp::kAnd: out.u = a.u & b.u; return out;
+    case BinaryOp::kOr: out.u = a.u | b.u; return out;
+    case BinaryOp::kXor: out.u = a.u ^ b.u; return out;
+    case BinaryOp::kEQ:
+      out.i = flt ? (a.f == b.f) : (a.u == b.u);
+      return out;
+    case BinaryOp::kNE:
+      out.i = flt ? (a.f != b.f) : (a.u != b.u);
+      return out;
+    case BinaryOp::kLT:
+      out.i = flt ? (a.f < b.f) : sgn ? (a.i < b.i) : (a.u < b.u);
+      return out;
+    case BinaryOp::kGT:
+      out.i = flt ? (a.f > b.f) : sgn ? (a.i > b.i) : (a.u > b.u);
+      return out;
+    case BinaryOp::kLE:
+      out.i = flt ? (a.f <= b.f) : sgn ? (a.i <= b.i) : (a.u <= b.u);
+      return out;
+    case BinaryOp::kGE:
+      out.i = flt ? (a.f >= b.f) : sgn ? (a.i >= b.i) : (a.u >= b.u);
+      return out;
     default:
-      return;
+      *err = InternalError("unhandled scalar binary op");
+      return out;
   }
 }
 
-/// Runs work-items one at a time. An evaluator keeps its frame slots
-/// across items, so after its first items running one allocates nothing.
-class Evaluator {
+/// The integer and selection built-ins on scalars; vectors apply them per
+/// lane.
+Value ScalarIntOp(BuiltinOp op, const Value& a, const Value& b,
+                  const Value& c) {
+  switch (op) {
+    case BuiltinOp::kMin:
+    case BuiltinOp::kMax: {
+      bool is_min = op == BuiltinOp::kMin;
+      bool take_a;
+      if (a.type() && (a.type()->is_float() || (b.type() && b.type()->is_float()))) {
+        take_a = is_min ? a.AsF64() <= b.AsF64() : a.AsF64() >= b.AsF64();
+      } else if (a.type() && !IsSignedScalar(a.type()->scalar_kind())) {
+        take_a = is_min ? a.AsU64() <= b.AsU64() : a.AsU64() >= b.AsU64();
+      } else {
+        take_a = is_min ? a.AsI64() <= b.AsI64() : a.AsI64() >= b.AsI64();
+      }
+      return take_a ? a : b;
+    }
+    case BuiltinOp::kAbs:
+      return Value::Int(std::llabs(a.AsI64()),
+                        a.type() ? a.type()->scalar_kind() : ScalarKind::kInt);
+    case BuiltinOp::kClamp: {
+      if (a.type() && a.type()->is_float()) {
+        double v = a.AsF64(), lo = b.AsF64(), hi = c.AsF64();
+        return Value::Float(v < lo ? lo : (v > hi ? hi : v),
+                            a.type()->scalar_kind());
+      }
+      int64_t v = a.AsI64(), lo = b.AsI64(), hi = c.AsI64();
+      return Value::Int(v < lo ? lo : (v > hi ? hi : v));
+    }
+    case BuiltinOp::kMix: {
+      double x = a.AsF64(), y = b.AsF64(), t = c.AsF64();
+      return Value::Float(x + (y - x) * t, a.type() ? a.type()->scalar_kind()
+                                                    : ScalarKind::kFloat);
+    }
+    case BuiltinOp::kMul24:
+      return Value::Int((a.AsI64() & 0xFFFFFF) * (b.AsI64() & 0xFFFFFF));
+    case BuiltinOp::kPopcount:
+      return Value::Int(__builtin_popcountll(a.AsU64()));
+    case BuiltinOp::kClz: {
+      uint32_t v = static_cast<uint32_t>(a.AsU64());
+      return Value::Int(v == 0 ? 32 : __builtin_clz(v));
+    }
+    default:
+      return Value::Void();
+  }
+}
+
+/// Runs the blocks a host worker claims. Each block's work-items run
+/// round-robin between barriers: a sweep runs every ready item, in index
+/// order, to its next barrier or its end, and once every live item waits
+/// the barrier releases them all. Items that returned are not waited for,
+/// and waits at different barriers are not told apart (a divergent
+/// barrier, which hangs a real GPU, passes; reporting it is the "sync"
+/// kernel checker on ROADMAP.md). One item's failure does not stop its
+/// siblings; the block's status is the first failure in execution order.
+class Executor {
  public:
-  /// Run the work-item `lid` (`linear_index` in its block) of block `B`.
-  Status Run(const LaunchState& L, BlockState& B, Dim3 lid, int linear_index) {
+  Status RunBlock(const LaunchState& L, BlockState& B, double* item_cycles) {
     L_ = &L;
     B_ = &B;
-    lid_ = lid;
     const Dim3& blk = L.cfg.block;
-    gid_ = Dim3(B.group_id.x * blk.x + lid.x, B.group_id.y * blk.y + lid.y,
-                B.group_id.z * blk.z + lid.z);
-    private_base_ = L.device->vm().private_base() +
-                    static_cast<uint64_t>(linear_index) * kPrivateBytesPerItem;
-    private_top_ = private_base_;
-    cycles_ = 0;
-    base_ = top_ = 0;
-    ReserveFrame(*L.kernel);
-    depth_ = 1;
-    BRIDGECL_RETURN_IF_ERROR(BindKernelParams());
-    auto flow = Exec(*L.kernel->body);
-    if (!flow.ok()) return flow.status();
+    const int items = static_cast<int>(blk.Count());
+    std::vector<Slot>& slots = slots_;
+    slots.assign(items, Slot{nullptr, kReady});
+    Status first;
+    for (bool waiting = true; waiting;) {
+      for (int i = 0; i < items; ++i) {
+        Slot& s = slots[i];
+        if (s.state != kReady) continue;
+        bool yielded = false;
+        Status st;
+        if (s.item == nullptr) {
+          s.item = Take();
+          st = Begin(*s.item, Dim3(i % blk.x, (i / blk.x) % blk.y,
+                                   i / (blk.x * blk.y)),
+                     i);
+        }
+        if (st.ok()) st = Resume(*s.item, &yielded);
+        if (yielded) {
+          s.state = kWaiting;
+          continue;
+        }
+        s.state = kDone;
+        item_cycles[i] = s.item->cycles;
+        free_.push_back(s.item);
+        if (!st.ok() && first.ok()) first = std::move(st);
+      }
+      waiting = false;
+      for (Slot& s : slots)
+        if (s.state == kWaiting) {
+          s.state = kReady;
+          waiting = true;
+        }
+    }
+    return first;
+  }
+
+ private:
+  Item* Take() {
+    if (free_.empty()) {
+      items_.push_back(std::make_unique<Item>());
+      return items_.back().get();
+    }
+    Item* it = free_.back();
+    free_.pop_back();
+    return it;
+  }
+
+  /// Start work-item `lid` (`index` in its block): its kernel frame, with
+  /// the kernel's parameters bound.
+  Status Begin(Item& it, Dim3 lid, int index) {
+    it_ = &it;
+    const Dim3& blk = L_->cfg.block;
+    it.lid = lid;
+    it.gid = Dim3(B_->group_id.x * blk.x + lid.x,
+                  B_->group_id.y * blk.y + lid.y,
+                  B_->group_id.z * blk.z + lid.z);
+    it.private_base = L_->device->vm().private_base() +
+                      static_cast<uint64_t>(index) * kPrivateBytesPerItem;
+    it.private_top = it.private_base;
+    it.cycles = 0;
+    it.handlers.clear();
+    it.frames.assign(1, Frame{L_->code, 0, 0, 0, kNoReg, it.private_top});
+    Reserve(it, 0, 0, *L_->code);
+    const auto& params = L_->kernel->params;
+    for (size_t i = 0; i < params.size(); ++i) {
+      if (L_->code->params[i] == ParamBinding::kRegister)
+        it.regs[i] = L_->arg_values[i];
+      else
+        BRIDGECL_RETURN_IF_ERROR(
+            BindVar(params[i].get(), static_cast<uint32_t>(i),
+                    L_->arg_values[i]));
+    }
     return OkStatus();
   }
 
-  double cycles() const { return cycles_; }
-
- private:
-  /// Reserve `fn`'s frame above the current top, every slot unbound, and
-  /// return its base.
-  uint32_t ReserveFrame(const FunctionDecl& fn) {
-    uint32_t base = top_;
-    top_ += static_cast<uint32_t>(fn.frame_slots);
-    if (slots_.size() < top_) slots_.resize(top_);
-    for (uint32_t i = base; i < top_; ++i) slots_[i].bound = false;
-    return base;
-  }
-
-  /// The current frame's slot for a parameter or local.
-  Slot& SlotOf(const VarDecl* var) {
-    assert(var->slot >= 0 && base_ + var->slot < top_);
-    return slots_[base_ + var->slot];
-  }
-
-  void BindMem(const VarDecl* var, uint64_t va) {
-    Slot& s = SlotOf(var);
-    s.bound = true;
-    s.loc = LV{LV::Kind::kMem, va, 0, var->type};
-  }
-
-  void BindReg(const VarDecl* var, Value v) {
-    Slot& s = SlotOf(var);
-    s.bound = true;
-    s.reg = std::move(v);
-    s.loc = LV{LV::Kind::kReg, 0, base_ + static_cast<uint32_t>(var->slot),
-               s.reg.type() ? s.reg.type() : var->type};
-  }
-
-  /// Where the variable `r` names lives: its slot in the current frame,
-  /// else module-scope memory.
-  StatusOr<LV> VarLocation(const DeclRefExpr& r) {
-    const VarDecl* var = r.var;
-    if (var->slot >= 0 && SlotOf(var).bound) return SlotOf(var).loc;
-    if (uint64_t va = L_->module->VaOf(var))
-      return LV{LV::Kind::kMem, va, 0, var->type};
-    return Err("unbound variable '" + r.name + "'");
+  static void Reserve(Item& it, uint32_t base, uint32_t lbase,
+                      const LoweredFunction& fn) {
+    if (it.regs.size() < base + fn.regs) it.regs.resize(base + fn.regs);
+    if (it.lvs.size() < lbase + fn.lvs) it.lvs.resize(lbase + fn.lvs);
   }
 
   Status Err(std::string msg) { return InternalError(std::move(msg)); }
 
   // -- cost accounting -----------------------------------------------------
   void ChargeOp(double c) {
-    cycles_ += c;
+    it_->cycles += c;
     ++B_->stats->ops_executed;
   }
 
@@ -326,22 +437,22 @@ class Evaluator {
     switch (seg) {
       case Segment::kGlobal:
         ++st.global_accesses;
-        cycles_ += prof.cost_global_access *
-                   std::max<size_t>(1, (bytes + 15) / 16);
+        it_->cycles += prof.cost_global_access *
+                       std::max<size_t>(1, (bytes + 15) / 16);
         break;
       case Segment::kShared: {
         int words = L_->device->SharedAccessBankWords(va, bytes);
         ++st.shared_accesses;
         st.shared_bank_words += words;
-        cycles_ += prof.cost_shared_access * words;
+        it_->cycles += prof.cost_shared_access * words;
         break;
       }
       case Segment::kConstant:
         ++st.constant_accesses;
-        cycles_ += prof.cost_constant_access;
+        it_->cycles += prof.cost_constant_access;
         break;
       case Segment::kPrivate:
-        cycles_ += prof.cost_alu * 0.5;
+        it_->cycles += prof.cost_alu * 0.5;
         break;
     }
     return OkStatus();
@@ -355,12 +466,13 @@ class Evaluator {
   /// (the loss is asynchronous, not attributable to one work-item).
   Status FaultAt(const Status& st) {
     if (st.ok() || st.code() == StatusCode::kDeviceLost) return st;
+    const Item& it = *it_;
     Status out(st.code(),
                st.message() +
                    StrFormat(" [work-item global (%u,%u,%u), local (%u,%u,%u),"
                              " block %s]",
-                             gid_.x, gid_.y, gid_.z, lid_.x, lid_.y, lid_.z,
-                             B_->group_id.ToString().c_str()));
+                             it.gid.x, it.gid.y, it.gid.z, it.lid.x, it.lid.y,
+                             it.lid.z, B_->group_id.ToString().c_str()));
     out.set_api_code(st.api_code());
     return out;
   }
@@ -400,12 +512,12 @@ class Evaluator {
     return OkStatus();
   }
 
-  StatusOr<Value> LoadMem(uint64_t va, const Type::Ptr& type) {
+  Status LoadMem(uint64_t va, Type::Ptr type, Value& out) {
     size_t n = type->ByteSize();
     auto p = Resolve(va, n);
     if (!p.ok()) return FaultAt(p.status());
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
-    return DecodeValue(type, Seen(va, *p, n));
+    return DecodeValue(type, Seen(va, *p, n), &out);
   }
 
   Status StoreMem(uint64_t va, const Value& v) {
@@ -420,335 +532,75 @@ class Evaluator {
   }
 
   StatusOr<uint64_t> StackAlloc(size_t bytes, size_t align) {
-    uint64_t top = (private_top_ + align - 1) / align * align;
-    if (top + bytes > private_base_ + kPrivateBytesPerItem)
+    uint64_t top = (it_->private_top + align - 1) / align * align;
+    if (top + bytes > it_->private_base + kPrivateBytesPerItem)
       return ResourceExhaustedError("work-item private memory exhausted");
-    private_top_ = top + bytes;
+    it_->private_top = top + bytes;
     return top;
   }
 
-  // -- kernel parameter binding ---------------------------------------------
-  Status BindKernelParams() {
-    const auto& params = L_->kernel->params;
-    for (size_t i = 0; i < params.size(); ++i) {
-      VarDecl* p = params[i].get();
-      const Value& v = L_->arg_values[i];
-      BRIDGECL_RETURN_IF_ERROR(BindVar(p, v));
-    }
-    return OkStatus();
-  }
-
-  /// Bind a value to a variable, spilling aggregates / address-taken
-  /// variables to private memory.
-  Status BindVar(const VarDecl* var, const Value& v) {
+  /// Bind `v` to the current frame's variable `var` in slot `slot`,
+  /// spilling aggregates and address-taken variables to private memory.
+  Status BindVar(const VarDecl* var, uint32_t slot, const Value& v) {
+    const Frame& f = it_->frames.back();
     Type::Ptr t = var->type;
     if (t && t->is_named() && v.type()) t = v.type();  // template params
-    bool needs_mem = var->address_taken ||
-                     (t && (t->is_struct() || t->is_array()));
-    if (needs_mem) {
+    if (var->address_taken || (t && (t->is_struct() || t->is_array()))) {
       size_t size = t->ByteSize();
       BRIDGECL_ASSIGN_OR_RETURN(uint64_t va,
                                 StackAlloc(size, t->Alignment()));
-      BindMem(var, va);
+      it_->lvs[f.lbase + slot] = LV{LV::Kind::kMem, va, 0, var->type};
       Value stored = v.is_aggregate() ? v : v.ConvertTo(t);
       stored.set_type(t);
-      if (stored.is_aggregate() && stored.bytes().size() < size)
-        stored.bytes().resize(size);
+      if (stored.is_aggregate()) stored.PadBytesTo(size);
       return StoreMem(va, stored);
     }
-    BindReg(var, v.ConvertTo(t));
+    BindReg(var, f.base + slot, f.lbase + slot, v.ConvertTo(t));
     return OkStatus();
   }
 
-  // -- statements ------------------------------------------------------------
-  StatusOr<FlowKind> Exec(const Stmt& s) {
-    // Deterministic instruction trap: one interpreted statement is one
-    // "instruction" for FaultSite::kInstruction plans.
-    if (simgpu::FaultInjector& inj = L_->device->faults(); inj.armed())
-      BRIDGECL_RETURN_IF_ERROR(FaultAt(inj.OnInstruction()));
-    switch (s.kind) {
-      case StmtKind::kCompound: {
-        for (const auto& st : s.As<CompoundStmt>()->body) {
-          BRIDGECL_ASSIGN_OR_RETURN(FlowKind f, Exec(*st));
-          if (f != FlowKind::kNormal) return f;
-        }
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kDecl: {
-        for (const auto& v : s.As<DeclStmt>()->vars)
-          BRIDGECL_RETURN_IF_ERROR(ExecVarDecl(v.get()));
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kExpr: {
-        BRIDGECL_RETURN_IF_ERROR(Eval(*s.As<ExprStmt>()->expr).status());
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kIf: {
-        const auto* i = s.As<IfStmt>();
-        BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*i->cond));
-        ChargeOp(L_->device->profile().cost_alu);
-        if (c.AsBool()) return Exec(*i->then_stmt);
-        if (i->else_stmt) return Exec(*i->else_stmt);
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kFor: {
-        const auto* f = s.As<ForStmt>();
-        if (f->init) {
-          BRIDGECL_ASSIGN_OR_RETURN(FlowKind fi, Exec(*f->init));
-          (void)fi;
-        }
-        while (true) {
-          if (f->cond) {
-            BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*f->cond));
-            ChargeOp(L_->device->profile().cost_alu);
-            if (!c.AsBool()) break;
-          }
-          BRIDGECL_ASSIGN_OR_RETURN(FlowKind fb, Exec(*f->body));
-          if (fb == FlowKind::kReturn) return fb;
-          if (fb == FlowKind::kBreak) break;
-          if (f->step) BRIDGECL_RETURN_IF_ERROR(Eval(*f->step).status());
-        }
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kWhile: {
-        const auto* w = s.As<WhileStmt>();
-        while (true) {
-          BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*w->cond));
-          ChargeOp(L_->device->profile().cost_alu);
-          if (!c.AsBool()) break;
-          BRIDGECL_ASSIGN_OR_RETURN(FlowKind fb, Exec(*w->body));
-          if (fb == FlowKind::kReturn) return fb;
-          if (fb == FlowKind::kBreak) break;
-        }
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kDo: {
-        const auto* d = s.As<lang::DoStmt>();
-        while (true) {
-          BRIDGECL_ASSIGN_OR_RETURN(FlowKind fb, Exec(*d->body));
-          if (fb == FlowKind::kReturn) return fb;
-          if (fb == FlowKind::kBreak) break;
-          BRIDGECL_ASSIGN_OR_RETURN(Value c, Eval(*d->cond));
-          ChargeOp(L_->device->profile().cost_alu);
-          if (!c.AsBool()) break;
-        }
-        return FlowKind::kNormal;
-      }
-      case StmtKind::kReturn: {
-        const auto* r = s.As<ReturnStmt>();
-        if (r->value) {
-          BRIDGECL_ASSIGN_OR_RETURN(ret_, Eval(*r->value));
-        } else {
-          ret_ = Value::Void();
-        }
-        return FlowKind::kReturn;
-      }
-      case StmtKind::kBreak:
-        return FlowKind::kBreak;
-      case StmtKind::kContinue:
-        return FlowKind::kContinue;
-      case StmtKind::kEmpty:
-        return FlowKind::kNormal;
-    }
-    return FlowKind::kNormal;
+  void BindReg(const VarDecl* var, uint32_t reg, uint32_t lv, Value v) {
+    Value& r = it_->regs[reg];
+    r = std::move(v);
+    it_->lvs[lv] = LV{LV::Kind::kReg, 0, reg, r.type() ? r.type() : var->type};
   }
 
-  Status ExecVarDecl(const VarDecl* var) {
-    // Static __local/__shared__ variables: bound to the block's shared
-    // region at the pre-computed offset; initialization is not allowed in
-    // either model, and the extern dynamic variable maps to the dynamic
-    // area start.
-    if (var->quals.space == AddressSpace::kLocal) {
-      if (var->quals.is_extern) {
-        BindMem(var, L_->dynamic_shared_va);
-        return OkStatus();
-      }
-      auto it = L_->shared_va.find(var);
-      if (it == L_->shared_va.end())
-        return Err("unlaid-out shared variable '" + var->name + "'");
-      BindMem(var, it->second);
+  // -- locations -------------------------------------------------------------
+  Status Read(const LV& lv, Value& out) {
+    if (lv.lanes == 0) {
+      if (lv.kind == LV::Kind::kMem) return LoadMem(lv.va, lv.type, out);
+      out = it_->regs[lv.slot];
       return OkStatus();
     }
-    Type::Ptr t = var->type;
-    bool needs_mem =
-        var->address_taken || (t && (t->is_struct() || t->is_array()));
-    if (needs_mem) {
-      size_t size = t->ByteSize();
-      BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, StackAlloc(size, t->Alignment()));
-      BindMem(var, va);
-      BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, size));
-      std::memset(p, 0, size);
-      if (var->init) {
-        if (var->init->kind == ExprKind::kInitList) {
-          const auto* list = var->init->As<InitListExpr>();
-          if (!t->is_array())
-            return Err("initializer list on non-array local");
-          Type::Ptr elem = t->element();
-          size_t esz = elem->ByteSize();
-          for (size_t i = 0; i < list->elems.size(); ++i) {
-            BRIDGECL_ASSIGN_OR_RETURN(Value ev, Eval(*list->elems[i]));
-            BRIDGECL_RETURN_IF_ERROR(StoreMem(va + i * esz,
-                                              ev.ConvertTo(elem)));
-          }
-        } else {
-          BRIDGECL_ASSIGN_OR_RETURN(Value ev, Eval(*var->init));
-          BRIDGECL_RETURN_IF_ERROR(StoreMem(va, ev.ConvertTo(t)));
-        }
-      }
-      return OkStatus();
-    }
-    Value init;
-    if (var->init) {
-      BRIDGECL_ASSIGN_OR_RETURN(init, Eval(*var->init));
-      if (t && t->is_named() && init.type()) {
-        // Template-typed local: adopt the runtime type.
-        BindReg(var, std::move(init));
-        return OkStatus();
-      }
-      init = init.ConvertTo(t);
-    } else {
-      // Zero-initialized register (deterministic simulation).
-      if (t && t->is_vector()) {
-        init = Value::Vector(t);
-      } else {
-        init = Value::Int(0).ConvertTo(t ? t : Type::IntTy());
-      }
-    }
-    BindReg(var, std::move(init));
-    return OkStatus();
-  }
-
-  // -- lvalues ---------------------------------------------------------------
-  StatusOr<LV> Lval(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kDeclRef: {
-        const auto* r = e.As<DeclRefExpr>();
-        if (r->var == nullptr)
-          return Err("assignment to non-variable '" + r->name + "'");
-        return VarLocation(*r);
-      }
-      case ExprKind::kParen:
-        return Lval(*e.As<ParenExpr>()->inner);
-      case ExprKind::kUnary: {
-        const auto* u = e.As<UnaryExpr>();
-        if (u->op != UnaryOp::kDeref)
-          return Err("expression is not assignable");
-        BRIDGECL_ASSIGN_OR_RETURN(Value p, Eval(*u->operand));
-        LV lv;
-        lv.kind = LV::Kind::kMem;
-        lv.va = p.AsVa();
-        lv.type = e.type ? e.type
-                         : (p.type() && p.type()->is_pointer()
-                                ? p.type()->pointee()
-                                : Type::IntTy());
-        return lv;
-      }
-      case ExprKind::kIndex: {
-        const auto* ix = e.As<IndexExpr>();
-        Type::Ptr bt = ix->base->type;
-        // Vector component via dynamic index: v[i].
-        if (bt && bt->is_vector()) {
-          BRIDGECL_ASSIGN_OR_RETURN(LV base, Lval(*ix->base));
-          BRIDGECL_ASSIGN_OR_RETURN(Value idx, Eval(*ix->index));
-          int64_t i = idx.AsI64();
-          if (i < 0 || i >= bt->vector_width())
-            return Err("vector component index out of range");
-          base.lanes = 1;
-          base.swizzle[0] = static_cast<uint8_t>(i);
-          return base;
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(Value idx, Eval(*ix->index));
-        Type::Ptr elem = e.type;
-        if (!elem) return Err("untyped subscript");
-        ChargeOp(L_->device->profile().cost_alu);
-        uint64_t base_va;
-        if (bt && bt->is_array()) {
-          // Multi-dimensional arrays: the base is itself an aggregate
-          // location (tile[ty][tx]); index into its address directly.
-          BRIDGECL_ASSIGN_OR_RETURN(LV base_lv, Lval(*ix->base));
-          if (base_lv.kind != LV::Kind::kMem)
-            return Err("subscript on non-addressable array");
-          base_va = base_lv.va;
-        } else {
-          BRIDGECL_ASSIGN_OR_RETURN(Value base, Eval(*ix->base));
-          base_va = base.AsVa();
-        }
-        LV lv;
-        lv.kind = LV::Kind::kMem;
-        lv.va = base_va + idx.AsI64() * elem->ByteSize();
-        lv.type = elem;
-        return lv;
-      }
-      case ExprKind::kMember: {
-        const auto* m = e.As<MemberExpr>();
-        if (m->is_swizzle) {
-          BRIDGECL_ASSIGN_OR_RETURN(LV base, Lval(*m->base));
-          if (base.lanes != 0)
-            return Err("nested swizzle assignment is not supported");
-          base.lanes = static_cast<uint8_t>(m->swizzle.size());
-          std::copy(m->swizzle.begin(), m->swizzle.end(), base.swizzle);
-          return base;
-        }
-        // Struct member.
-        Type::Ptr agg_t = nullptr;
-        uint64_t base_va = 0;
-        if (m->is_arrow) {
-          BRIDGECL_ASSIGN_OR_RETURN(Value p, Eval(*m->base));
-          agg_t = p.type() && p.type()->is_pointer() ? p.type()->pointee()
-                                                     : nullptr;
-          base_va = p.AsVa();
-        } else {
-          BRIDGECL_ASSIGN_OR_RETURN(LV base, Lval(*m->base));
-          if (base.kind != LV::Kind::kMem)
-            return Err("struct member write requires memory-backed struct");
-          agg_t = base.type;
-          base_va = base.va;
-        }
-        if (!agg_t || !agg_t->is_struct())
-          return Err("member access on non-struct");
-        const lang::StructField* f = agg_t->struct_decl()->FindField(m->member);
-        if (f == nullptr) return Err("no field '" + m->member + "'");
-        LV lv;
-        lv.kind = LV::Kind::kMem;
-        lv.va = base_va + f->offset;
-        lv.type = f->type;
-        return lv;
-      }
-      default:
-        return Err("expression is not assignable");
-    }
-  }
-
-  StatusOr<Value> Read(const LV& lv) {
     Value whole;
     if (lv.kind == LV::Kind::kMem) {
-      BRIDGECL_ASSIGN_OR_RETURN(whole, LoadMem(lv.va, lv.type));
+      BRIDGECL_RETURN_IF_ERROR(LoadMem(lv.va, lv.type, whole));
     } else {
-      whole = slots_[lv.slot].reg;
+      whole = it_->regs[lv.slot];
     }
-    if (lv.lanes == 0) return whole;
     if (!whole.is_vector()) return Err("swizzle read of non-vector");
-    if (lv.lanes == 1) return whole.Component(lv.swizzle[0]);
-    Value out =
-        Value::Vector(Type::Vector(whole.type()->scalar_kind(), lv.lanes));
+    if (lv.lanes == 1) {
+      out = whole.Component(lv.swizzle[0]);
+      return OkStatus();
+    }
+    out = Value::Vector(Type::Vector(whole.type()->scalar_kind(), lv.lanes));
     for (int i = 0; i < lv.lanes; ++i)
       out.comps()[i] = whole.comps()[lv.swizzle[i]];
-    return out;
+    return OkStatus();
   }
 
   Status Write(const LV& lv, const Value& v) {
     if (lv.lanes == 0) {
-      Value stored = v.ConvertTo(lv.type);
-      if (lv.kind == LV::Kind::kMem) return StoreMem(lv.va, stored);
-      slots_[lv.slot].reg = std::move(stored);
+      if (lv.kind == LV::Kind::kMem) return StoreMem(lv.va, v.ConvertTo(lv.type));
+      it_->regs[lv.slot] = v.ConvertTo(lv.type);
       return OkStatus();
     }
     // Swizzled store: read-modify-write the base vector.
     Value whole;
     if (lv.kind == LV::Kind::kMem) {
-      BRIDGECL_ASSIGN_OR_RETURN(whole, LoadMem(lv.va, lv.type));
+      BRIDGECL_RETURN_IF_ERROR(LoadMem(lv.va, lv.type, whole));
     } else {
-      whole = slots_[lv.slot].reg;
+      whole = it_->regs[lv.slot];
     }
     if (!whole.is_vector()) return Err("swizzle write of non-vector");
     ScalarKind ek = whole.type()->scalar_kind();
@@ -761,354 +613,102 @@ class Evaluator {
         whole.comps()[lv.swizzle[i]] = src.comps()[i];
     }
     if (lv.kind == LV::Kind::kMem) return StoreMem(lv.va, whole);
-    slots_[lv.slot].reg = std::move(whole);
+    it_->regs[lv.slot] = std::move(whole);
     return OkStatus();
   }
 
-  // -- expression evaluation ---------------------------------------------------
-  StatusOr<Value> Eval(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kIntLit: {
-        const auto* i = e.As<IntLitExpr>();
-        if (e.type) return Value::UInt(i->value).ConvertTo(e.type);
-        return Value::Int(static_cast<int64_t>(i->value));
-      }
-      case ExprKind::kFloatLit: {
-        const auto* f = e.As<FloatLitExpr>();
-        return Value::Float(f->value, f->is_float ? ScalarKind::kFloat
-                                                  : ScalarKind::kDouble);
-      }
-      case ExprKind::kDeclRef:
-        return EvalDeclRef(*e.As<DeclRefExpr>());
-      case ExprKind::kStringLit:
-        // Format strings are only consumed by printf/assert, which the
-        // simulator does not interpret; an opaque handle suffices.
-        return Value::Pointer(0, e.type ? e.type : Type::IntTy());
-      case ExprKind::kParen:
-        return Eval(*e.As<ParenExpr>()->inner);
-      case ExprKind::kUnary:
-        return EvalUnary(*e.As<UnaryExpr>());
-      case ExprKind::kBinary:
-        return EvalBinary(*e.As<BinaryExpr>());
-      case ExprKind::kAssign:
-        return EvalAssign(*e.As<AssignExpr>());
-      case ExprKind::kConditional: {
-        const auto* c = e.As<ConditionalExpr>();
-        BRIDGECL_ASSIGN_OR_RETURN(Value cond, Eval(*c->cond));
-        ChargeOp(L_->device->profile().cost_alu);
-        return cond.AsBool() ? Eval(*c->then_expr) : Eval(*c->else_expr);
-      }
-      case ExprKind::kCall:
-        return EvalCall(*e.As<CallExpr>());
-      case ExprKind::kIndex: {
-        const auto* ix = e.As<IndexExpr>();
-        Type::Ptr bt = ix->base->type;
-        if (bt && bt->is_vector()) {
-          BRIDGECL_ASSIGN_OR_RETURN(Value base, Eval(*ix->base));
-          BRIDGECL_ASSIGN_OR_RETURN(Value idx, Eval(*ix->index));
-          int i = static_cast<int>(idx.AsI64());
-          if (i < 0 || i >= static_cast<int>(base.comps().size()))
-            return Err("vector component index out of range");
-          return base.Component(i);
-        }
-        BRIDGECL_ASSIGN_OR_RETURN(LV lv, Lval(e));
-        return Read(lv);
-      }
-      case ExprKind::kMember:
-        return EvalMember(*e.As<MemberExpr>());
-      case ExprKind::kCast: {
-        const auto* c = e.As<CastExpr>();
-        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c->operand));
-        ChargeOp(L_->device->profile().cost_alu * 0.5);
-        if (c->style == lang::CastStyle::kReinterpret && c->target &&
-            !c->target->is_pointer() && v.type() &&
-            v.type()->ByteSize() == c->target->ByteSize()) {
-          return v.BitcastTo(c->target);
-        }
-        return v.ConvertTo(c->target);
-      }
-      case ExprKind::kInitList:
-        return Err("brace initializer outside a declaration");
-      case ExprKind::kSizeof: {
-        const auto* s = e.As<SizeofExpr>();
-        size_t n = s->arg_type ? s->arg_type->ByteSize()
-                               : (s->arg_expr->type
-                                      ? s->arg_expr->type->ByteSize()
-                                      : 0);
-        return Value::UInt(n, ScalarKind::kSizeT);
-      }
-      case ExprKind::kVectorLit: {
-        const auto* v = e.As<VectorLitExpr>();
-        int w = v->vec_type->vector_width();
-        ScalarKind ek = v->vec_type->scalar_kind();
-        Value out = Value::Vector(v->vec_type);
-        std::span<ScalarVal> comps = out.comps();
-        if (v->elems.size() == 1) {
-          BRIDGECL_ASSIGN_OR_RETURN(Value ev, Eval(*v->elems[0]));
-          ScalarVal c = ev.ConvertTo(Type::Scalar(ek)).scalar();
-          for (int i = 0; i < w; ++i) comps[i] = c;
-        } else {
-          int at = 0;
-          for (const auto& el : v->elems) {
-            BRIDGECL_ASSIGN_OR_RETURN(Value ev, Eval(*el));
-            if (ev.is_vector()) {
-              for (int i = 0; i < ev.type()->vector_width() && at < w; ++i)
-                comps[at++] =
-                    ev.Component(i).ConvertTo(Type::Scalar(ek)).scalar();
-            } else if (at < w) {
-              comps[at++] = ev.ConvertTo(Type::Scalar(ek)).scalar();
-            }
-          }
-          if (at != w)
-            return Err("wrong number of vector literal components");
-        }
-        ChargeOp(L_->device->profile().cost_alu);
-        return out;
-      }
-    }
-    return Err("unhandled expression kind");
-  }
-
-  StatusOr<Value> EvalDeclRef(const DeclRefExpr& r) {
-    if (r.var != nullptr) {
-      BRIDGECL_ASSIGN_OR_RETURN(LV lv, VarLocation(r));
-      // Arrays in memory decay to a pointer to their first element.
-      Type::Ptr t = r.var->type;
-      if (lv.kind == LV::Kind::kMem && t && t->is_array())
-        return Value::Pointer(lv.va,
-                              Type::Pointer(t->element(), r.var->quals.space));
-      return Read(lv);
-    }
-    // CUDA built-in index variables.
-    if (r.builtin) {
-      auto vec3 = [&](const Dim3& d) {
-        Value v = Value::Vector(Type::Vector(ScalarKind::kUInt, 3));
-        std::span<ScalarVal> c = v.comps();
-        c[0].u = d.x;
-        c[1].u = d.y;
-        c[2].u = d.z;
-        return v;
-      };
-      switch (r.builtin.op()) {
-        case BuiltinOp::kThreadIdx: return vec3(lid_);
-        case BuiltinOp::kBlockIdx: return vec3(B_->group_id);
-        case BuiltinOp::kBlockDim: return vec3(L_->cfg.block);
-        case BuiltinOp::kGridDim: return vec3(L_->cfg.grid);
-        case BuiltinOp::kWarpSize:
-          return Value::Int(L_->device->profile().warp_size);
-        default:
-          return Err("built-in function '" + r.name + "' used as a value");
-      }
-    }
-    if (r.is_constant) {
-      if (auto c = NamedConstantValue(r.name)) return Value::UInt(*c);
-      return Err("unknown builtin constant '" + r.name + "'");
-    }
-    // Texture reference.
-    if (L_->module->FindTextureRef(r.name) != nullptr) {
-      BRIDGECL_ASSIGN_OR_RETURN(uint64_t desc_va,
-                                L_->module->TextureBinding(r.name));
-      return Value::Pointer(desc_va, r.type ? r.type : Type::IntTy());
-    }
-    return Err("unresolved identifier '" + r.name + "'");
-  }
-
-  StatusOr<Value> EvalMember(const MemberExpr& m) {
-    if (m.is_swizzle) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value base, Eval(*m.base));
-      if (!base.is_vector()) return Err("swizzle on non-vector");
-      if (m.swizzle.size() == 1) return base.Component(m.swizzle[0]);
-      Value out = Value::Vector(
-          Type::Vector(base.type()->scalar_kind(),
-                       static_cast<int>(m.swizzle.size())));
-      for (size_t i = 0; i < m.swizzle.size(); ++i) {
-        if (m.swizzle[i] >= static_cast<int>(base.comps().size()))
-          return Err("swizzle component out of range");
-        out.comps()[i] = base.comps()[m.swizzle[i]];
-      }
-      return out;
-    }
-    // Struct member.
-    Type::Ptr bt = m.base->type;
-    if (m.is_arrow || (bt && bt->is_struct())) {
-      // Try the lvalue path (memory-backed) first.
-      auto lv = Lval(m);
-      if (lv.ok()) return Read(*lv);
-      // Rvalue aggregate: extract from the byte image.
-      BRIDGECL_ASSIGN_OR_RETURN(Value base, Eval(*m.base));
-      if (!base.is_aggregate()) return lv.status();
-      const lang::StructDecl* sd = base.type()->struct_decl();
-      const lang::StructField* f = sd->FindField(m.member);
-      if (f == nullptr) return Err("no field '" + m.member + "'");
-      return DecodeValue(f->type, base.bytes().data() + f->offset);
-    }
-    return Err("member access on unsupported base");
-  }
-
-  StatusOr<Value> EvalUnary(const UnaryExpr& u) {
-    const auto& prof = L_->device->profile();
-    switch (u.op) {
-      case UnaryOp::kAddrOf: {
-        BRIDGECL_ASSIGN_OR_RETURN(LV lv, Lval(*u.operand));
-        if (lv.kind != LV::Kind::kMem)
-          return Err("address of non-addressable value");
-        Type::Ptr pt =
-            u.operand->type
-                ? Type::Pointer(u.operand->type, AddressSpace::kPrivate)
-                : Type::Pointer(Type::IntTy(), AddressSpace::kPrivate);
-        return Value::Pointer(lv.va, pt);
-      }
-      case UnaryOp::kDeref: {
-        BRIDGECL_ASSIGN_OR_RETURN(Value p, Eval(*u.operand));
-        Type::Ptr t = p.type() && p.type()->is_pointer()
-                          ? p.type()->pointee()
-                          : Type::IntTy();
-        return LoadMem(p.AsVa(), t);
-      }
-      case UnaryOp::kPreInc:
-      case UnaryOp::kPreDec:
-      case UnaryOp::kPostInc:
-      case UnaryOp::kPostDec: {
-        BRIDGECL_ASSIGN_OR_RETURN(LV lv, Lval(*u.operand));
-        BRIDGECL_ASSIGN_OR_RETURN(Value old, Read(lv));
-        ChargeOp(prof.cost_alu);
-        int64_t delta =
-            (u.op == UnaryOp::kPreInc || u.op == UnaryOp::kPostInc) ? 1 : -1;
-        Value next;
-        if (old.type() && old.type()->is_pointer()) {
-          next = Value::Pointer(
-              old.AsVa() + delta * old.type()->pointee()->ByteSize(),
-              old.type());
-        } else if (old.type() && old.type()->is_float()) {
-          next = Value::Float(old.AsF64() + delta, old.type()->scalar_kind());
-        } else {
-          next = Value::Int(old.AsI64() + delta,
-                            old.type() ? old.type()->scalar_kind()
-                                       : ScalarKind::kInt);
-        }
-        BRIDGECL_RETURN_IF_ERROR(Write(lv, next));
-        bool pre = u.op == UnaryOp::kPreInc || u.op == UnaryOp::kPreDec;
-        return pre ? next : old;
-      }
-      case UnaryOp::kPlus:
-        return Eval(*u.operand);
-      case UnaryOp::kMinus: {
-        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*u.operand));
-        ChargeOp(prof.cost_alu);
-        if (v.is_vector()) {
-          Value out = v;
-          bool flt = IsFloatScalar(v.type()->scalar_kind());
-          for (auto& c : out.comps()) {
-            if (flt)
-              c.f = -c.f;
-            else
-              c.i = -c.i;
-          }
-          return out;
-        }
-        if (v.type() && v.type()->is_float())
-          return Value::Float(-v.AsF64(), v.type()->scalar_kind());
-        return Value::Int(-v.AsI64(), v.type() ? v.type()->scalar_kind()
-                                               : ScalarKind::kInt);
-      }
-      case UnaryOp::kNot: {
-        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*u.operand));
-        ChargeOp(prof.cost_alu);
-        return Value::Int(v.AsBool() ? 0 : 1);
-      }
-      case UnaryOp::kBitNot: {
-        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*u.operand));
-        ChargeOp(prof.cost_alu);
-        if (v.is_vector()) {
-          Value out = v;
-          for (auto& c : out.comps()) c.u = ~c.u;
-          return out.ConvertTo(v.type());
-        }
-        return Value::Int(~v.AsI64(), v.type() ? v.type()->scalar_kind()
-                                               : ScalarKind::kInt);
-      }
-    }
-    return Err("unhandled unary operator");
-  }
-
-  static ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b,
-                                 ScalarKind k, Status* err) {
-    ScalarVal out{};
-    bool flt = IsFloatScalar(k);
-    bool sgn = IsSignedScalar(k);
-    auto div0 = [&] {
-      *err = InternalError("division by zero in kernel");
-      return out;
+  /// The location `op` builds from its operands.
+  Status MakeLocation(const Op& op, const Value* regs, const LV* lvs,
+                      const Value* consts, LV& out) {
+    auto V = [&](Operand o) -> const Value& {
+      return o >= 0 ? regs[o] : consts[~o];
     };
-    // Integer +, - and * wrap: computed on the unsigned lanes, they give
-    // the two's-complement result signed overflow would leave undefined.
-    switch (op) {
-      case BinaryOp::kAdd:
-        if (flt) out.f = a.f + b.f; else out.u = a.u + b.u;
-        return out;
-      case BinaryOp::kSub:
-        if (flt) out.f = a.f - b.f; else out.u = a.u - b.u;
-        return out;
-      case BinaryOp::kMul:
-        if (flt) out.f = a.f * b.f; else out.u = a.u * b.u;
-        return out;
-      case BinaryOp::kDiv:
-        if (flt) {
-          out.f = a.f / b.f;
-        } else if (sgn) {
-          if (b.i == 0) return div0();
-          out.i = a.i / b.i;
+    switch (op.code) {
+      case OpCode::kGlobalLV: {
+        const auto* var = static_cast<const VarDecl*>(op.p);
+        uint64_t va = L_->module->VaOf(var);
+        if (va == 0) return Err("unbound variable '" + var->name + "'");
+        out = LV{LV::Kind::kMem, va, 0, var->type};
+        return OkStatus();
+      }
+      case OpCode::kDerefLV: {
+        const Value& p = V(op.a);
+        out = LV{};
+        out.kind = LV::Kind::kMem;
+        out.va = p.AsVa();
+        out.type = op.p ? static_cast<Type::Ptr>(op.p)
+                        : (p.type() && p.type()->is_pointer()
+                               ? p.type()->pointee()
+                               : Type::IntTy());
+        return OkStatus();
+      }
+      case OpCode::kIndexLV: {
+        if (op.flag & kIndexCharge)
+          ChargeOp(L_->device->profile().cost_alu);
+        uint64_t base_va;
+        if (op.flag & kIndexBaseIsLocation) {
+          // Multi-dimensional arrays: the base is itself an aggregate
+          // location (tile[ty][tx]); index into its address directly.
+          const LV& b = lvs[op.a];
+          if (b.kind != LV::Kind::kMem)
+            return Err("subscript on non-addressable array");
+          base_va = b.va;
         } else {
-          if (b.u == 0) return div0();
-          out.u = a.u / b.u;
+          base_va = V(op.a).AsVa();
         }
-        return out;
-      case BinaryOp::kRem:
-        if (flt) {
-          out.f = std::fmod(a.f, b.f);
-        } else if (sgn) {
-          if (b.i == 0) return div0();
-          out.i = a.i % b.i;
+        auto elem = static_cast<Type::Ptr>(op.p);
+        out = LV{LV::Kind::kMem, base_va + V(op.b).AsI64() * elem->ByteSize(),
+                 0, elem};
+        return OkStatus();
+      }
+      case OpCode::kVecIndexLV: {
+        out = lvs[op.a];
+        int64_t i = V(op.b).AsI64();
+        if (i < 0 || i >= op.n) return Err("vector component index out of range");
+        out.lanes = 1;
+        out.swizzle[0] = static_cast<uint8_t>(i);
+        return OkStatus();
+      }
+      case OpCode::kSwizzleLV: {
+        const auto* m = static_cast<const MemberExpr*>(op.p);
+        out = lvs[op.a];
+        if (out.lanes != 0)
+          return Err("nested swizzle assignment is not supported");
+        out.lanes = static_cast<uint8_t>(m->swizzle.size());
+        std::copy(m->swizzle.begin(), m->swizzle.end(), out.swizzle);
+        return OkStatus();
+      }
+      case OpCode::kArrowLV:
+      case OpCode::kDotLV: {
+        const auto* m = static_cast<const MemberExpr*>(op.p);
+        Type::Ptr agg_t = nullptr;
+        uint64_t base_va = 0;
+        if (op.code == OpCode::kArrowLV) {
+          const Value& p = V(op.a);
+          agg_t = p.type() && p.type()->is_pointer() ? p.type()->pointee()
+                                                     : nullptr;
+          base_va = p.AsVa();
         } else {
-          if (b.u == 0) return div0();
-          out.u = a.u % b.u;
+          const LV& base = lvs[op.a];
+          if (base.kind != LV::Kind::kMem)
+            return Err("struct member write requires memory-backed struct");
+          agg_t = base.type;
+          base_va = base.va;
         }
-        return out;
-      case BinaryOp::kShl:
-        out.u = a.u << (b.u & 63);
-        return out;
-      case BinaryOp::kShr:
-        if (sgn) out.i = a.i >> (b.u & 63);
-        else out.u = a.u >> (b.u & 63);
-        return out;
-      case BinaryOp::kAnd: out.u = a.u & b.u; return out;
-      case BinaryOp::kOr: out.u = a.u | b.u; return out;
-      case BinaryOp::kXor: out.u = a.u ^ b.u; return out;
-      case BinaryOp::kEQ:
-        out.i = flt ? (a.f == b.f) : (a.u == b.u);
-        return out;
-      case BinaryOp::kNE:
-        out.i = flt ? (a.f != b.f) : (a.u != b.u);
-        return out;
-      case BinaryOp::kLT:
-        out.i = flt ? (a.f < b.f) : sgn ? (a.i < b.i) : (a.u < b.u);
-        return out;
-      case BinaryOp::kGT:
-        out.i = flt ? (a.f > b.f) : sgn ? (a.i > b.i) : (a.u > b.u);
-        return out;
-      case BinaryOp::kLE:
-        out.i = flt ? (a.f <= b.f) : sgn ? (a.i <= b.i) : (a.u <= b.u);
-        return out;
-      case BinaryOp::kGE:
-        out.i = flt ? (a.f >= b.f) : sgn ? (a.i >= b.i) : (a.u >= b.u);
-        return out;
+        if (!agg_t || !agg_t->is_struct())
+          return Err("member access on non-struct");
+        const lang::StructField* f = agg_t->struct_decl()->FindField(m->member);
+        if (f == nullptr) return Err("no field '" + m->member + "'");
+        out = LV{LV::Kind::kMem, base_va + f->offset, 0, f->type};
+        return OkStatus();
+      }
       default:
-        *err = InternalError("unhandled scalar binary op");
-        return out;
+        return Err("not a location op");
     }
   }
 
-  StatusOr<Value> ApplyBinary(BinaryOp op, const Value& a, const Value& b) {
+  // -- operators -------------------------------------------------------------
+  Status ApplyBinary(BinaryOp op, const Value& a, const Value& b, Value& out) {
     const auto& prof = L_->device->profile();
     double c = (op == BinaryOp::kDiv || op == BinaryOp::kRem)
                    ? prof.cost_div
@@ -1121,31 +721,29 @@ class Evaluator {
       ChargeOp(c);
       size_t esz = a.type()->pointee()->ByteSize();
       if (op == BinaryOp::kSub && b.type() && b.type()->is_pointer()) {
-        return Value::Int(
-            static_cast<int64_t>(a.AsVa() - b.AsVa()) /
-                static_cast<int64_t>(esz),
-            ScalarKind::kLong);
+        out = Value::Int(static_cast<int64_t>(a.AsVa() - b.AsVa()) /
+                             static_cast<int64_t>(esz),
+                         ScalarKind::kLong);
+        return OkStatus();
       }
       int64_t off = b.AsI64();
       uint64_t va = op == BinaryOp::kSub ? a.AsVa() - off * esz
                                          : a.AsVa() + off * esz;
-      return Value::Pointer(va, a.type());
+      out = Value::Pointer(va, a.type());
+      return OkStatus();
     }
-    if (b.type() && b.type()->is_pointer() && op == BinaryOp::kAdd) {
-      return ApplyBinary(op, b, a);
-    }
+    if (b.type() && b.type()->is_pointer() && op == BinaryOp::kAdd)
+      return ApplyBinary(op, b, a, out);
+    Status err;
     // Vector / scalar elementwise.
-    if ((a.is_vector() || b.is_vector())) {
+    if (a.is_vector() || b.is_vector()) {
       const Value& vec = a.is_vector() ? a : b;
       int w = vec.type()->vector_width();
-      ScalarKind ek = ArithmeticResultType(a.type(), b.type())
-                          ->scalar_kind();
+      ScalarKind ek = ArithmeticResultType(a.type(), b.type())->scalar_kind();
       Value av = a.ConvertTo(Type::Vector(ek, w));
       Value bv = b.ConvertTo(Type::Vector(ek, w));
-      Value out = Value::Vector(
-          Type::Vector(cmp ? ScalarKind::kInt : ek, w));
+      out = Value::Vector(Type::Vector(cmp ? ScalarKind::kInt : ek, w));
       std::span<ScalarVal> comps = out.comps();
-      Status err;
       for (int i = 0; i < w; ++i) {
         comps[i] = ApplyScalarOp(op, av.comps()[i], bv.comps()[i], ek, &err);
         if (!err.ok()) return err;
@@ -1154,167 +752,651 @@ class Evaluator {
       // Vector comparisons produce an int vector of 0/-1 per OpenCL.
       if (cmp)
         for (auto& s : comps) s.i = s.i ? -1 : 0;
-      return out;
+      return OkStatus();
     }
-    // Scalars: usual conversions.
-    Type::Ptr rt = ArithmeticResultType(a.type(), b.type());
-    ScalarKind k = rt->scalar_kind();
-    if (cmp) {
-      // Compare in the common type but return int.
-      Value ac = a.ConvertTo(Type::Scalar(k));
-      Value bc = b.ConvertTo(Type::Scalar(k));
-      Status err;
-      ScalarVal r = ApplyScalarOp(op, ac.scalar(), bc.scalar(), k, &err);
-      if (!err.ok()) return err;
-      ChargeOp(c);
-      return Value::Int(r.i);
-    }
-    Value ac = a.ConvertTo(Type::Scalar(k));
-    Value bc = b.ConvertTo(Type::Scalar(k));
-    Status err;
-    ScalarVal r = ApplyScalarOp(op, ac.scalar(), bc.scalar(), k, &err);
+    // Scalars: usual conversions; comparisons compute in the common type
+    // but return int.
+    ScalarKind k = ArithmeticResultType(a.type(), b.type())->scalar_kind();
+    Type::Ptr kt = Type::Scalar(k);
+    ScalarVal r = ApplyScalarOp(op, a.ConvertTo(kt).scalar(),
+                                b.ConvertTo(kt).scalar(), k, &err);
     if (!err.ok()) return err;
     ChargeOp(c);
-    Value out;
-    out.set_type(Type::Scalar(k));
-    out.set_scalar(r);
-    return out;
+    if (cmp) {
+      out = Value::Int(r.i);
+    } else {
+      out = Value();
+      out.set_type(kt);
+      out.set_scalar(r);
+    }
+    return OkStatus();
   }
 
-  StatusOr<Value> EvalBinary(const BinaryExpr& b) {
-    if (b.op == BinaryOp::kLAnd) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value l, Eval(*b.lhs));
-      ChargeOp(L_->device->profile().cost_alu);
-      if (!l.AsBool()) return Value::Int(0);
-      BRIDGECL_ASSIGN_OR_RETURN(Value r, Eval(*b.rhs));
-      return Value::Int(r.AsBool() ? 1 : 0);
+  void ApplyUnary(UnaryOp op, const Value& v, Value& out) {
+    ChargeOp(L_->device->profile().cost_alu);
+    switch (op) {
+      case UnaryOp::kMinus:
+        if (v.is_vector()) {
+          out = v;
+          bool flt = IsFloatScalar(v.type()->scalar_kind());
+          for (auto& c : out.comps()) {
+            if (flt)
+              c.f = -c.f;
+            else
+              c.i = -c.i;
+          }
+        } else if (v.type() && v.type()->is_float()) {
+          out = Value::Float(-v.AsF64(), v.type()->scalar_kind());
+        } else {
+          out = Value::Int(-v.AsI64(), v.type() ? v.type()->scalar_kind()
+                                                : ScalarKind::kInt);
+        }
+        return;
+      case UnaryOp::kNot:
+        out = Value::Int(v.AsBool() ? 0 : 1);
+        return;
+      default:  // kBitNot
+        if (v.is_vector()) {
+          Value flipped = v;
+          for (auto& c : flipped.comps()) c.u = ~c.u;
+          out = flipped.ConvertTo(v.type());
+        } else {
+          out = Value::Int(~v.AsI64(), v.type() ? v.type()->scalar_kind()
+                                                : ScalarKind::kInt);
+        }
+        return;
     }
-    if (b.op == BinaryOp::kLOr) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value l, Eval(*b.lhs));
-      ChargeOp(L_->device->profile().cost_alu);
-      if (l.AsBool()) return Value::Int(1);
-      BRIDGECL_ASSIGN_OR_RETURN(Value r, Eval(*b.rhs));
-      return Value::Int(r.AsBool() ? 1 : 0);
-    }
-    if (b.op == BinaryOp::kComma) {
-      BRIDGECL_RETURN_IF_ERROR(Eval(*b.lhs).status());
-      return Eval(*b.rhs);
-    }
-    BRIDGECL_ASSIGN_OR_RETURN(Value l, Eval(*b.lhs));
-    BRIDGECL_ASSIGN_OR_RETURN(Value r, Eval(*b.rhs));
-    return ApplyBinary(b.op, l, r);
   }
 
-  StatusOr<Value> EvalAssign(const AssignExpr& a) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value rhs, Eval(*a.rhs));
-    BRIDGECL_ASSIGN_OR_RETURN(LV lv, Lval(*a.lhs));
-    if (a.compound) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value old, Read(lv));
-      BRIDGECL_ASSIGN_OR_RETURN(rhs, ApplyBinary(a.op, old, rhs));
-    }
-    BRIDGECL_RETURN_IF_ERROR(Write(lv, rhs));
-    return rhs;
+  /// ++/-- on the value `old`: the value stored back.
+  static Value Stepped(UnaryOp op, const Value& old) {
+    int64_t delta = (op == UnaryOp::kPreInc || op == UnaryOp::kPostInc) ? 1 : -1;
+    if (old.type() && old.type()->is_pointer())
+      return Value::Pointer(
+          old.AsVa() + delta * old.type()->pointee()->ByteSize(), old.type());
+    if (old.type() && old.type()->is_float())
+      return Value::Float(old.AsF64() + delta, old.type()->scalar_kind());
+    return Value::Int(old.AsI64() + delta, old.type() ? old.type()->scalar_kind()
+                                                      : ScalarKind::kInt);
   }
 
-  // -- calls ---------------------------------------------------------------
-  StatusOr<Value> EvalCall(const CallExpr& c) {
-    // Sema rejects indirect calls, so the callee is a resolved name.
-    const DeclRefExpr& ref = *c.callee->As<DeclRefExpr>();
-    if (ref.function != nullptr && ref.function->body)
-      return CallFunction(ref.function, c);
-    if (ref.builtin) return CallBuiltin(ref, c);
-    return Err("call to '" + ref.name +
-               "', which is declared but never defined");
+  // -- built-ins -------------------------------------------------------------
+  Status CallBuiltin(const DeclRefExpr& ref, const Operand* args, int argc,
+                     const Value* regs, const Value* consts, Value& out);
+  Status AtomicStore(const Op& op, const Value* regs, const Value* consts,
+                     Value& out);
+  Status LoadImageDesc(uint64_t va, ImageDesc* d);
+  static ImageDesc DescOf(const Value& v) {
+    ImageDesc d;
+    std::memcpy(static_cast<void*>(&d), v.comps().data(), sizeof(d));
+    return d;
   }
-
-  StatusOr<Value> CallFunction(const FunctionDecl* fn, const CallExpr& c) {
-    if (depth_ > kMaxCallDepth)
-      return Err("device call stack overflow (recursion too deep)");
-    if (c.args.size() != fn->params.size())
-      return Err("wrong argument count calling '" + fn->name + "'");
-    const uint32_t caller_base = base_, callee_base = ReserveFrame(*fn);
-    const int caller_depth = depth_;
-    const uint64_t caller_private_top = private_top_;
-    Status st = RunCall(*fn, c, callee_base);
-    // The caller's frame is current again however the call ended: a failed
-    // struct-member lvalue is retried as an rvalue (EvalMember).
-    base_ = caller_base;
-    top_ = callee_base;
-    depth_ = caller_depth;
-    private_top_ = caller_private_top;
-    BRIDGECL_RETURN_IF_ERROR(st);
-    ChargeOp(L_->device->profile().cost_alu);  // call overhead
-    return ret_;
-  }
-
-  /// Bind `c`'s arguments into `fn`'s frame at `base` and run its body.
-  Status RunCall(const FunctionDecl& fn, const CallExpr& c, uint32_t base) {
-    // Evaluate the arguments in the caller's frame, straight into the
-    // callee's slots; a reference parameter takes its argument's location.
-    for (size_t i = 0; i < c.args.size(); ++i) {
-      if (i < fn.param_is_reference.size() && fn.param_is_reference[i]) {
-        BRIDGECL_ASSIGN_OR_RETURN(slots_[base + i].loc, Lval(*c.args[i]));
-        slots_[base + i].bound = true;
-      } else {
-        BRIDGECL_ASSIGN_OR_RETURN(slots_[base + i].reg, Eval(*c.args[i]));
-      }
-    }
-    base_ = base;
-    ++depth_;
-    for (size_t i = 0; i < c.args.size(); ++i) {
-      if (slots_[base + i].bound) continue;  // a reference
-      BRIDGECL_RETURN_IF_ERROR(
-          BindVar(fn.params[i].get(), slots_[base + i].reg));
-    }
-    ret_ = Value::Void();
-    return Exec(*fn.body).status();
-  }
-
-  // ---- builtin implementations ----
-  // `ref` is the call's callee, resolved by sema to a catalog entry. Kept
-  // out of line: inlined, their locals would grow every Eval frame.
-  [[gnu::noinline]] StatusOr<Value> CallBuiltin(const DeclRefExpr& ref,
-                                                const CallExpr& c);
-  StatusOr<Value> EvalImageRead(ScalarKind out_kind, const CallExpr& c);
-  StatusOr<Value> EvalImageWrite(const DeclRefExpr& ref, const CallExpr& c);
-  StatusOr<Value> EvalTexFetch(const CallExpr& c);
-  [[gnu::noinline]] StatusOr<Value> EvalAtomic(const DeclRefExpr& ref,
-                                               const CallExpr& c);
-  StatusOr<ImageDesc> LoadImageDesc(uint64_t va);
   StatusOr<Value> ReadTexel(const ImageDesc& d, int x, int y, int z,
                             ScalarKind out_kind);
+  Status ImageRead(const ImageDesc& d, const Value* sampler,
+                   const Value& coord, ScalarKind out_kind, Value& out);
+  Status ImageWrite(const ImageDesc& d, const Value& coord,
+                    const Value& color);
+  Status TexFetch(const ImageDesc& d, const CallExpr& c,
+                  std::span<const Value* const> coords, Value& out);
+
+  // -- the interpreter loop ----------------------------------------------------
+  /// Run `it` to its next barrier (`*yielded` set) or its end.
+  Status Resume(Item& it, bool* yielded);
+
+  enum : uint8_t { kReady, kWaiting, kDone };
+  struct Slot {
+    Item* item;  // null until the item starts
+    uint8_t state;
+  };
 
   const LaunchState* L_ = nullptr;
   BlockState* B_ = nullptr;
-  Dim3 lid_;
-  Dim3 gid_;
-  uint64_t private_base_ = 0;
-  uint64_t private_top_ = 0;
-  double cycles_ = 0;
-  /// Every frame's slots, the kernel's at 0 and each call's above its
-  /// caller's; kept across items. The current frame is [base_, top_).
-  std::vector<Slot> slots_;
-  uint32_t base_ = 0;
-  uint32_t top_ = 0;
-  int depth_ = 0;  // frames live: the kernel's and one per call
-  Value ret_;
+  Item* it_ = nullptr;  // the item running
+  std::vector<std::unique_ptr<Item>> items_;  // every item this worker made
+  std::vector<Item*> free_;                   // items not running
+  std::vector<Slot> slots_;                   // the block's items, by index
   std::vector<std::byte> staged_;  // logged accesses: bytes in flight
+  Value sink_;                     // results nobody reads
 };
 
-/// Each host worker's evaluators, kept across its blocks and launches:
-/// the plain loop runs every item on the first, and a fiber block gives
-/// each item its own.
-thread_local std::vector<Evaluator> t_evaluators;
+Status Executor::Resume(Item& it, bool* yielded) {
+  it_ = &it;
+  const auto& prof = L_->device->profile();
+  simgpu::FaultInjector& inj = L_->device->faults();
+  const LoweredFunction* fn = nullptr;
+  const Op* ops = nullptr;
+  const Value* consts = nullptr;
+  Value* regs = nullptr;
+  LV* lvs = nullptr;
+  uint32_t pc = 0;
+  // Make the innermost frame current.
+  auto enter = [&] {
+    const Frame& f = it.frames.back();
+    fn = f.fn;
+    ops = fn->ops.data();
+    consts = fn->consts.data();
+    regs = it.regs.data() + f.base;
+    lvs = it.lvs.data() + f.lbase;
+    pc = f.pc;
+  };
+  auto V = [&](Operand o) -> const Value& {
+    return o >= 0 ? regs[o] : consts[~o];
+  };
+  auto R = [&](int32_t dst) -> Value& {
+    return dst == kNoReg ? sink_ : regs[dst];
+  };
+  enter();
+  Status st;
+#define BRIDGECL_TRY(expr)      \
+  do {                          \
+    Status s_ = (expr);         \
+    if (!s_.ok()) {             \
+      st = std::move(s_);       \
+      goto fail;                \
+    }                           \
+  } while (0)
+  for (;;) {
+    {
+      const Op& op = ops[pc++];
+      switch (op.code) {
+        case OpCode::kTick:
+          // Deterministic instruction trap: one interpreted statement is
+          // one "instruction" for FaultSite::kInstruction plans.
+          if (inj.armed()) BRIDGECL_TRY(FaultAt(inj.OnInstruction()));
+          break;
+        case OpCode::kJump:
+          pc = op.n;
+          break;
+        case OpCode::kCharge:
+          ChargeOp(prof.cost_alu);
+          break;
+        case OpCode::kBranch:
+          ChargeOp(prof.cost_alu);
+          if (V(op.a).AsBool() == static_cast<bool>(op.flag)) pc = op.n;
+          break;
+        case OpCode::kLogic: {
+          ChargeOp(prof.cost_alu);
+          bool l = V(op.a).AsBool();
+          if (op.sub ? !l : l) {
+            regs[op.dst] = Value::Int(op.sub ? 0 : 1);
+            pc = op.n;
+          }
+          break;
+        }
+        case OpCode::kToBool:
+          regs[op.dst] = Value::Int(V(op.a).AsBool() ? 1 : 0);
+          break;
+        case OpCode::kMove:
+          regs[op.dst] = V(op.a);
+          break;
+        case OpCode::kFail:
+          st = Err(fn->messages[op.n]);
+          goto fail;
+        case OpCode::kTry:
+          it.handlers.push_back(
+              Handler{static_cast<uint32_t>(op.n),
+                      static_cast<uint32_t>(it.frames.size()), true, {}});
+          break;
+        case OpCode::kEndTry:
+          it.handlers.pop_back();
+          break;
+        case OpCode::kCallCheck:
+          if (it.frames.size() > static_cast<size_t>(kMaxCallDepth)) {
+            st = Err("device call stack overflow (recursion too deep)");
+            goto fail;
+          }
+          break;
+        case OpCode::kCall: {
+          const auto* callee = static_cast<const LoweredFunction*>(op.p);
+          const Frame caller = it.frames.back();
+          it.frames.back().pc = pc;
+          const uint32_t base = caller.base + caller.fn->regs;
+          const uint32_t lbase = caller.lbase + caller.fn->lvs;
+          Reserve(it, base, lbase, *callee);
+          it.frames.push_back(
+              Frame{callee, 0, base, lbase, op.dst, it.private_top});
+          // The callee's parameters bind in its frame from operands of
+          // the caller's.
+          const Operand* args = fn->lists.data() + op.n;
+          regs = it.regs.data() + caller.base;
+          for (int i = 0; i < op.c; ++i) {
+            const VarDecl* p = callee->decl->params[i].get();
+            switch (callee->params[i]) {
+              case ParamBinding::kReference:
+                it.lvs[lbase + i] = it.lvs[caller.lbase + args[i]];
+                break;
+              case ParamBinding::kRegister:
+                it.regs[base + i] = V(args[i]).ConvertTo(p->type);
+                break;
+              case ParamBinding::kDynamic:
+                BRIDGECL_TRY(BindVar(p, i, V(args[i])));
+                break;
+            }
+          }
+          it.ret = Value::Void();
+          enter();
+          break;
+        }
+        case OpCode::kReturn:
+          it.ret = V(op.a);
+          goto ret;
+        case OpCode::kReturnVoid:
+          it.ret = Value::Void();
+          goto ret;
+        case OpCode::kReturnEnd:
+          goto ret;
+        case OpCode::kBarrier:
+          ++B_->stats->barriers;
+          it.cycles += prof.cost_barrier;
+          it.frames.back().pc = pc;
+          *yielded = true;
+          return OkStatus();
 
-StatusOr<ImageDesc> Evaluator::LoadImageDesc(uint64_t va) {
-  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, sizeof(ImageDesc)));
-  ImageDesc d;
-  std::memcpy(&d, Seen(va, p, sizeof(d)), sizeof(d));
-  return d;
+        case OpCode::kBuiltinVar: {
+          auto vec3 = [&](const Dim3& d) {
+            Value v = Value::Vector(Type::Vector(ScalarKind::kUInt, 3));
+            std::span<ScalarVal> c = v.comps();
+            c[0].u = d.x;
+            c[1].u = d.y;
+            c[2].u = d.z;
+            return v;
+          };
+          switch (static_cast<BuiltinOp>(op.sub)) {
+            case BuiltinOp::kThreadIdx: regs[op.dst] = vec3(it.lid); break;
+            case BuiltinOp::kBlockIdx: regs[op.dst] = vec3(B_->group_id); break;
+            case BuiltinOp::kBlockDim: regs[op.dst] = vec3(L_->cfg.block); break;
+            case BuiltinOp::kGridDim: regs[op.dst] = vec3(L_->cfg.grid); break;
+            default: regs[op.dst] = Value::Int(prof.warp_size); break;
+          }
+          break;
+        }
+        case OpCode::kWorkItem: {
+          int d = op.a == kNoReg ? 0 : static_cast<int>(V(op.a).AsI64());
+          const Dim3& grid = L_->cfg.grid;
+          const Dim3& block = L_->cfg.block;
+          auto b = static_cast<BuiltinOp>(op.sub);
+          uint64_t v = b == BuiltinOp::kGlobalId  ? it.gid[d]
+                       : b == BuiltinOp::kLocalId ? it.lid[d]
+                       : b == BuiltinOp::kGroupId ? B_->group_id[d]
+                       : b == BuiltinOp::kGlobalSize
+                           ? static_cast<uint64_t>(grid[d]) * block[d]
+                       : b == BuiltinOp::kLocalSize ? block[d]
+                                                    : grid[d];
+          regs[op.dst] = Value::UInt(v, ScalarKind::kSizeT);
+          break;
+        }
+        case OpCode::kTexRef: {
+          const auto* r = static_cast<const DeclRefExpr*>(op.p);
+          auto desc_va = L_->module->TextureBinding(r->name);
+          if (!desc_va.ok()) {
+            st = desc_va.status();
+            goto fail;
+          }
+          regs[op.dst] = Value::Pointer(*desc_va, r->type ? r->type : Type::IntTy());
+          break;
+        }
+        case OpCode::kUnary:
+          ApplyUnary(static_cast<UnaryOp>(op.sub), V(op.a), regs[op.dst]);
+          break;
+        case OpCode::kBinary:
+          BRIDGECL_TRY(ApplyBinary(static_cast<BinaryOp>(op.sub), V(op.a),
+                                   V(op.b), regs[op.dst]));
+          break;
+        case OpCode::kCast: {
+          const auto* c = static_cast<const CastExpr*>(op.p);
+          const Value& v = V(op.a);
+          ChargeOp(prof.cost_alu * 0.5);
+          if (c->style == lang::CastStyle::kReinterpret && c->target &&
+              !c->target->is_pointer() && v.type() &&
+              v.type()->ByteSize() == c->target->ByteSize()) {
+            auto bits = v.BitcastTo(c->target);
+            if (!bits.ok()) {
+              st = bits.status();
+              goto fail;
+            }
+            regs[op.dst] = std::move(*bits);
+          } else {
+            regs[op.dst] = v.ConvertTo(c->target);
+          }
+          break;
+        }
+        case OpCode::kSwizzle: {
+          const auto* m = static_cast<const MemberExpr*>(op.p);
+          const Value& base = V(op.a);
+          if (!base.is_vector()) {
+            st = Err("swizzle on non-vector");
+            goto fail;
+          }
+          if (m->swizzle.size() == 1) {
+            regs[op.dst] = base.Component(m->swizzle[0]);
+            break;
+          }
+          Value& out = regs[op.dst];
+          out = Value::Vector(Type::Vector(base.type()->scalar_kind(),
+                                           static_cast<int>(m->swizzle.size())));
+          for (size_t i = 0; i < m->swizzle.size(); ++i) {
+            if (m->swizzle[i] >= static_cast<int>(base.comps().size())) {
+              st = Err("swizzle component out of range");
+              goto fail;
+            }
+            out.comps()[i] = base.comps()[m->swizzle[i]];
+          }
+          break;
+        }
+        case OpCode::kVecIndex: {
+          const Value& base = V(op.a);
+          int i = static_cast<int>(V(op.b).AsI64());
+          if (i < 0 || i >= static_cast<int>(base.comps().size())) {
+            st = Err("vector component index out of range");
+            goto fail;
+          }
+          regs[op.dst] = base.Component(i);
+          break;
+        }
+        case OpCode::kVectorLit: {
+          const auto* v = static_cast<const lang::VectorLitExpr*>(op.p);
+          const Operand* elems = fn->lists.data() + op.n;
+          int w = v->vec_type->vector_width();
+          Type::Ptr et = Type::Scalar(v->vec_type->scalar_kind());
+          Value& out = regs[op.dst];
+          out = Value::Vector(v->vec_type);
+          std::span<ScalarVal> comps = out.comps();
+          if (op.c == 1) {
+            ScalarVal c = V(elems[0]).ConvertTo(et).scalar();
+            for (int i = 0; i < w; ++i) comps[i] = c;
+          } else {
+            int at = 0;
+            for (int e = 0; e < op.c; ++e) {
+              const Value& ev = V(elems[e]);
+              if (ev.is_vector()) {
+                for (int i = 0; i < ev.type()->vector_width() && at < w; ++i)
+                  comps[at++] = ev.Component(i).ConvertTo(et).scalar();
+              } else if (at < w) {
+                comps[at++] = ev.ConvertTo(et).scalar();
+              }
+            }
+            if (at != w) {
+              st = Err("wrong number of vector literal components");
+              goto fail;
+            }
+          }
+          ChargeOp(prof.cost_alu);
+          break;
+        }
+        case OpCode::kBuiltin:
+          BRIDGECL_TRY(CallBuiltin(*static_cast<const DeclRefExpr*>(op.p),
+                                   fn->lists.data() + op.n, op.c, regs,
+                                   consts, R(op.dst)));
+          break;
+        case OpCode::kDeref: {
+          const Value& p = V(op.a);
+          Type::Ptr t = p.type() && p.type()->is_pointer() ? p.type()->pointee()
+                                                           : Type::IntTy();
+          BRIDGECL_TRY(LoadMem(p.AsVa(), t, regs[op.dst]));
+          break;
+        }
+        case OpCode::kAddrOf: {
+          const LV& lv = lvs[op.a];
+          if (lv.kind != LV::Kind::kMem) {
+            st = Err("address of non-addressable value");
+            goto fail;
+          }
+          regs[op.dst] = Value::Pointer(lv.va, static_cast<Type::Ptr>(op.p));
+          break;
+        }
+        case OpCode::kMemberAgg: {
+          // The location failed: read the field from the base's bytes, or
+          // let the location's failure stand.
+          Handler h = std::move(it.handlers.back());
+          it.handlers.pop_back();
+          const auto* m = static_cast<const MemberExpr*>(op.p);
+          const Value& base = V(op.a);
+          if (!base.is_aggregate()) {
+            st = std::move(h.caught);
+            goto fail;
+          }
+          const lang::StructField* f =
+              base.type()->struct_decl()->FindField(m->member);
+          if (f == nullptr) {
+            st = Err("no field '" + m->member + "'");
+            goto fail;
+          }
+          BRIDGECL_TRY(DecodeValue(f->type, base.bytes().data() + f->offset,
+                                   &regs[op.dst]));
+          break;
+        }
+
+        case OpCode::kRegLV:
+          lvs[op.dst] = LV{LV::Kind::kReg, 0,
+                           it.frames.back().base + static_cast<uint32_t>(op.n),
+                           static_cast<Type::Ptr>(op.p)};
+          break;
+        case OpCode::kIndexLV:
+          if (op.flag & kIndexRead) {
+            LV lv;
+            BRIDGECL_TRY(MakeLocation(op, regs, lvs, consts, lv));
+            BRIDGECL_TRY(Read(lv, regs[op.dst]));
+            break;
+          }
+          [[fallthrough]];
+        case OpCode::kGlobalLV:
+        case OpCode::kDerefLV:
+        case OpCode::kVecIndexLV:
+        case OpCode::kSwizzleLV:
+        case OpCode::kArrowLV:
+        case OpCode::kDotLV:
+          BRIDGECL_TRY(MakeLocation(op, regs, lvs, consts, lvs[op.dst]));
+          break;
+        case OpCode::kReadLV:
+          BRIDGECL_TRY(Read(lvs[op.a], regs[op.dst]));
+          break;
+        case OpCode::kDecayLV: {
+          const LV& lv = lvs[op.a];
+          if (lv.kind == LV::Kind::kMem)
+            regs[op.dst] = Value::Pointer(lv.va, static_cast<Type::Ptr>(op.p));
+          else
+            BRIDGECL_TRY(Read(lv, regs[op.dst]));
+          break;
+        }
+        case OpCode::kIncDec: {
+          const LV& lv = lvs[op.a];
+          Value old;
+          BRIDGECL_TRY(Read(lv, old));
+          ChargeOp(prof.cost_alu);
+          auto u = static_cast<UnaryOp>(op.sub);
+          Value next = Stepped(u, old);
+          BRIDGECL_TRY(Write(lv, next));
+          bool pre = u == UnaryOp::kPreInc || u == UnaryOp::kPreDec;
+          R(op.dst) = pre ? std::move(next) : std::move(old);
+          break;
+        }
+        case OpCode::kIncDecReg: {
+          Value& var = regs[op.n];
+          auto t = static_cast<Type::Ptr>(op.p);
+          ChargeOp(prof.cost_alu);
+          auto u = static_cast<UnaryOp>(op.sub);
+          Value next = Stepped(u, var);
+          bool pre = u == UnaryOp::kPreInc || u == UnaryOp::kPreDec;
+          if (op.dst != kNoReg) regs[op.dst] = pre ? next : var;
+          if (next.type() == t) var = std::move(next); else var = next.ConvertTo(t);
+          break;
+        }
+        case OpCode::kAssign: {
+          const Value& rhs = V(op.a);
+          const LV& lv = lvs[op.b];
+          if (op.flag) {
+            Value old, r;
+            BRIDGECL_TRY(Read(lv, old));
+            BRIDGECL_TRY(ApplyBinary(static_cast<BinaryOp>(op.sub), old, rhs, r));
+            BRIDGECL_TRY(Write(lv, r));
+            R(op.dst) = std::move(r);
+          } else {
+            if (op.dst != kNoReg) regs[op.dst] = rhs;
+            BRIDGECL_TRY(Write(lv, rhs));
+          }
+          break;
+        }
+        case OpCode::kAssignReg: {
+          Value& var = regs[op.n];
+          auto t = static_cast<Type::Ptr>(op.p);
+          if (op.flag) {
+            Value r;
+            BRIDGECL_TRY(
+                ApplyBinary(static_cast<BinaryOp>(op.sub), var, V(op.a), r));
+            if (r.type() == t) var = r; else var = r.ConvertTo(t);
+            R(op.dst) = std::move(r);
+          } else {
+            const Value& rhs = V(op.a);
+            if (op.dst != kNoReg) regs[op.dst] = rhs;
+            if (rhs.type() == t) var = rhs; else var = rhs.ConvertTo(t);
+          }
+          break;
+        }
+
+        case OpCode::kDeclShared: {
+          const auto* var = static_cast<const VarDecl*>(op.p);
+          uint64_t va;
+          if (op.flag) {
+            va = L_->dynamic_shared_va;
+          } else if (fn->decl == L_->kernel) {
+            va = L_->device->vm().shared_base() + static_cast<uint64_t>(op.a);
+          } else {
+            st = Err("unlaid-out shared variable '" + var->name + "'");
+            goto fail;
+          }
+          lvs[op.n] = LV{LV::Kind::kMem, va, 0, var->type};
+          break;
+        }
+        case OpCode::kDeclMem: {
+          const auto* var = static_cast<const VarDecl*>(op.p);
+          Type::Ptr t = var->type;
+          size_t size = t->ByteSize();
+          auto va = StackAlloc(size, t->Alignment());
+          if (!va.ok()) {
+            st = va.status();
+            goto fail;
+          }
+          lvs[op.n] = LV{LV::Kind::kMem, *va, 0, t};
+          auto p = Resolve(*va, size);
+          if (!p.ok()) {
+            st = p.status();
+            goto fail;
+          }
+          std::memset(*p, 0, size);
+          break;
+        }
+        case OpCode::kStoreVar:
+          BRIDGECL_TRY(StoreMem(lvs[op.n].va + static_cast<uint64_t>(op.b),
+                                V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p))));
+          break;
+        case OpCode::kInitReg:
+          regs[op.n] = V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p));
+          break;
+        case OpCode::kBindReg: {
+          const auto* var = static_cast<const VarDecl*>(op.p);
+          const Value& v = V(op.a);
+          Type::Ptr t = var->type;
+          const Frame& f = it.frames.back();
+          // Template-typed local: adopt the runtime type.
+          BindReg(var, f.base + op.n, f.lbase + op.n,
+                  op.flag && t && t->is_named() && v.type() ? v
+                                                            : v.ConvertTo(t));
+          break;
+        }
+
+        case OpCode::kAtomicLoad: {
+          const Value& ptr = V(op.a);
+          Type::Ptr elem = ptr.type() && ptr.type()->is_pointer()
+                               ? ptr.type()->pointee()
+                               : Type::IntTy();
+          ++B_->stats->atomics;
+          it.cycles += prof.cost_atomic;
+          BRIDGECL_TRY(LoadMem(ptr.AsVa(), elem, regs[op.dst]));
+          break;
+        }
+        case OpCode::kAtomicStore:
+          BRIDGECL_TRY(AtomicStore(op, regs, consts, regs[op.dst]));
+          break;
+        case OpCode::kImageDesc: {
+          ImageDesc d;
+          BRIDGECL_TRY(LoadImageDesc(V(op.a).AsVa(), &d));
+          static_assert(sizeof(d) <= 8 * sizeof(ScalarVal));
+          Value& out = regs[op.dst];
+          out = Value::Vector(Type::Vector(ScalarKind::kULong, 8));
+          std::memcpy(out.comps().data(), &d, sizeof(d));
+          break;
+        }
+        case OpCode::kImageRead:
+          BRIDGECL_TRY(ImageRead(DescOf(V(op.a)),
+                                 op.b == kNoReg ? nullptr : &V(op.b), V(op.c),
+                                 static_cast<ScalarKind>(op.sub),
+                                 regs[op.dst]));
+          break;
+        case OpCode::kImageWrite:
+          BRIDGECL_TRY(ImageWrite(DescOf(V(op.a)), V(op.b), V(op.c)));
+          break;
+        case OpCode::kImageSize: {
+          ImageDesc d = DescOf(V(op.a));
+          regs[op.dst] = Value::Int(
+              static_cast<BuiltinOp>(op.sub) == BuiltinOp::kImageWidth
+                  ? d.width
+                  : d.height);
+          break;
+        }
+        case OpCode::kTexFetch: {
+          const Value* coords[3] = {};
+          for (int i = 0; i < op.c; ++i) coords[i] = &V(fn->lists[op.n + i]);
+          BRIDGECL_TRY(TexFetch(DescOf(V(op.a)),
+                                *static_cast<const CallExpr*>(op.p),
+                                {coords, static_cast<size_t>(op.c)},
+                                regs[op.dst]));
+          break;
+        }
+      }
+      continue;
+    }
+  ret: {
+    // Leave the innermost frame. The kernel's ends the item; a call's
+    // charges its overhead once the callee has returned.
+    if (it.frames.size() == 1) return OkStatus();
+    const Frame done = it.frames.back();
+    it.frames.pop_back();
+    it.private_top = done.private_top;
+    enter();
+    ChargeOp(prof.cost_alu);  // call overhead
+    if (done.dst != kNoReg) regs[done.dst] = it.ret;
+    continue;
+  }
+  fail: {
+    // A failure inside a kTry region resumes at its fallback, in the
+    // frame that entered the region; any other ends the item.
+    while (!it.handlers.empty() && !it.handlers.back().active)
+      it.handlers.pop_back();
+    if (it.handlers.empty()) return st;
+    Handler& h = it.handlers.back();
+    h.active = false;
+    h.caught = std::move(st);
+    st = OkStatus();
+    while (it.frames.size() > h.frames) {
+      it.private_top = it.frames.back().private_top;
+      it.frames.pop_back();
+    }
+    enter();
+    pc = h.pc;
+  }
+  }
+#undef BRIDGECL_TRY
 }
 
-StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
-                                     ScalarKind out_kind) {
+Status Executor::LoadImageDesc(uint64_t va, ImageDesc* d) {
+  BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, sizeof(ImageDesc)));
+  std::memcpy(d, Seen(va, p, sizeof(*d)), sizeof(*d));
+  return OkStatus();
+}
+
+StatusOr<Value> Executor::ReadTexel(const ImageDesc& d, int x, int y, int z,
+                                    ScalarKind out_kind) {
   auto clampi = [](int v, int lo, int hi) {
     return v < lo ? lo : (v > hi ? hi : v);
   };
@@ -1330,13 +1412,13 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
   BRIDGECL_ASSIGN_OR_RETURN(std::byte * mem, Resolve(va, texel));
   const std::byte* p = Seen(va, mem, texel);
   ++B_->stats->image_accesses;
-  cycles_ += L_->device->profile().cost_image_access;
+  it_->cycles += L_->device->profile().cost_image_access;
   Value out = Value::Vector(Type::Vector(out_kind, 4));
   std::span<ScalarVal> comps = out.comps();
   for (uint32_t ch = 0; ch < 4; ++ch) {
     if (ch < d.channels) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v,
-                                DecodeValue(Type::Scalar(ek), p + ch * esz));
+      Value v;
+      BRIDGECL_RETURN_IF_ERROR(DecodeValue(Type::Scalar(ek), p + ch * esz, &v));
       comps[ch] = v.ConvertTo(Type::Scalar(out_kind)).scalar();
     } else {
       // Missing channels read as 0 (alpha as 1.0 for floats).
@@ -1346,20 +1428,13 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
   return out;
 }
 
-StatusOr<Value> Evaluator::EvalImageRead(ScalarKind out_kind,
-                                         const CallExpr& c) {
-  BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
-  BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
-  uint32_t sampler_bits = d.sampler_bits;
-  const Expr* coord_expr = c.args.back().get();
-  if (c.args.size() == 3) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value s, Eval(*c.args[1]));
-    sampler_bits = static_cast<uint32_t>(s.AsU64());
-  }
-  BRIDGECL_ASSIGN_OR_RETURN(Value coord, Eval(*coord_expr));
+Status Executor::ImageRead(const ImageDesc& d, const Value* sampler,
+                           const Value& coord, ScalarKind out_kind,
+                           Value& out) {
+  uint32_t sampler_bits =
+      sampler ? static_cast<uint32_t>(sampler->AsU64()) : d.sampler_bits;
   bool float_coords =
       coord.type() && IsFloatScalar(coord.type()->scalar_kind());
-
   double fx = 0, fy = 0, fz = 0;
   if (coord.is_vector()) {
     fx = coord.Component(0).AsF64();
@@ -1379,35 +1454,29 @@ StatusOr<Value> Evaluator::EvalImageRead(ScalarKind out_kind,
     int x0 = static_cast<int>(std::floor(u));
     int y0 = static_cast<int>(std::floor(v));
     double a = u - x0, b = v - y0;
-    Value t00, t10, t01, t11;
-    BRIDGECL_ASSIGN_OR_RETURN(
-        t00, ReadTexel(d, x0, y0, static_cast<int>(fz), out_kind));
-    BRIDGECL_ASSIGN_OR_RETURN(
-        t10, ReadTexel(d, x0 + 1, y0, static_cast<int>(fz), out_kind));
-    BRIDGECL_ASSIGN_OR_RETURN(
-        t01, ReadTexel(d, x0, y0 + 1, static_cast<int>(fz), out_kind));
-    BRIDGECL_ASSIGN_OR_RETURN(
-        t11, ReadTexel(d, x0 + 1, y0 + 1, static_cast<int>(fz), out_kind));
-    Value out = Value::Vector(Type::Vector(out_kind, 4));
+    int z = static_cast<int>(fz);
+    BRIDGECL_ASSIGN_OR_RETURN(Value t00, ReadTexel(d, x0, y0, z, out_kind));
+    BRIDGECL_ASSIGN_OR_RETURN(Value t10, ReadTexel(d, x0 + 1, y0, z, out_kind));
+    BRIDGECL_ASSIGN_OR_RETURN(Value t01, ReadTexel(d, x0, y0 + 1, z, out_kind));
+    BRIDGECL_ASSIGN_OR_RETURN(Value t11,
+                              ReadTexel(d, x0 + 1, y0 + 1, z, out_kind));
+    out = Value::Vector(Type::Vector(out_kind, 4));
     for (int i = 0; i < 4; ++i) {
       double r = t00.comps()[i].f * (1 - a) * (1 - b) +
                  t10.comps()[i].f * a * (1 - b) +
                  t01.comps()[i].f * (1 - a) * b + t11.comps()[i].f * a * b;
       out.comps()[i].f = r;
     }
-    return out;
+    return OkStatus();
   }
-  return ReadTexel(d, static_cast<int>(fx), static_cast<int>(fy),
-                   static_cast<int>(fz), out_kind);
+  BRIDGECL_ASSIGN_OR_RETURN(
+      out, ReadTexel(d, static_cast<int>(fx), static_cast<int>(fy),
+                     static_cast<int>(fz), out_kind));
+  return OkStatus();
 }
 
-StatusOr<Value> Evaluator::EvalImageWrite(const DeclRefExpr& ref,
-                                          const CallExpr& c) {
-  if (c.args.size() != 3) return Err(ref.name + ": expected 3 arguments");
-  BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
-  BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
-  BRIDGECL_ASSIGN_OR_RETURN(Value coord, Eval(*c.args[1]));
-  BRIDGECL_ASSIGN_OR_RETURN(Value color, Eval(*c.args[2]));
+Status Executor::ImageWrite(const ImageDesc& d, const Value& coord,
+                            const Value& color) {
   int x = 0, y = 0, z = 0;
   if (coord.is_vector()) {
     x = static_cast<int>(coord.Component(0).AsI64());
@@ -1421,7 +1490,7 @@ StatusOr<Value> Evaluator::EvalImageWrite(const DeclRefExpr& ref,
   if (x < 0 || x >= static_cast<int>(d.width) || y < 0 ||
       y >= static_cast<int>(d.height) || z < 0 ||
       z >= static_cast<int>(d.depth))
-    return Value::Void();  // out-of-bounds writes are dropped (CL rule)
+    return OkStatus();  // out-of-bounds writes are dropped (CL rule)
   ScalarKind ek = static_cast<ScalarKind>(d.elem_kind);
   size_t esz = lang::ScalarByteSize(ek);
   uint64_t va = d.data_va + static_cast<uint64_t>(z) * d.slice_pitch +
@@ -1429,304 +1498,222 @@ StatusOr<Value> Evaluator::EvalImageWrite(const DeclRefExpr& ref,
                 static_cast<uint64_t>(x) * ImageTexelBytes(d);
   BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, ImageTexelBytes(d)));
   ++B_->stats->image_accesses;
-  cycles_ += L_->device->profile().cost_image_access;
-  BRIDGECL_RETURN_IF_ERROR(
-      Put(va, p, ImageTexelBytes(d), [&](std::byte* dst) -> Status {
-        for (uint32_t ch = 0; ch < d.channels; ++ch) {
-          Value comp = color.is_vector() ? color.Component(ch) : color;
-          BRIDGECL_RETURN_IF_ERROR(
-              EncodeValue(comp.ConvertTo(Type::Scalar(ek)), dst + ch * esz));
-        }
-        return OkStatus();
-      }));
-  return Value::Void();
+  it_->cycles += L_->device->profile().cost_image_access;
+  return Put(va, p, ImageTexelBytes(d), [&](std::byte* dst) -> Status {
+    for (uint32_t ch = 0; ch < d.channels; ++ch) {
+      Value comp = color.is_vector() ? color.Component(ch) : color;
+      BRIDGECL_RETURN_IF_ERROR(
+          EncodeValue(comp.ConvertTo(Type::Scalar(ek)), dst + ch * esz));
+    }
+    return OkStatus();
+  });
 }
 
-StatusOr<Value> Evaluator::EvalTexFetch(const CallExpr& c) {
-  BRIDGECL_ASSIGN_OR_RETURN(Value tex, Eval(*c.args[0]));
-  BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(tex.AsVa()));
+Status Executor::TexFetch(const ImageDesc& d, const CallExpr& c,
+                          std::span<const Value* const> coords, Value& out) {
   Type::Ptr tex_t = c.args[0]->type;
   ScalarKind out_kind =
       tex_t && tex_t->is_texture() ? tex_t->scalar_kind() : ScalarKind::kFloat;
   int out_width = tex_t && tex_t->is_texture() ? tex_t->vector_width() : 1;
-
-  double fx = 0, fy = 0, fz = 0;
-  BRIDGECL_ASSIGN_OR_RETURN(Value cx, Eval(*c.args[1]));
-  fx = cx.AsF64();
-  if (c.args.size() > 2) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value cy, Eval(*c.args[2]));
-    fy = cy.AsF64();
-  }
-  if (c.args.size() > 3) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value cz, Eval(*c.args[3]));
-    fz = cz.AsF64();
-  }
+  double f[3] = {0, 0, 0};
+  for (size_t i = 0; i < coords.size(); ++i) f[i] = coords[i]->AsF64();
   if (d.sampler_bits & kSamplerNormalizedCoords) {
-    fx *= d.width;
-    fy *= d.height;
-    fz *= d.depth;
+    f[0] *= d.width;
+    f[1] *= d.height;
+    f[2] *= d.depth;
   }
   ScalarKind fetch_kind =
       IsFloatScalar(out_kind) ? ScalarKind::kFloat : out_kind;
   BRIDGECL_ASSIGN_OR_RETURN(
-      Value texel, ReadTexel(d, static_cast<int>(fx), static_cast<int>(fy),
-                             static_cast<int>(fz), fetch_kind));
-  if (out_width == 1) return texel.Component(0).ConvertTo(Type::Scalar(out_kind));
-  Value out = Value::Vector(Type::Vector(out_kind, out_width));
+      Value texel, ReadTexel(d, static_cast<int>(f[0]), static_cast<int>(f[1]),
+                             static_cast<int>(f[2]), fetch_kind));
+  if (out_width == 1) {
+    out = texel.Component(0).ConvertTo(Type::Scalar(out_kind));
+    return OkStatus();
+  }
+  out = Value::Vector(Type::Vector(out_kind, out_width));
   for (int i = 0; i < out_width; ++i)
     out.comps()[i] =
         texel.Component(i).ConvertTo(Type::Scalar(out_kind)).scalar();
-  return out;
+  return OkStatus();
 }
 
-StatusOr<Value> Evaluator::EvalAtomic(const DeclRefExpr& ref,
-                                      const CallExpr& c) {
-  BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[0]));
+Status Executor::AtomicStore(const Op& op, const Value* regs,
+                             const Value* consts, Value& out) {
+  auto V = [&](Operand o) -> const Value& {
+    return o >= 0 ? regs[o] : consts[~o];
+  };
+  const auto& ref = *static_cast<const DeclRefExpr*>(op.p);
+  const Value& ptr = V(op.a);
   Type::Ptr elem = ptr.type() && ptr.type()->is_pointer()
                        ? ptr.type()->pointee()
                        : Type::IntTy();
-  uint64_t va = ptr.AsVa();
-  ++B_->stats->atomics;
-  cycles_ += L_->device->profile().cost_atomic;
-  BRIDGECL_ASSIGN_OR_RETURN(Value old, LoadMem(va, elem));
+  const Value& old = V(op.b);
   Value operand;
-  if (c.args.size() > 1) {
-    BRIDGECL_ASSIGN_OR_RETURN(operand, Eval(*c.args[1]));
-    operand = operand.ConvertTo(elem);
-  }
+  if (op.c != kNoReg) operand = V(op.c).ConvertTo(elem);
   bool flt = elem->is_float();
   ScalarKind k = elem->scalar_kind();
-  auto next_value = [&]() -> StatusOr<Value> {
-    switch (ref.builtin.op()) {
-      // OpenCL atomic_inc/atomic_dec: unconditional +-1 (no operand).
-      case BuiltinOp::kAtomicInc:
-        return Value::Int(old.AsI64() + 1, k);
-      case BuiltinOp::kAtomicDec:
-        return Value::Int(old.AsI64() - 1, k);
-      // CUDA atomicInc/atomicDec: wrap semantics against args[1] (§3.7).
-      case BuiltinOp::kAtomicIncWrap:
-        return Value::UInt(
-            old.AsU64() >= operand.AsU64() ? 0 : old.AsU64() + 1, k);
-      case BuiltinOp::kAtomicDecWrap: {
-        uint64_t limit = operand.AsU64();
-        uint64_t ov = old.AsU64();
-        return Value::UInt((ov == 0 || ov > limit) ? limit : ov - 1, k);
-      }
-      case BuiltinOp::kAtomicAdd:
-        return flt ? Value::Float(old.AsF64() + operand.AsF64(), k)
-                   : Value::Int(old.AsI64() + operand.AsI64(), k);
-      case BuiltinOp::kAtomicSub:
-        return Value::Int(old.AsI64() - operand.AsI64(), k);
-      case BuiltinOp::kAtomicXchg:
-        return operand;
-      case BuiltinOp::kAtomicMin: {
-        bool less = IsSignedScalar(k) ? operand.AsI64() < old.AsI64()
-                                      : operand.AsU64() < old.AsU64();
-        if (flt) less = operand.AsF64() < old.AsF64();
-        return less ? operand : old;
-      }
-      case BuiltinOp::kAtomicMax: {
-        bool greater = IsSignedScalar(k) ? operand.AsI64() > old.AsI64()
-                                         : operand.AsU64() > old.AsU64();
-        if (flt) greater = operand.AsF64() > old.AsF64();
-        return greater ? operand : old;
-      }
-      case BuiltinOp::kAtomicAnd:
-        return Value::UInt(old.AsU64() & operand.AsU64(), k);
-      case BuiltinOp::kAtomicOr:
-        return Value::UInt(old.AsU64() | operand.AsU64(), k);
-      case BuiltinOp::kAtomicXor:
-        return Value::UInt(old.AsU64() ^ operand.AsU64(), k);
-      case BuiltinOp::kAtomicCmpxchg: {
-        if (c.args.size() != 3)
-          return Err(ref.name + ": expected 3 arguments");
-        BRIDGECL_ASSIGN_OR_RETURN(Value desired, Eval(*c.args[2]));
-        return old.AsU64() == operand.AsU64() ? desired.ConvertTo(elem)
-                                              : old;
-      }
-      default:
-        return Err("unhandled atomic builtin '" + ref.name + "'");
+  Value next;
+  switch (ref.builtin.op()) {
+    // OpenCL atomic_inc/atomic_dec: unconditional +-1 (no operand).
+    case BuiltinOp::kAtomicInc:
+      next = Value::Int(old.AsI64() + 1, k);
+      break;
+    case BuiltinOp::kAtomicDec:
+      next = Value::Int(old.AsI64() - 1, k);
+      break;
+    // CUDA atomicInc/atomicDec: wrap semantics against args[1] (§3.7).
+    case BuiltinOp::kAtomicIncWrap:
+      next = Value::UInt(old.AsU64() >= operand.AsU64() ? 0 : old.AsU64() + 1,
+                         k);
+      break;
+    case BuiltinOp::kAtomicDecWrap: {
+      uint64_t limit = operand.AsU64();
+      uint64_t ov = old.AsU64();
+      next = Value::UInt((ov == 0 || ov > limit) ? limit : ov - 1, k);
+      break;
     }
-  };
-  BRIDGECL_ASSIGN_OR_RETURN(Value next, next_value());
-  BRIDGECL_RETURN_IF_ERROR(StoreMem(va, next.ConvertTo(elem)));
-  return old;
+    case BuiltinOp::kAtomicAdd:
+      next = flt ? Value::Float(old.AsF64() + operand.AsF64(), k)
+                 : Value::Int(old.AsI64() + operand.AsI64(), k);
+      break;
+    case BuiltinOp::kAtomicSub:
+      next = Value::Int(old.AsI64() - operand.AsI64(), k);
+      break;
+    case BuiltinOp::kAtomicXchg:
+      next = operand;
+      break;
+    case BuiltinOp::kAtomicMin: {
+      bool less = IsSignedScalar(k) ? operand.AsI64() < old.AsI64()
+                                    : operand.AsU64() < old.AsU64();
+      if (flt) less = operand.AsF64() < old.AsF64();
+      next = less ? operand : old;
+      break;
+    }
+    case BuiltinOp::kAtomicMax: {
+      bool greater = IsSignedScalar(k) ? operand.AsI64() > old.AsI64()
+                                       : operand.AsU64() > old.AsU64();
+      if (flt) greater = operand.AsF64() > old.AsF64();
+      next = greater ? operand : old;
+      break;
+    }
+    case BuiltinOp::kAtomicAnd:
+      next = Value::UInt(old.AsU64() & operand.AsU64(), k);
+      break;
+    case BuiltinOp::kAtomicOr:
+      next = Value::UInt(old.AsU64() | operand.AsU64(), k);
+      break;
+    case BuiltinOp::kAtomicXor:
+      next = Value::UInt(old.AsU64() ^ operand.AsU64(), k);
+      break;
+    default:  // kAtomicCmpxchg; lowering rejected the rest
+      next = old.AsU64() == operand.AsU64() ? V(op.n).ConvertTo(elem) : old;
+      break;
+  }
+  BRIDGECL_RETURN_IF_ERROR(StoreMem(ptr.AsVa(), next.ConvertTo(elem)));
+  out = old;
+  return OkStatus();
 }
 
-StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
-                                       const CallExpr& c) {
+Status Executor::CallBuiltin(const DeclRefExpr& ref, const Operand* args,
+                             int argc, const Value* regs, const Value* consts,
+                             Value& out) {
+  static const Value kAbsent{};
+  auto arg = [&](int i) -> const Value& {
+    if (i >= argc) return kAbsent;
+    Operand o = args[i];
+    return o >= 0 ? regs[o] : consts[~o];
+  };
   const lang::BuiltinRef& b = ref.builtin;
   const auto& prof = L_->device->profile();
-  auto dim_arg = [&]() -> StatusOr<int> {
-    if (c.args.empty()) return 0;
-    BRIDGECL_ASSIGN_OR_RETURN(Value d, Eval(*c.args[0]));
-    return static_cast<int>(d.AsI64());
-  };
-
-  if (b.info->cls == lang::BuiltinClass::kAtomic) return EvalAtomic(ref, c);
   switch (b.op()) {
-    // ---- work-item functions (OpenCL) ----
-    case BuiltinOp::kGlobalId:
-    case BuiltinOp::kLocalId:
-    case BuiltinOp::kGroupId:
-    case BuiltinOp::kGlobalSize:
-    case BuiltinOp::kLocalSize:
-    case BuiltinOp::kNumGroups: {
-      BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-      const Dim3& grid = L_->cfg.grid;
-      const Dim3& block = L_->cfg.block;
-      BuiltinOp op = b.op();
-      uint64_t v = op == BuiltinOp::kGlobalId  ? gid_[d]
-                   : op == BuiltinOp::kLocalId ? lid_[d]
-                   : op == BuiltinOp::kGroupId ? B_->group_id[d]
-                   : op == BuiltinOp::kGlobalSize
-                       ? static_cast<uint64_t>(grid[d]) * block[d]
-                   : op == BuiltinOp::kLocalSize ? block[d]
-                                                 : grid[d];
-      return Value::UInt(v, ScalarKind::kSizeT);
-    }
-    case BuiltinOp::kWorkDim:
-      return Value::UInt(3);
-    case BuiltinOp::kGlobalOffset:
-      return Value::UInt(0, ScalarKind::kSizeT);
-
-    // ---- synchronization ----
-    case BuiltinOp::kBarrier:
-      if (B_->group == nullptr)
-        return Err("barrier reached in kernel '" + L_->kernel->name +
-                   "', which sema marked as unable to reach one");
-      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-      ++B_->stats->barriers;
-      cycles_ += prof.cost_barrier;
-      B_->group->Barrier();
-      return Value::Void();
     case BuiltinOp::kFence:
     case BuiltinOp::kDeviceFence:
-      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-      cycles_ += prof.cost_alu;
-      return Value::Void();
-
-    // ---- images / textures ----
-    case BuiltinOp::kReadImage:
-      return EvalImageRead(b.elem, c);
-    case BuiltinOp::kWriteImage:
-      return EvalImageWrite(ref, c);
-    case BuiltinOp::kTex1D:
-    case BuiltinOp::kTex2D:
-    case BuiltinOp::kTex3D:
-      return EvalTexFetch(c);
-    case BuiltinOp::kImageWidth:
-    case BuiltinOp::kImageHeight: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
-      BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
-      return Value::Int(b.op() == BuiltinOp::kImageWidth ? d.width
-                                                         : d.height);
-    }
-
-    // ---- vector family ----
+      it_->cycles += prof.cost_alu;
+      return OkStatus();
     case BuiltinOp::kMakeVector: {
-      Value out = Value::Vector(Type::Vector(b.elem, b.width));
-      for (int i = 0; i < b.width && i < static_cast<int>(c.args.size());
-           ++i) {
-        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
-        out.comps()[i] = v.ConvertTo(Type::Scalar(b.elem)).scalar();
-      }
+      out = Value::Vector(Type::Vector(b.elem, b.width));
+      for (int i = 0; i < argc; ++i)
+        out.comps()[i] = arg(i).ConvertTo(Type::Scalar(b.elem)).scalar();
       ChargeOp(prof.cost_alu);
-      return out;
+      return OkStatus();
     }
-    case BuiltinOp::kConvert: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+    case BuiltinOp::kConvert:
       ChargeOp(prof.cost_alu);
-      return v.ConvertTo(b.width > 0 ? Type::Vector(b.elem, b.width)
-                                     : Type::Scalar(b.elem));
-    }
+      out = arg(0).ConvertTo(b.width > 0 ? Type::Vector(b.elem, b.width)
+                                         : Type::Scalar(b.elem));
+      return OkStatus();
     case BuiltinOp::kAs: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-      return v.BitcastTo(b.width > 0 ? Type::Vector(b.elem, b.width)
-                                     : Type::Scalar(b.elem));
+      BRIDGECL_ASSIGN_OR_RETURN(
+          out, arg(0).BitcastTo(b.width > 0 ? Type::Vector(b.elem, b.width)
+                                            : Type::Scalar(b.elem)));
+      return OkStatus();
     }
     case BuiltinOp::kVload: {
       int w = b.width;
-      BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[0]));
-      BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[1]));
+      const Value& off = arg(0);
+      const Value& ptr = arg(1);
       Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
                                                 : Type::FloatTy();
-      Type::Ptr vt = Type::Vector(elem->scalar_kind(), w);
       uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
       // vload reads w packed elements (no vec3 padding).
-      Value out = Value::Vector(vt);
+      Value v, vec = Value::Vector(Type::Vector(elem->scalar_kind(), w));
       for (int i = 0; i < w; ++i) {
-        BRIDGECL_ASSIGN_OR_RETURN(Value v,
-                                  LoadMem(va + i * elem->ByteSize(), elem));
-        out.comps()[i] = v.scalar();
+        BRIDGECL_RETURN_IF_ERROR(LoadMem(va + i * elem->ByteSize(), elem, v));
+        vec.comps()[i] = v.scalar();
       }
-      return out;
+      out = std::move(vec);
+      return OkStatus();
     }
     case BuiltinOp::kVstore: {
       int w = b.width;
-      BRIDGECL_ASSIGN_OR_RETURN(Value data, Eval(*c.args[0]));
-      BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[1]));
-      BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[2]));
+      const Value& data = arg(0);
+      const Value& ptr = arg(2);
       Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
                                                 : Type::FloatTy();
-      uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
-      for (int i = 0; i < w; ++i) {
-        BRIDGECL_RETURN_IF_ERROR(StoreMem(
-            va + i * elem->ByteSize(), data.Component(i).ConvertTo(elem)));
-      }
-      return Value::Void();
+      uint64_t va = ptr.AsVa() + arg(1).AsU64() * w * elem->ByteSize();
+      for (int i = 0; i < w; ++i)
+        BRIDGECL_RETURN_IF_ERROR(StoreMem(va + i * elem->ByteSize(),
+                                          data.Component(i).ConvertTo(elem)));
+      out = Value::Void();
+      return OkStatus();
     }
 
     // ---- warp-level CUDA built-ins: degenerate single-lane semantics.
     // These exist so that mcuda can *run* CUDA-only samples natively; the
     // CU→CL translator rejects them (§3.7 / Table 3).
-    case BuiltinOp::kShfl: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-      for (size_t i = 1; i < c.args.size(); ++i)
-        BRIDGECL_RETURN_IF_ERROR(Eval(*c.args[i]).status());
+    case BuiltinOp::kShfl:
       ChargeOp(prof.cost_alu);
-      return v;
-    }
-    case BuiltinOp::kVote: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      out = arg(0);
+      return OkStatus();
+    case BuiltinOp::kVote:
       ChargeOp(prof.cost_alu);
-      return Value::Int(v.AsBool() ? 1 : 0);
-    }
-    case BuiltinOp::kBallot: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      out = Value::Int(arg(0).AsBool() ? 1 : 0);
+      return OkStatus();
+    case BuiltinOp::kBallot:
       ChargeOp(prof.cost_alu);
-      return Value::UInt(v.AsBool() ? 1u : 0u);
-    }
+      out = Value::UInt(arg(0).AsBool() ? 1u : 0u);
+      return OkStatus();
     case BuiltinOp::kClock:
-      return Value::Int(static_cast<int64_t>(cycles_));
+      out = Value::Int(static_cast<int64_t>(it_->cycles));
+      return OkStatus();
     case BuiltinOp::kClock64:
-      return Value::Int(static_cast<int64_t>(cycles_), ScalarKind::kLongLong);
-    case BuiltinOp::kAssert: {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-      if (!v.AsBool()) return Err("device-side assert failed");
-      return Value::Void();
-    }
+      out = Value::Int(static_cast<int64_t>(it_->cycles), ScalarKind::kLongLong);
+      return OkStatus();
+    case BuiltinOp::kAssert:
+      if (!arg(0).AsBool()) return Err("device-side assert failed");
+      out = Value::Void();
+      return OkStatus();
     case BuiltinOp::kPrintf:
       // Arguments are evaluated for side effects; output is suppressed in
       // the simulator (matches running with stdout redirected).
-      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-      return Value::Int(0);
-    default:
-      break;
-  }
+      out = Value::Int(0);
+      return OkStatus();
 
-  // ---- math & integer builtins (elementwise over vectors) ----
-  // None takes more than three arguments; any further ones are evaluated
-  // for their side effects only.
-  Value args[3];
-  for (size_t i = 0; i < c.args.size(); ++i) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
-    if (i < std::size(args)) args[i] = std::move(v);
-  }
-  switch (b.op()) {
+    // ---- math & integer builtins (elementwise over vectors) ----
     case BuiltinOp::kMathUnary: {
-      cycles_ += prof.cost_math;
-      const Value& a = args[0];
+      it_->cycles += prof.cost_math;
+      const Value& a = arg(0);
       bool is_float_res =
           b.info->float_result() ||
           (a.type() && (a.type()->is_vector() || a.type()->is_scalar()) &&
@@ -1734,22 +1721,24 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
       ScalarKind k = is_float_res ? ScalarKind::kFloat : ScalarKind::kDouble;
       auto fn = b.info->unary;
       if (a.is_vector()) {
-        Value out = a;
-        for (auto& cmp : out.comps()) {
+        Value r = a;
+        for (auto& cmp : r.comps()) {
           double x = IsFloatScalar(a.type()->scalar_kind())
                          ? cmp.f
                          : static_cast<double>(cmp.i);
           cmp.f = k == ScalarKind::kFloat ? static_cast<float>(fn(x)) : fn(x);
         }
-        out.set_type(Type::Vector(k, a.type()->vector_width()));
-        return out;
+        r.set_type(Type::Vector(k, a.type()->vector_width()));
+        out = std::move(r);
+        return OkStatus();
       }
-      return Value::Float(fn(a.AsF64()), k);
+      out = Value::Float(fn(a.AsF64()), k);
+      return OkStatus();
     }
     case BuiltinOp::kMathBinary: {
-      cycles_ += prof.cost_math;
-      const Value& a = args[0];
-      const Value& bv = args[1];
+      it_->cycles += prof.cost_math;
+      const Value& a = arg(0);
+      const Value& bv = arg(1);
       bool use_float =
           b.info->float_result() ||
           (a.type() && a.type()->scalar_kind() == ScalarKind::kFloat);
@@ -1758,102 +1747,91 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
       if (a.is_vector()) {
         int w = a.type()->vector_width();
         Value bb = bv.ConvertTo(Type::Vector(k, w));
-        Value out = a.ConvertTo(Type::Vector(k, w));
+        Value r = a.ConvertTo(Type::Vector(k, w));
         for (int i = 0; i < w; ++i)
-          out.comps()[i].f = fn(out.comps()[i].f, bb.comps()[i].f);
-        return out;
+          r.comps()[i].f = fn(r.comps()[i].f, bb.comps()[i].f);
+        out = std::move(r);
+        return OkStatus();
       }
-      return Value::Float(fn(a.AsF64(), bv.AsF64()), k);
+      out = Value::Float(fn(a.AsF64(), bv.AsF64()), k);
+      return OkStatus();
     }
     case BuiltinOp::kFma: {
-      cycles_ += prof.cost_alu;
-      if (args[0].is_vector()) {
-        Type::Ptr vt = args[0].type();
-        Value a = args[0], m = args[1].ConvertTo(vt),
-              d = args[2].ConvertTo(vt);
-        Value out = a;
+      it_->cycles += prof.cost_alu;
+      if (arg(0).is_vector()) {
+        Type::Ptr vt = arg(0).type();
+        Value a = arg(0), m = arg(1).ConvertTo(vt), d = arg(2).ConvertTo(vt);
+        Value r = a;
         for (int i = 0; i < vt->vector_width(); ++i)
-          out.comps()[i].f =
-              a.comps()[i].f * m.comps()[i].f + d.comps()[i].f;
-        return out;
+          r.comps()[i].f = a.comps()[i].f * m.comps()[i].f + d.comps()[i].f;
+        out = std::move(r);
+        return OkStatus();
       }
-      ScalarKind k = args[0].type() &&
-                             args[0].type()->scalar_kind() == ScalarKind::kFloat
+      ScalarKind k = arg(0).type() &&
+                             arg(0).type()->scalar_kind() == ScalarKind::kFloat
                          ? ScalarKind::kFloat
                          : ScalarKind::kDouble;
-      return Value::Float(args[0].AsF64() * args[1].AsF64() + args[2].AsF64(),
-                          k);
+      out = Value::Float(arg(0).AsF64() * arg(1).AsF64() + arg(2).AsF64(), k);
+      return OkStatus();
     }
     case BuiltinOp::kMin:
-    case BuiltinOp::kMax: {
-      ChargeOp(prof.cost_alu);
-      bool is_min = b.op() == BuiltinOp::kMin;
-      const Value& a = args[0];
-      const Value& bv = args[1];
-      bool take_a;
-      if (a.type() && (a.type()->is_float() ||
-                       (bv.type() && bv.type()->is_float()))) {
-        take_a = is_min ? a.AsF64() <= bv.AsF64() : a.AsF64() >= bv.AsF64();
-      } else if (a.type() && !IsSignedScalar(a.type()->scalar_kind())) {
-        take_a = is_min ? a.AsU64() <= bv.AsU64() : a.AsU64() >= bv.AsU64();
-      } else {
-        take_a = is_min ? a.AsI64() <= bv.AsI64() : a.AsI64() >= bv.AsI64();
-      }
-      return take_a ? a : bv;
-    }
+    case BuiltinOp::kMax:
     case BuiltinOp::kAbs:
-      ChargeOp(prof.cost_alu);
-      return Value::Int(std::llabs(args[0].AsI64()),
-                        args[0].type() ? args[0].type()->scalar_kind()
-                                       : ScalarKind::kInt);
-    case BuiltinOp::kClamp: {
-      ChargeOp(prof.cost_alu);
-      if (args[0].type() && args[0].type()->is_float()) {
-        double v = args[0].AsF64(), lo = args[1].AsF64(),
-               hi = args[2].AsF64();
-        return Value::Float(v < lo ? lo : (v > hi ? hi : v),
-                            args[0].type()->scalar_kind());
+    case BuiltinOp::kClamp:
+    case BuiltinOp::kMix:
+    case BuiltinOp::kMul24:
+    case BuiltinOp::kPopcount:
+    case BuiltinOp::kClz: {
+      if (b.op() == BuiltinOp::kMix)
+        it_->cycles += prof.cost_alu;
+      else
+        ChargeOp(prof.cost_alu);
+      const Value* vec = nullptr;
+      for (int i = 0; i < 3 && vec == nullptr; ++i)
+        if (arg(i).is_vector()) vec = &arg(i);
+      if (vec == nullptr) {
+        out = ScalarIntOp(b.op(), arg(0), arg(1), arg(2));
+        return OkStatus();
       }
-      int64_t v = args[0].AsI64(), lo = args[1].AsI64(), hi = args[2].AsI64();
-      return Value::Int(v < lo ? lo : (v > hi ? hi : v));
+      // Each lane as the scalar op computes one value; a scalar operand
+      // is broadcast, and the result has the first vector operand's type.
+      Value r = Value::Vector(vec->type());
+      Type::Ptr et = Type::Scalar(vec->type()->scalar_kind());
+      auto lane = [&](int a, int i) {
+        const Value& v = arg(a);
+        if (!v.is_vector()) return v;
+        return i < static_cast<int>(v.comps().size()) ? v.Component(i)
+                                                      : Value::Int(0);
+      };
+      for (size_t i = 0; i < r.comps().size(); ++i) {
+        int li = static_cast<int>(i);
+        r.comps()[i] = ScalarIntOp(b.op(), lane(0, li), lane(1, li), lane(2, li))
+                           .ConvertTo(et)
+                           .scalar();
+      }
+      out = std::move(r);
+      return OkStatus();
     }
     case BuiltinOp::kSelect: {
       // OpenCL select(a, b, c): c chooses b (per-component MSB for vectors).
       ChargeOp(prof.cost_alu);
-      const Value& a = args[0];
-      const Value& bv = args[1];
-      const Value& cv = args[2];
+      const Value& a = arg(0);
+      const Value& bv = arg(1);
+      const Value& cv = arg(2);
       if (a.is_vector()) {
-        Value out = a;
+        Value r = a;
         for (int i = 0; i < a.type()->vector_width(); ++i) {
           bool take_b = cv.is_vector() ? (cv.comps()[i].i < 0) : cv.AsBool();
           if (take_b)
-            out.comps()[i] = i < static_cast<int>(bv.comps().size())
-                                 ? bv.comps()[i]
-                                 : ScalarVal{};
+            r.comps()[i] = i < static_cast<int>(bv.comps().size())
+                               ? bv.comps()[i]
+                               : ScalarVal{};
         }
-        return out;
+        out = std::move(r);
+        return OkStatus();
       }
-      return cv.AsBool() ? bv : a;
-    }
-    case BuiltinOp::kMix: {
-      cycles_ += prof.cost_alu;
-      double a = args[0].AsF64(), bv = args[1].AsF64(), t = args[2].AsF64();
-      return Value::Float(a + (bv - a) * t,
-                          args[0].type() ? args[0].type()->scalar_kind()
-                                         : ScalarKind::kFloat);
-    }
-    case BuiltinOp::kMul24:
-      ChargeOp(prof.cost_alu);
-      return Value::Int((args[0].AsI64() & 0xFFFFFF) *
-                        (args[1].AsI64() & 0xFFFFFF));
-    case BuiltinOp::kPopcount:
-      ChargeOp(prof.cost_alu);
-      return Value::Int(__builtin_popcountll(args[0].AsU64()));
-    case BuiltinOp::kClz: {
-      ChargeOp(prof.cost_alu);
-      uint32_t v = static_cast<uint32_t>(args[0].AsU64());
-      return Value::Int(v == 0 ? 32 : __builtin_clz(v));
+      out = cv.AsBool() ? bv : a;
+      return OkStatus();
     }
     default:
       break;
@@ -1861,6 +1839,10 @@ StatusOr<Value> Evaluator::CallBuiltin(const DeclRefExpr& ref,
   return Err("unimplemented builtin '" + ref.name + "' in " +
              std::string(lang::DialectName(L_->dialect)) + " device code");
 }
+
+/// Each host worker's executor, with its items, kept across its blocks
+/// and launches.
+thread_local Executor t_executor;
 
 // ---------------------------------------------------------------------------
 // Block-parallel grid scheduler support
@@ -1929,21 +1911,15 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   L.device = &device;
   L.module = &module;
   L.kernel = kernel;
+  L.code = module.program().Find(kernel);
   L.cfg = config;
   L.dialect = module.dialect();
 
-  // ---- shared-memory layout: static __local vars, then dynamic-local
-  // arguments (OpenCL §4.1), then the CUDA extern __shared__ area. ----
-  std::vector<const VarDecl*> shared_vars;
-  CollectSharedVars(kernel->body.get(), &shared_vars);
-  size_t offset = 0;
+  // ---- shared-memory layout: static __local vars (laid out when the
+  // kernel was lowered), then dynamic-local arguments (OpenCL §4.1), then
+  // the CUDA extern __shared__ area. ----
+  size_t offset = L.code->static_shared_bytes;
   auto align_to = [&](size_t a) { offset = (offset + a - 1) / a * a; };
-  for (const VarDecl* v : shared_vars) {
-    if (v->quals.is_extern) continue;
-    align_to(std::max<size_t>(v->type->Alignment(), 1));
-    L.shared_va[v] = device.vm().shared_base() + offset;
-    offset += v->type->ByteSize();
-  }
 
   // ---- bind arguments ----
   L.arg_values.resize(args.size());
@@ -1969,9 +1945,11 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
             "argument %zu: %zu bytes provided, parameter '%s' needs %zu",
             i, a.bytes.size(), p->name.c_str(), want));
       Type::Ptr t = p->type->is_named() ? Type::IntTy() : p->type;
-      BRIDGECL_ASSIGN_OR_RETURN(L.arg_values[i],
-                                DecodeValue(t, a.bytes.data()));
+      BRIDGECL_RETURN_IF_ERROR(
+          DecodeValue(t, a.bytes.data(), &L.arg_values[i]));
     }
+    if (L.code->params[i] == ParamBinding::kRegister)
+      L.arg_values[i] = L.arg_values[i].ConvertTo(p->type);
   }
   align_to(16);
   L.dynamic_shared_va = device.vm().shared_base() + offset;
@@ -1986,8 +1964,7 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   // The grid is claimed block-by-block from an atomic counter by `workers`
   // host threads. Each worker runs its blocks in its own BlockMemory,
   // kept across launches and reset per block, at the serial engine's
-  // shared and private VAs. A block's items run as fibers only if the
-  // kernel can reach a barrier, else one after another in index order.
+  // shared and private VAs, and its items round-robin between barriers.
   // Each block records into a private BlockResult; the reduction below
   // then replays the serial engine's bookkeeping in canonical block
   // order, so stats, cycle totals (flat FP fold), timestamps and traces
@@ -1997,10 +1974,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   // a byte an earlier block wrote, in which case the launch reruns
   // serially on the untouched memory.
   const int items = static_cast<int>(config.block.Count());
-  auto local_id = [&](int idx) {
-    return Dim3(idx % config.block.x, (idx / config.block.x) % config.block.y,
-                idx / (config.block.x * config.block.y));
-  };
   uint64_t total_blocks = config.grid.Count();
   int workers = WorkerCount();
   // An armed fault plan counts per-site consults in execution order.
@@ -2064,28 +2037,7 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
         B.stats = &r.delta;
         B.log = n > 1 ? &r.log : nullptr;
         r.item_cycles.assign(items, 0.0);
-        Status st;
-        std::vector<Evaluator>& evals = t_evaluators;
-        if (kernel->reaches_barrier) {
-          simgpu::FiberGroup group(kFiberStackBytes);
-          B.group = &group;
-          if (evals.size() < static_cast<size_t>(items)) evals.resize(items);
-          st = group.Run(items, [&](int idx) -> Status {
-            Status item = evals[idx].Run(L, B, local_id(idx), idx);
-            r.item_cycles[idx] = evals[idx].cycles();
-            return item;
-          });
-        } else {
-          // What FiberGroup::Run does for tasks that never wait: each item
-          // runs to completion in index order, and the first failure is
-          // the block's.
-          if (evals.empty()) evals.resize(1);
-          for (int i = 0; i < items; ++i) {
-            Status item = evals[0].Run(L, B, local_id(i), i);
-            r.item_cycles[i] = evals[0].cycles();
-            if (st.ok()) st = std::move(item);
-          }
-        }
+        Status st = t_executor.RunBlock(L, B, r.item_cycles.data());
         if (!st.ok()) fail(b, std::move(st));
       }
     });

@@ -1,11 +1,14 @@
-// Kernel launcher + AST evaluator. Executes a kernel over a grid on a
+// Kernel launcher and executor. Executes a kernel over a grid on a
 // simulated device: blocks claimed in parallel by a host worker pool
 // (docs/PERFORMANCE.md), each in the worker's own block memory, reset
-// per block. A block's work-items run as cooperatively scheduled fibers
-// (real barrier semantics) if sema marks the kernel as able to reach a
-// barrier, else one after another in index order. Every operation is
-// charged to the device timing model, and per-block costs are reduced in
-// canonical block order, so results are bit-identical for any worker
+// per block. The kernel runs as the flat code its module was lowered to
+// (lower.h). A work-item's state (pc, call frames, registers,
+// private-stack top, cycles) is plain data, so one block loop runs a
+// block's items round-robin between barriers: a barrier saves the item's
+// pc and returns to the loop, which releases the barrier once every live
+// item waits (real barrier semantics, no stack per item). Every operation
+// is charged to the device timing model, and per-block costs are reduced
+// in canonical block order, so results are bit-identical for any worker
 // count.
 #pragma once
 

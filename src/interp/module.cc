@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "interp/constants.h"
+#include "interp/lower.h"
 #include "interp/value.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -117,6 +118,7 @@ Status EncodeInit(const VarDecl& v, std::byte* dst, size_t size) {
 struct CacheEntry {
   std::string full_key;  // composite key, guards against hash collisions
   std::shared_ptr<lang::TranslationUnit> tu;  // null for failed builds
+  std::shared_ptr<const Program> program;     // tu, lowered
   Status status;
   std::vector<Diagnostic> diags;
 };
@@ -187,6 +189,7 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
       if (!it->second.status.ok()) return it->second.status;
       auto m = std::unique_ptr<Module>(new Module());
       m->tu_ = it->second.tu;
+      m->program_ = it->second.program;
       m->dialect_ = dialect;
       m->source_ = source;
       return m;
@@ -198,6 +201,7 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
   const size_t diags_before = diags.diagnostics().size();
   Status st = OkStatus();
   std::shared_ptr<lang::TranslationUnit> tu;
+  std::shared_ptr<const Program> program;
   lang::ParseOptions popts;
   popts.dialect = dialect;
   auto parsed = lang::ParseTranslationUnit(source, popts, diags);
@@ -208,13 +212,17 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
     lang::SemaOptions sopts;
     sopts.dialect = dialect;
     st = lang::Analyze(*tu, sopts, diags);
-    if (!st.ok()) tu = nullptr;
+    if (st.ok())
+      program = std::make_shared<const Program>(*tu);
+    else
+      tu = nullptr;
   }
 
   {
     CacheEntry entry;
     entry.full_key = full_key;
     entry.tu = tu;
+    entry.program = program;
     entry.status = st;
     entry.diags.assign(diags.diagnostics().begin() + diags_before,
                        diags.diagnostics().end());
@@ -229,6 +237,7 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
   if (!st.ok()) return st;
   auto m = std::unique_ptr<Module>(new Module());
   m->tu_ = std::move(tu);
+  m->program_ = std::move(program);
   m->dialect_ = dialect;
   m->source_ = source;
   return m;

@@ -17,6 +17,8 @@
 
 namespace bridgecl::interp {
 
+class Program;  // lower.h
+
 /// Process-wide table of "native compiler" register allocations per kernel
 /// and toolchain. Models the §6.3 cfd observation: nvcc and the OpenCL
 /// compiler allocate different register counts for the same kernel, so a
@@ -60,11 +62,13 @@ uint64_t ModuleCacheKey(const std::string& source, lang::Dialect dialect,
 
 class Module {
  public:
-  /// Parse + analyze `source` in the given dialect. Results (including
-  /// failures and their diagnostics) are cached process-wide under
+  /// Parse + analyze `source` in the given dialect and lower its device
+  /// functions for the executor. Results (including failures and their
+  /// diagnostics) are cached process-wide under
   /// ModuleCacheKey(source, dialect, build_options); a hit skips the
-  /// front end, replays the original diagnostics into `diags` so build
-  /// logs are byte-identical, and shares the analyzed translation unit.
+  /// front end and lowering, replays the original diagnostics into
+  /// `diags` so build logs are byte-identical, and shares the analyzed
+  /// translation unit and its lowered code.
   /// Simulated build cost is charged by callers identically on hit and
   /// miss — the cache saves wall-clock only, never simulated time.
   static StatusOr<std::unique_ptr<Module>> Compile(
@@ -83,6 +87,8 @@ class Module {
 
   lang::TranslationUnit& tu() { return *tu_; }
   const lang::TranslationUnit& tu() const { return *tu_; }
+  /// The translation unit's device functions, lowered (lower.h).
+  const Program& program() const { return *program_; }
   lang::Dialect dialect() const { return dialect_; }
   const std::string& source() const { return source_; }
 
@@ -95,7 +101,7 @@ class Module {
   };
   /// Module-scope variable lookup by name (constant or device-global).
   StatusOr<Symbol> FindSymbol(const std::string& name) const;
-  /// VA of a module-scope variable (used by the evaluator for DeclRefs to
+  /// VA of a module-scope variable (used by the executor for DeclRefs to
   /// file-scope state); 0 when unknown.
   uint64_t VaOf(const lang::VarDecl* v) const;
 
@@ -121,6 +127,7 @@ class Module {
   // Shared with the module cache and with sibling modules compiled from
   // identical source: the TU is immutable after sema.
   std::shared_ptr<lang::TranslationUnit> tu_;
+  std::shared_ptr<const Program> program_;
   lang::Dialect dialect_ = lang::Dialect::kOpenCL;
   std::string source_;
   simgpu::Device* loaded_device_ = nullptr;

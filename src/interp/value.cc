@@ -40,18 +40,31 @@ Value Value::Pointer(uint64_t va, Type::Ptr pointer_type) {
 }
 
 Value Value::Vector(Type::Ptr vec_type, std::span<const ScalarVal> lanes) {
-  assert(lanes.size() <= kMaxLanes);
+  const size_t width = static_cast<size_t>(vec_type->vector_width());
+  assert(lanes.size() <= width);
   Value out;
   out.type_ = vec_type;
   std::copy(lanes.begin(), lanes.end(), out.lanes_);
+  std::fill(out.lanes_ + lanes.size(), out.lanes_ + width, ScalarVal{});
   return out;
 }
 
-Value Value::Aggregate(Type::Ptr type, std::vector<std::byte> bytes) {
+Value Value::Aggregate(Type::Ptr type, std::span<const std::byte> bytes) {
   Value out;
   out.type_ = type;
-  out.agg_ = std::move(bytes);
+  out.agg_ = std::make_shared_for_overwrite<std::byte[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), out.agg_.get());
+  out.lanes_[0].u = bytes.size();
   return out;
+}
+
+void Value::PadBytesTo(size_t n) {
+  std::span<const std::byte> old = bytes();
+  if (old.size() >= n) return;
+  auto grown = std::make_shared<std::byte[]>(n);  // zero-filled
+  std::copy(old.begin(), old.end(), grown.get());
+  agg_ = std::move(grown);
+  lanes_[0].u = n;
 }
 
 Value Value::Void() {
@@ -156,9 +169,11 @@ Value Value::ConvertTo(Type::Ptr target) const {
     out.type_ = target;
     int w = target->vector_width();
     if (is_vector()) {
-      for (int i = 0; i < w && i < static_cast<int>(LaneCount()); ++i)
+      int i = 0;
+      for (; i < w && i < static_cast<int>(LaneCount()); ++i)
         out.lanes_[i] = ConvertScalar(lanes_[i], type_->scalar_kind(),
                                       target->scalar_kind());
+      std::fill(out.lanes_ + i, out.lanes_ + w, ScalarVal{});
     } else {
       // Scalar broadcast (OpenCL scalar-to-vector conversion).
       ScalarVal c = ConvertScalar(
@@ -193,14 +208,16 @@ StatusOr<Value> Value::BitcastTo(Type::Ptr target) const {
                   type_->ByteSize(), target->ByteSize()));
   // Scalars and vectors fit in a stack buffer; only aggregates need heap.
   std::byte small[sizeof(lanes_)];
-  std::vector<std::byte> large;
+  std::unique_ptr<std::byte[]> large;
   std::byte* buf = small;
   if (type_->ByteSize() > sizeof(small)) {
-    large.resize(type_->ByteSize());
-    buf = large.data();
+    large = std::make_unique<std::byte[]>(type_->ByteSize());
+    buf = large.get();
   }
   BRIDGECL_RETURN_IF_ERROR(EncodeValue(*this, buf));
-  return DecodeValue(target, buf);
+  Value out;
+  BRIDGECL_RETURN_IF_ERROR(DecodeValue(target, buf, &out));
+  return out;
 }
 
 std::string Value::ToString() const {
@@ -225,7 +242,7 @@ std::string Value::ToString() const {
     if (IsSignedScalar(type_->scalar_kind())) return std::to_string(s_.i);
     return std::to_string(s_.u);
   }
-  return type_->ToString() + "{" + std::to_string(agg_.size()) + "b}";
+  return type_->ToString() + "{" + std::to_string(bytes().size()) + "b}";
 }
 
 namespace {
@@ -315,22 +332,21 @@ Status EncodeValue(const Value& v, std::byte* dst) {
   return InternalError("encode: unhandled type kind");
 }
 
-StatusOr<Value> DecodeValue(Type::Ptr type, const std::byte* src) {
+Status DecodeValue(Type::Ptr type, const std::byte* src, Value* out) {
   if (!type) return InternalError("decode of untyped location");
   switch (type->kind()) {
-    case lang::TypeKind::kScalar: {
-      Value out;
-      out.set_type(type);
-      out.set_scalar(DecodeScalar(type->scalar_kind(), src));
-      return out;
-    }
+    case lang::TypeKind::kScalar:
+      *out = Value();
+      out->set_type(type);
+      out->set_scalar(DecodeScalar(type->scalar_kind(), src));
+      return OkStatus();
     case lang::TypeKind::kVector: {
       size_t esz = ScalarByteSize(type->scalar_kind());
-      Value out = Value::Vector(type);
-      std::span<ScalarVal> lanes = out.comps();
+      *out = Value::Vector(type);
+      std::span<ScalarVal> lanes = out->comps();
       for (size_t i = 0; i < lanes.size(); ++i)
         lanes[i] = DecodeScalar(type->scalar_kind(), src + i * esz);
-      return out;
+      return OkStatus();
     }
     case lang::TypeKind::kPointer:
     case lang::TypeKind::kImage:
@@ -338,14 +354,13 @@ StatusOr<Value> DecodeValue(Type::Ptr type, const std::byte* src) {
     case lang::TypeKind::kTexture: {
       uint64_t va;
       std::memcpy(&va, src, 8);
-      return Value::Pointer(va, type);
+      *out = Value::Pointer(va, type);
+      return OkStatus();
     }
     case lang::TypeKind::kStruct:
-    case lang::TypeKind::kArray: {
-      size_t n = type->ByteSize();
-      std::vector<std::byte> buf(src, src + n);
-      return Value::Aggregate(type, std::move(buf));
-    }
+    case lang::TypeKind::kArray:
+      *out = Value::Aggregate(type, {src, type->ByteSize()});
+      return OkStatus();
     case lang::TypeKind::kNamed:
       return InternalError("decode of unresolved named type");
   }

@@ -1,17 +1,19 @@
 // Runtime values for the kernel interpreter. A Value is a typed scalar,
 // vector, pointer (a simgpu virtual address), or an aggregate byte image
-// (struct/array rvalues). It holds its interned type and up to 16 vector
-// lanes inline, so copying a scalar, vector or pointer value never
-// allocates; only an aggregate keeps its bytes on the heap.
+// (struct/array rvalues). It is what one executor register holds: its
+// interned type and up to 16 vector lanes inline, so building or copying
+// a scalar, vector or pointer value never allocates and never touches
+// more lanes than the vector has. An aggregate's bytes live out of line in
+// a payload that copies share and that is copied only when written.
 // Encode/Decode convert between Values and device memory bytes under the
 // shared ABI defined by lang::Type::ByteSize().
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "lang/type.h"
 #include "support/status.h"
@@ -34,6 +36,33 @@ class Value {
   static constexpr int kMaxLanes = 16;
 
   Value() = default;
+  // Copies move only the lanes in use: none for a scalar or pointer, the
+  // vector's width, or the byte count of an aggregate.
+  Value(const Value& o) : type_(o.type_), s_(o.s_), agg_(o.agg_) {
+    std::memcpy(lanes_, o.lanes_, o.LanesInUse() * sizeof(ScalarVal));
+  }
+  Value(Value&& o) noexcept : type_(o.type_), s_(o.s_) {
+    std::memcpy(lanes_, o.lanes_, o.LanesInUse() * sizeof(ScalarVal));
+    agg_ = std::move(o.agg_);
+  }
+  Value& operator=(const Value& o) {
+    if (this != &o) {
+      std::memcpy(lanes_, o.lanes_, o.LanesInUse() * sizeof(ScalarVal));
+      type_ = o.type_;
+      s_ = o.s_;
+      agg_ = o.agg_;
+    }
+    return *this;
+  }
+  Value& operator=(Value&& o) noexcept {
+    if (this != &o) {
+      std::memcpy(lanes_, o.lanes_, o.LanesInUse() * sizeof(ScalarVal));
+      type_ = o.type_;
+      s_ = o.s_;
+      agg_ = std::move(o.agg_);
+    }
+    return *this;
+  }
 
   // -- constructors --------------------------------------------------------
   static Value Int(int64_t v, ScalarKind k = ScalarKind::kInt);
@@ -44,7 +73,8 @@ class Value {
   /// are zero.
   static Value Vector(Type::Ptr vec_type,
                       std::span<const ScalarVal> lanes = {});
-  static Value Aggregate(Type::Ptr type, std::vector<std::byte> bytes);
+  /// An aggregate of `type` holding a copy of `bytes`.
+  static Value Aggregate(Type::Ptr type, std::span<const std::byte> bytes);
   static Value Void();
 
   // -- observers -----------------------------------------------------------
@@ -52,7 +82,8 @@ class Value {
   bool is_vector() const { return type_ && type_->is_vector(); }
   bool is_aggregate() const { return type_ && (type_->is_struct() || type_->is_array()); }
 
-  /// Scalar payload (also the pointer VA / opaque handle).
+  /// Scalar payload (also the pointer VA / opaque handle). Zero for
+  /// vectors and aggregates.
   ScalarVal scalar() const { return s_; }
   uint64_t AsVa() const { return s_.u; }
 
@@ -65,8 +96,13 @@ class Value {
   /// The vector lanes: one per component of a vector type, none otherwise.
   std::span<const ScalarVal> comps() const { return {lanes_, LaneCount()}; }
   std::span<ScalarVal> comps() { return {lanes_, LaneCount()}; }
-  const std::vector<std::byte>& bytes() const { return agg_; }
-  std::vector<std::byte>& bytes() { return agg_; }
+  /// An aggregate's bytes; empty otherwise.
+  std::span<const std::byte> bytes() const {
+    return agg_ ? std::span<const std::byte>(agg_.get(), lanes_[0].u)
+                : std::span<const std::byte>();
+  }
+  /// Zero-extend an aggregate's bytes to at least `n`.
+  void PadBytesTo(size_t n);
 
   /// Component i as a scalar Value of the element kind.
   Value Component(int i) const;
@@ -87,19 +123,22 @@ class Value {
   size_t LaneCount() const {
     return is_vector() ? static_cast<size_t>(type_->vector_width()) : 0;
   }
+  size_t LanesInUse() const { return agg_ ? 1 : LaneCount(); }
 
   Type::Ptr type_ = nullptr;
   ScalarVal s_{};
-  ScalarVal lanes_[kMaxLanes] = {};  // vector components
-  std::vector<std::byte> agg_;       // struct/array payload
+  /// Vector components; only the first vector_width() are ever written or
+  /// read. An aggregate keeps its byte count in lane 0.
+  ScalarVal lanes_[kMaxLanes];
+  std::shared_ptr<std::byte[]> agg_;  // aggregate payload, shared by copies
 };
 
 /// Encode `v` into `dst` (device memory bytes) as type `v.type()`.
 /// `dst` must have at least v.type()->ByteSize() bytes.
 Status EncodeValue(const Value& v, std::byte* dst);
 
-/// Decode a value of `type` from `src`.
-StatusOr<Value> DecodeValue(Type::Ptr type, const std::byte* src);
+/// Decode a value of `type` from `src` into `*out`.
+Status DecodeValue(Type::Ptr type, const std::byte* src, Value* out);
 
 /// Scalar conversion helper shared with the interpreter: reinterprets the
 /// payload of kind `from` as kind `to` with C conversion semantics.

@@ -409,9 +409,6 @@ struct FunctionDecl : Decl {
   /// Parsed from an optional `__launch_bounds__`-style annotation or
   /// estimated by sema from the body.
   int register_estimate = 0;
-  /// Set by sema: the body can reach `barrier`/`__syncthreads`, directly
-  /// or through the functions it calls.
-  bool reaches_barrier = false;
   /// Set by sema: the frame slots a call needs, one per parameter and
   /// local (VarDecl::slot).
   int frame_slots = 0;

@@ -114,9 +114,6 @@ class Sema {
   DiagnosticEngine& diags_;
   std::vector<Scope> scopes_;
   FunctionDecl* current_fn_ = nullptr;
-  /// (caller, callee) for every call of a user function, for
-  /// reaches_barrier.
-  std::vector<std::pair<FunctionDecl*, const FunctionDecl*>> calls_;
   std::unordered_map<std::string, TextureRefDecl*> textures_;
   int local_var_count_ = 0;
 };
@@ -191,16 +188,6 @@ Status Sema::Run() {
     if (d->kind != DeclKind::kFunction) continue;
     BRIDGECL_RETURN_IF_ERROR(AnalyzeFunction(d->As<FunctionDecl>()));
   }
-  // A caller of a function that reaches a barrier reaches it too. Marks
-  // only ever get set, so the fixpoint ends, recursion included.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (auto [caller, callee] : calls_) {
-      if (!callee->reaches_barrier || caller->reaches_barrier) continue;
-      caller->reaches_barrier = true;
-      changed = true;
-    }
-  }
   Pop();
   return OkStatus();
 }
@@ -231,7 +218,6 @@ void Sema::EstimateRegisters(FunctionDecl* fn) {
 
 Status Sema::AnalyzeFunction(FunctionDecl* fn) {
   current_fn_ = fn;
-  fn->reaches_barrier = false;
   local_var_count_ = 0;
   InferKernelParamSpaces(fn);
   Push();
@@ -483,7 +469,6 @@ Status Sema::AnalyzeExpr(Expr* e) {
                            "supported in device code");
       if (FunctionDecl* fn = tu_.FindFunction(name)) {
         c->callee->As<DeclRefExpr>()->function = fn;
-        if (current_fn_ != nullptr) calls_.emplace_back(current_fn_, fn);
         Type::Ptr ret = fn->return_type;
         // Template call: the return type may be the template parameter;
         // substitute from explicit type args or the first argument.
@@ -506,8 +491,6 @@ Status Sema::AnalyzeExpr(Expr* e) {
                                name.c_str(), builtin.info->min_args,
                                c->args.size()));
         c->callee->As<DeclRefExpr>()->builtin = builtin;
-        if (builtin.op() == BuiltinOp::kBarrier && current_fn_ != nullptr)
-          current_fn_->reaches_barrier = true;
         // tex* calls: refine using the named texture reference argument.
         e->type = BuiltinResultType(builtin, arg_types);
         c->callee->type = e->type;

@@ -98,7 +98,6 @@ const char* AddressSpaceName(AddressSpace s) {
 
 namespace {
 constexpr int kScalarKinds = static_cast<int>(ScalarKind::kSizeT) + 1;
-constexpr int kVectorWidths = 17;  // indexed by width, 1..16
 
 /// Guards the keyed tables below and the first build of a pointer type.
 std::mutex& TableMutex() {
@@ -117,29 +116,21 @@ Type::Ptr Intern(Table& table, const Key& key, const Make& make) {
 }
 }  // namespace
 
-Type::Ptr Type::Scalar(ScalarKind k) {
-  static const Type* const scalars = [] {
-    Type* t = new Type[kScalarKinds];
-    for (int i = 0; i < kScalarKinds; ++i)
-      t[i].scalar_ = static_cast<ScalarKind>(i);
-    return t;
-  }();
-  return &scalars[static_cast<int>(k)];
+const Type* Type::MakeScalarTable() {
+  Type* t = new Type[kScalarKinds];
+  for (int i = 0; i < kScalarKinds; ++i)
+    t[i].scalar_ = static_cast<ScalarKind>(i);
+  return t;
 }
 
-Type::Ptr Type::Vector(ScalarKind elem, int width) {
-  assert(width == 1 || width == 2 || width == 3 || width == 4 || width == 8 ||
-         width == 16);
-  static const Type* const vectors = [] {
-    Type* t = new Type[kScalarKinds * kVectorWidths];
-    for (int i = 0; i < kScalarKinds * kVectorWidths; ++i) {
-      t[i].kind_ = TypeKind::kVector;
-      t[i].scalar_ = static_cast<ScalarKind>(i / kVectorWidths);
-      t[i].width_ = i % kVectorWidths;
-    }
-    return t;
-  }();
-  return &vectors[static_cast<int>(elem) * kVectorWidths + width];
+const Type* Type::MakeVectorTable() {
+  Type* t = new Type[kScalarKinds * kVectorWidths];
+  for (int i = 0; i < kScalarKinds * kVectorWidths; ++i) {
+    t[i].kind_ = TypeKind::kVector;
+    t[i].scalar_ = static_cast<ScalarKind>(i / kVectorWidths);
+    t[i].width_ = i % kVectorWidths;
+  }
+  return t;
 }
 
 Type::Ptr Type::Pointer(Ptr pointee, AddressSpace pointee_space) {

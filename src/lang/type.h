@@ -87,8 +87,15 @@ class Type {
   using Ptr = const Type*;
 
   // -- factories ----------------------------------------------------------
-  static Ptr Scalar(ScalarKind k);
-  static Ptr Vector(ScalarKind elem, int width);
+  /// Scalars and vectors are inline lookups in tables built on first use.
+  static Ptr Scalar(ScalarKind k) {
+    static const Type* const scalars = MakeScalarTable();
+    return &scalars[static_cast<int>(k)];
+  }
+  static Ptr Vector(ScalarKind elem, int width) {
+    static const Type* const vectors = MakeVectorTable();
+    return &vectors[static_cast<int>(elem) * kVectorWidths + width];
+  }
   static Ptr Pointer(Ptr pointee, AddressSpace pointee_space);
   static Ptr Array(Ptr elem, size_t extent);
   static Ptr Struct(const StructDecl* decl);
@@ -145,6 +152,10 @@ class Type {
   std::string ToString() const;
 
  private:
+  static constexpr int kVectorWidths = 17;  // vector table row: width 0..16
+  static const Type* MakeScalarTable();
+  static const Type* MakeVectorTable();
+
   explicit Type(TypeKind kind = TypeKind::kScalar) : kind_(kind) {}
 
   TypeKind kind_ = TypeKind::kScalar;

@@ -1,6 +1,7 @@
 #include "simgpu/device.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace bridgecl::simgpu {
@@ -12,6 +13,7 @@ void Device::ChargeCopy(size_t bytes) {
 }
 
 double Device::ReserveEngine(EngineId e, double ready_us, double dur_us) {
+  assert(ready_us >= clock_us_);
   const int self = static_cast<int>(e);
   const int other = 1 - self;
   const double start = std::max(ready_us, engine_free_us_[self]);
@@ -28,6 +30,15 @@ double Device::ReserveEngine(EngineId e, double ready_us, double dur_us) {
   if (dur_us > 0) engine_intervals_[self].emplace_back(start, end);
   engine_free_us_[self] = end;
   engine_busy_us_[self] += dur_us;
+  // Drop the intervals no later reservation can overlap. One on engine Y
+  // is only read by reservations on the other engine X, which start no
+  // earlier than engine_free_us_[X] nor than the clock; the walk above
+  // stops before reaching an interval that ends by then.
+  for (int y = 0; y < kEngineCount; ++y) {
+    const double horizon = std::max(engine_free_us_[1 - y], clock_us_);
+    auto& held = engine_intervals_[y];
+    while (!held.empty() && held.front().second <= horizon) held.pop_front();
+  }
   return start;
 }
 

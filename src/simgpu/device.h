@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -126,9 +127,11 @@ class Device {
   bool capturing() const { return capturing_; }
 
   /// Reserve `dur_us` on engine `e`, starting no earlier than `ready_us`
-  /// (the command's dependency horizon) nor before the engine is free.
-  /// Returns the start time; the engine busy/overlap accounting updates
-  /// incrementally. Deterministic: reservations are made in enqueue order.
+  /// (the command's dependency horizon, never before the clock) nor
+  /// before the engine is free. Returns the start time; the engine
+  /// busy/overlap accounting updates incrementally, and only intervals a
+  /// later reservation could overlap are kept. Deterministic: reservations
+  /// are made in enqueue order.
   double ReserveEngine(EngineId e, double ready_us, double dur_us);
 
   /// Total busy time reserved on an engine since the last ResetClock.
@@ -138,6 +141,10 @@ class Device {
   /// Time during which both engines were simultaneously busy — the
   /// overlap the dual-engine model buys (bench_ablation_overlap's ratio).
   double EngineOverlapUs() const { return engine_overlap_us_; }
+  /// Reservations on an engine that a later one could still overlap.
+  size_t EngineIntervalsHeld(EngineId e) const {
+    return engine_intervals_[static_cast<int>(e)].size();
+  }
 
   void ResetStats() { stats_ = DeviceStats{}; }
   void ResetClock() {
@@ -171,10 +178,11 @@ class Device {
   // Per-engine timeline state. Intervals are naturally sorted and
   // non-overlapping: each reservation starts at max(ready, engine free),
   // which is never before the previous reservation's end on that engine.
+  // ReserveEngine drops the front ones no later reservation can reach.
   double engine_free_us_[kEngineCount] = {0, 0};
   double engine_busy_us_[kEngineCount] = {0, 0};
   double engine_overlap_us_ = 0;
-  std::vector<std::pair<double, double>> engine_intervals_[kEngineCount];
+  std::deque<std::pair<double, double>> engine_intervals_[kEngineCount];
   trace::TraceRecorder* tracer_ = nullptr;
 };
 

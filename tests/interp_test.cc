@@ -232,8 +232,8 @@ TEST_F(InterpTest, BarrierReduction) {
 }
 
 TEST_F(InterpTest, BarrierInsideAHelperSynchronizesTheBlock) {
-  // The kernel's only barrier sits in a helper, so the kernel reaches a
-  // barrier only through the call and must still run as fibers.
+  // The kernel's only barrier sits in a helper: the items wait there, in
+  // the helper's frame, until the whole block arrives.
   auto m = Compile(
       "void tile_sync() { barrier(CLK_LOCAL_MEM_FENCE); }"
       "__kernel void rev(__global int* io) {"
@@ -258,30 +258,6 @@ TEST_F(InterpTest, BarrierInsideAHelperSynchronizesTheBlock) {
   auto out = ReadBuf<int>(vio, 64);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(out[i], 63 - i) << i;
   EXPECT_EQ(device_.stats().barriers, 64u);
-}
-
-TEST_F(InterpTest, BarrierInAKernelMarkedBarrierFreeFailsTheLaunch) {
-  // A kernel without reaches_barrier runs with no fibers; were sema to
-  // miss a barrier, reaching it must fail the launch, naming the kernel.
-  // The source is unique to this test, so clearing the mark on its
-  // analyzed unit (which the module cache shares) touches no other test.
-  auto m = Compile(
-      "__kernel void unmarked_sync(__global int* o) {"
-      "  o[get_local_id(0)] = 1;"
-      "  barrier(CLK_LOCAL_MEM_FENCE);"
-      "}",
-      Dialect::kOpenCL);
-  ASSERT_NE(m, nullptr);
-  m->tu().FindFunction("unmarked_sync")->reaches_barrier = false;
-  LaunchConfig cfg;
-  cfg.grid = Dim3(1);
-  cfg.block = Dim3(4);
-  std::vector<KernelArg> args = {KernelArg::Pointer(Alloc(16))};
-  auto r = LaunchKernel(device_, *m, "unmarked_sync", cfg, args);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
-  EXPECT_NE(r.status().message().find("'unmarked_sync'"), std::string::npos)
-      << r.status().ToString();
 }
 
 TEST_F(InterpTest, CudaDynamicSharedMemory) {
@@ -874,51 +850,13 @@ TEST_F(InterpTest, MultiDimensionalGrid) {
   EXPECT_EQ(out[3 * w + 7], 7 + 30);
 }
 
-// A fiber kernel can recurse to the call-depth limit: its fiber stacks
-// hold that many evaluator frames, and one call deeper fails the launch
-// instead of overflowing the stack.
-TEST_F(InterpTest, FiberKernelRecursesToTheCallDepthLimit) {
-  auto m = Compile(
-      "int down(int n, __global int* c, float4 v) {"
-      "  if (n == 0) return 1;"
-      "  float4 w = clamp(v, (float4)(0.0f), (float4)(1.0f)) + (float4)(1.0f);"
-      "  return atomic_add(c, max(down(n - 1, c, w.wzyx),"
-      "                           (int)fma(w.x, w.y, w.z)));"
-      "}"
-      "__kernel void k(__global int* c, int depth) {"
-      "  __local int t[4];"
-      "  int l = get_local_id(0);"
-      "  t[l] = down(depth, c, (float4)(l));"
-      "  barrier(CLK_LOCAL_MEM_FENCE);"
-      "  c[1 + l] = t[(l + 1) % 4];"
-      "}",
-      Dialect::kOpenCL);
-  ASSERT_NE(m, nullptr);
-  uint64_t vc = Alloc(5 * 4);
-  auto launch = [&](int depth) {
-    LaunchConfig cfg;
-    cfg.grid = Dim3(1);
-    cfg.block = Dim3(4);
-    std::vector<KernelArg> args = {KernelArg::Pointer(vc),
-                                   KernelArg::Value<int>(depth)};
-    return LaunchKernel(device_, *m, "k", cfg, args);
-  };
-  auto deepest = launch(63);  // the kernel's frame plus 63 calls
-  EXPECT_TRUE(deepest.ok()) << deepest.status().ToString();
-  auto too_deep = launch(64);
-  ASSERT_FALSE(too_deep.ok());
-  EXPECT_NE(too_deep.status().message().find("recursion too deep"),
-            std::string::npos)
-      << too_deep.status().ToString();
-}
-
 // A launch's heap allocations do not grow with its work-items: once a
 // kernel has run, interpreting one more item allocates nothing. Kernel
 // `plain` covers int, uint and float scalars, float4 arithmetic with a
 // swizzle read and store, pointer arithmetic on a __global buffer, a
 // private array indexed in a loop and a helper with a scalar and a
 // __global pointer parameter and locals; `tiled` adds a __local tile and
-// a barrier, so its items run as fibers.
+// a barrier, so all of its items are live at once.
 TEST_F(InterpTest, LaunchAllocationsDoNotGrowWithWorkItems) {
   const std::string helper =
       "int mix_in(int x, __global const int* table) {"
@@ -981,6 +919,235 @@ TEST_F(InterpTest, LaunchAllocationsDoNotGrowWithWorkItems) {
   }
   EXPECT_GT(device_.stats().barriers, 0u);
   SetWorkerCount(0);
+}
+
+
+// Integer and selection built-ins apply per lane on vectors, as the
+// scalar op computes one value; a scalar operand is broadcast.
+TEST_F(InterpTest, VectorIntegerBuiltinsWorkPerLane) {
+  auto m = Compile(
+      "__kernel void k(__global float4* f, __global int4* i,"
+      "                __global uint4* u) {"
+      "  float4 a = (float4)(5.0f, 1.0f, 7.0f, -2.0f);"
+      "  float4 b = (float4)(3.0f, 4.0f, 0.5f, 9.0f);"
+      "  f[0] = min(a, b);"
+      "  f[1] = max(a, b);"
+      "  f[2] = clamp(a, (float4)(0.0f), (float4)(2.0f));"
+      "  f[3] = mix(a, b, 0.5f);"
+      "  i[0] = abs((int4)(-3, 4, -5, 0));"
+      "  i[1] = mul24((int4)(2, 3, 4, 5), (int4)(10, 20, 30, 40));"
+      "  i[2] = popcount((int4)(7, 8, 255, 0));"
+      "  i[3] = clz((int4)(1, 16, 0, 0x00ff0000));"
+      "  u[0] = abs((uint4)(3u, 4u, 5u, 0u));"
+      "  u[1] = mul24((uint4)(2u, 3u, 4u, 5u), (uint4)(10u, 20u, 30u, 40u));"
+      "  u[2] = popcount((uint4)(7u, 8u, 255u, 0xffffffffu));"
+      "  u[3] = clz((uint4)(1u, 16u, 0u, 0x80000000u));"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vf = Alloc(4 * 16), vi = Alloc(4 * 16), vu = Alloc(4 * 16);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vf), KernelArg::Pointer(vi),
+                                 KernelArg::Pointer(vu)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<float>(vf, 16),
+            (std::vector<float>{3, 1, 0.5f, -2,  5, 4, 7, 9,  2, 1, 2, 0,
+                                4, 2.5f, 3.75f, 3.5f}));
+  EXPECT_EQ(ReadBuf<int>(vi, 16),
+            (std::vector<int>{3, 4, 5, 0,  20, 60, 120, 200,  3, 1, 8, 0,
+                              31, 27, 32, 8}));
+  EXPECT_EQ(ReadBuf<uint32_t>(vu, 16),
+            (std::vector<uint32_t>{3, 4, 5, 0,  20, 60, 120, 200,  3, 1, 8, 32,
+                                   31, 27, 32, 0}));
+}
+
+// The executor's order of events, pinned as numbers. An armed fault plan
+// forces one worker and makes the injector count every consult: one
+// instruction consult per interpreted statement (compound statements and
+// each entry to a loop body included) and one memory-access consult per
+// resolved device access. Kernel `pinned_sync` has a __local tile, a
+// loop, float4 arithmetic with a swizzle, an atomic and a helper that
+// reaches a barrier from the middle of an expression; `pinned_plain` has
+// no barrier. The counts, stats and cycles below were recorded from the
+// recursive tree-walking evaluator with fiber-scheduled barriers, and the
+// block loop must reproduce them exactly, as it must the work-item an
+// instruction fault at the first, middle and last ordinal is charged to.
+TEST_F(InterpTest, ConsultOrderIsPinned) {
+  auto m = Compile(
+      "float weigh(__local float* t, int l) {"
+      "  barrier(CLK_LOCAL_MEM_FENCE);"
+      "  return t[(l + 1) % 8] * 0.5f;"
+      "}"
+      "__kernel void pinned_sync(__global float4* v, __global float* out,"
+      "                          __global int* hits) {"
+      "  __local float tile[8];"
+      "  int l = get_local_id(0);"
+      "  int g = get_global_id(0);"
+      "  float4 a = v[g] * 2.0f + (float4)(1.0f, 2.0f, 3.0f, 4.0f);"
+      "  a.xy = a.wz;"
+      "  float acc = 0.0f;"
+      "  for (int k = 0; k < 4; ++k) {"
+      "    tile[l] = a.x + k;"
+      "    acc += 1.0f + weigh(tile, l) * 2.0f;"
+      "    barrier(CLK_LOCAL_MEM_FENCE);"
+      "  }"
+      "  atomic_add(hits, (int)acc);"
+      "  out[g] = acc + a.y;"
+      "}"
+      "__kernel void pinned_plain(__global float* out, __global int* hits) {"
+      "  int g = get_global_id(0);"
+      "  float s = 0.0f;"
+      "  for (int k = 0; k <= g % 3; ++k) s += (float)k * 1.5f;"
+      "  if (g & 1) atomic_inc(hits);"
+      "  out[g] = s;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  const int n = 16;
+  uint64_t vv = Alloc(n * 16), vout = Alloc(n * 4), vhits = Alloc(4);
+  std::vector<float> init(n * 4);
+  for (int i = 0; i < n * 4; ++i) init[i] = 0.25f * i;
+  struct Run {
+    bool ok = false;
+    uint64_t instructions = 0, accesses = 0;
+    simgpu::DeviceStats stats;
+    double cycles = 0;
+    std::string culprit;  // the message's work-item suffix on failure
+  };
+  auto launch = [&](const char* kernel, uint64_t nth) {
+    device_.faults().set_plan({});
+    WriteBuf(vv, init);
+    WriteBuf(vout, std::vector<float>(n, 0.0f));
+    WriteBuf(vhits, std::vector<int>{0});
+    device_.ResetStats();
+    simgpu::FaultPlan plan;
+    plan.points.push_back(simgpu::FaultPoint{simgpu::FaultSite::kInstruction,
+                                             nth, simgpu::FaultKind::kError,
+                                             false, 0});
+    device_.faults().set_plan(plan);
+    LaunchConfig cfg;
+    cfg.grid = Dim3(2);
+    cfg.block = Dim3(8);
+    std::vector<KernelArg> args = {KernelArg::Pointer(vv),
+                                   KernelArg::Pointer(vout),
+                                   KernelArg::Pointer(vhits)};
+    if (std::string(kernel) == "pinned_plain") args.erase(args.begin());
+    auto r = LaunchKernel(device_, *m, kernel, cfg, args);
+    Run out;
+    out.ok = r.ok();
+    out.instructions = device_.faults().count(simgpu::FaultSite::kInstruction);
+    out.accesses = device_.faults().count(simgpu::FaultSite::kMemoryAccess);
+    out.stats = device_.stats();
+    if (r.ok()) out.cycles = r->total_cycles;
+    if (!r.ok()) {
+      const std::string& msg = r.status().message();
+      size_t at = msg.find(" [work-item");
+      out.culprit = at == std::string::npos ? msg : msg.substr(at);
+    }
+    device_.faults().set_plan({});
+    return out;
+  };
+  struct Pinned {
+    const char* kernel;
+    uint64_t instructions, accesses, ops, global, shared, bank_words, atomics,
+        barriers;
+    double cycles;
+    // Instruction faults at the first, middle and last ordinal: the
+    // work-item each is charged to, and the ops the failed launch counted.
+    const char* culprit[3];
+    uint64_t failed_ops[3];
+  };
+  const Pinned pinned[] = {
+      {"pinned_sync", 624, 192, 976, 64, 128, 128, 16, 128, 0x1.0d4p+13,
+       {" [work-item global (0,0,0), local (0,0,0), block (0,0,0)]",
+        " [work-item global (8,0,0), local (0,0,0), block (1,0,0)]",
+        " [work-item global (15,0,0), local (7,0,0), block (1,0,0)]"},
+       {427, 915, 974}},
+      {"pinned_plain", 151, 32, 313, 32, 0, 0, 8, 0, 0x1.2a5p+11,
+       {" [work-item global (0,0,0), local (0,0,0), block (0,0,0)]",
+        " [work-item global (8,0,0), local (0,0,0), block (1,0,0)]",
+        " [work-item global (15,0,0), local (7,0,0), block (1,0,0)]"},
+       {140, 286, 312}},
+  };
+  for (const Pinned& p : pinned) {
+    Run full = launch(p.kernel, ~uint64_t{0});
+    ASSERT_TRUE(full.ok) << p.kernel;
+    EXPECT_EQ(full.instructions, p.instructions) << p.kernel;
+    EXPECT_EQ(full.accesses, p.accesses) << p.kernel;
+    EXPECT_EQ(full.stats.ops_executed, p.ops) << p.kernel;
+    EXPECT_EQ(full.stats.global_accesses, p.global) << p.kernel;
+    EXPECT_EQ(full.stats.shared_accesses, p.shared) << p.kernel;
+    EXPECT_EQ(full.stats.shared_bank_words, p.bank_words) << p.kernel;
+    EXPECT_EQ(full.stats.atomics, p.atomics) << p.kernel;
+    EXPECT_EQ(full.stats.barriers, p.barriers) << p.kernel;
+    EXPECT_EQ(full.cycles, p.cycles) << p.kernel;
+    const uint64_t nths[3] = {0, p.instructions / 2, p.instructions - 1};
+    for (int i = 0; i < 3; ++i) {
+      Run f = launch(p.kernel, nths[i]);
+      EXPECT_FALSE(f.ok) << p.kernel << " " << nths[i];
+      EXPECT_EQ(f.culprit, p.culprit[i]) << p.kernel << " " << nths[i];
+      EXPECT_EQ(f.stats.ops_executed, p.failed_ops[i])
+          << p.kernel << " " << nths[i];
+    }
+  }
+}
+
+
+// A struct member read goes through the member's location; when building
+// that location fails, the base is evaluated again as an aggregate rvalue
+// and the field read from its bytes. So `make(...).b`, whose base is a
+// call, is read from the returned aggregate, and an injected fault in the
+// location of `arr[idx[0]].a` (the load of `idx[0]`) is retried through
+// the aggregate and survived. Counts and surviving ordinals recorded from
+// the tree-walking evaluator.
+TEST_F(InterpTest, StructMemberReadRetriesAFailedLocationAsAnAggregate) {
+  auto m = Compile(
+      "typedef struct { int a; int b; } S;"
+      "S make(int v) { S s; s.a = v; s.b = 2 * v; return s; }"
+      "__kernel void k(__global int* o, __global const int* idx,"
+      "                __global const S* arr) {"
+      "  o[0] = make(3).b * 100 + arr[idx[0]].a;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(4), vidx = Alloc(4), varr = Alloc(16);
+  WriteBuf(vidx, std::vector<int>{1});
+  WriteBuf(varr, std::vector<int>{5, 6, 7, 8});
+  auto launch = [&](uint64_t nth, uint64_t* consults) {
+    device_.faults().set_plan({});
+    WriteBuf(vo, std::vector<int>{0});
+    simgpu::FaultPlan plan;
+    plan.points.push_back(simgpu::FaultPoint{simgpu::FaultSite::kMemoryAccess,
+                                             nth, simgpu::FaultKind::kError,
+                                             false, 0});
+    device_.faults().set_plan(plan);
+    LaunchConfig cfg;
+    cfg.grid = Dim3(1);
+    cfg.block = Dim3(1);
+    std::vector<KernelArg> args = {KernelArg::Pointer(vo),
+                                   KernelArg::Pointer(vidx),
+                                   KernelArg::Pointer(varr)};
+    auto r = LaunchKernel(device_, *m, "k", cfg, args);
+    *consults = device_.faults().count(simgpu::FaultSite::kMemoryAccess);
+    device_.faults().set_plan({});
+    return r.ok();
+  };
+  uint64_t total = 0;
+  ASSERT_TRUE(launch(~uint64_t{0}, &total));
+  EXPECT_EQ(ReadBuf<int>(vo, 1)[0], 607);
+  EXPECT_EQ(total, 7u);
+  std::vector<uint64_t> survived;
+  for (uint64_t nth = 0; nth < total; ++nth) {
+    uint64_t consults = 0;
+    if (!launch(nth, &consults)) continue;
+    survived.push_back(nth);
+    EXPECT_EQ(ReadBuf<int>(vo, 1)[0], 607) << nth;
+    EXPECT_EQ(consults, 5u) << nth;
+  }
+  EXPECT_EQ(survived, std::vector<uint64_t>{4});
 }
 
 }  // namespace

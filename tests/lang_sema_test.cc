@@ -201,66 +201,6 @@ TEST(SemaTest, TextureRefTyping) {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier reachability: a kernel that cannot reach barrier/__syncthreads,
-// directly or through the functions it calls, runs without fibers.
-// ---------------------------------------------------------------------------
-
-bool KernelReachesBarrier(const std::string& src, Dialect d) {
-  auto tu = Analyzed(src, d);
-  if (tu == nullptr) return false;
-  return tu->FindFunction("k")->reaches_barrier;
-}
-
-TEST(SemaTest, MarksKernelsThatReachABarrier) {
-  EXPECT_TRUE(KernelReachesBarrier(
-      "__kernel void k(__global int* a) {"
-      "  a[0] = 1;"
-      "  barrier(CLK_LOCAL_MEM_FENCE);"
-      "}",
-      Dialect::kOpenCL));
-  EXPECT_TRUE(KernelReachesBarrier(
-      "void tile_sync() { barrier(CLK_LOCAL_MEM_FENCE); }"
-      "__kernel void k(__global int* a) { a[0] = 1; tile_sync(); }",
-      Dialect::kOpenCL));
-  auto two_levels = Analyzed(
-      "void inner() { barrier(CLK_GLOBAL_MEM_FENCE); }"
-      "void outer(int x) { if (x > 0) inner(); }"
-      "__kernel void k(__global int* a) { outer(a[0]); }",
-      Dialect::kOpenCL);
-  ASSERT_NE(two_levels, nullptr);
-  for (const char* fn : {"inner", "outer", "k"})
-    EXPECT_TRUE(two_levels->FindFunction(fn)->reaches_barrier) << fn;
-  EXPECT_TRUE(KernelReachesBarrier(
-      "__device__ void tile_sync() { __syncthreads(); }"
-      "__global__ void k(int* a) { a[threadIdx.x] = 1; tile_sync(); }",
-      Dialect::kCUDA));
-}
-
-TEST(SemaTest, FencesAndBarrierFreeRecursionDoNotReachABarrier) {
-  EXPECT_FALSE(KernelReachesBarrier(
-      "__kernel void k(__global int* a) {"
-      "  a[0] = 1;"
-      "  mem_fence(CLK_LOCAL_MEM_FENCE);"
-      "}",
-      Dialect::kOpenCL));
-  EXPECT_FALSE(KernelReachesBarrier(
-      "__global__ void k(int* a) {"
-      "  a[0] = 1;"
-      "  __threadfence();"
-      "  __threadfence_block();"
-      "}",
-      Dialect::kCUDA));
-  // The fixpoint terminates on a call cycle and marks nothing.
-  auto recursive = Analyzed(
-      "__device__ int fact(int n) { return n <= 1 ? 1 : n * fact(n - 1); }"
-      "__global__ void k(int* a) { a[0] = fact(a[1]); }",
-      Dialect::kCUDA);
-  ASSERT_NE(recursive, nullptr);
-  EXPECT_FALSE(recursive->FindFunction("fact")->reaches_barrier);
-  EXPECT_FALSE(recursive->FindFunction("k")->reaches_barrier);
-}
-
-// ---------------------------------------------------------------------------
 // Built-in resolution: sema resolves each use to one catalog entry and
 // rejects calls with fewer arguments than the entry's operation reads.
 // ---------------------------------------------------------------------------

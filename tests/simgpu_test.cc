@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "simgpu/device.h"
-#include "simgpu/fiber.h"
 
 namespace bridgecl::simgpu {
 namespace {
@@ -174,67 +175,57 @@ TEST(DeviceTest, ClockAdvances) {
   EXPECT_EQ(d.stats().api_calls, 1u);
 }
 
-TEST(FiberTest, PlainTasksComplete) {
-  FiberGroup g(64 * 1024);
-  std::vector<int> done(8, 0);
-  Status st = g.Run(8, [&](int i) {
-    done[i] = i + 1;
-    return OkStatus();
-  });
-  ASSERT_TRUE(st.ok());
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(done[i], i + 1);
+TEST(EngineTimelineTest, OverlapAndBusyMatchABruteForceReference) {
+  // Random reservations on both engines, with the clock moving between
+  // them. Every time is a multiple of 0.25 us, so each sum is exact and
+  // the incremental accounting must equal the O(n^2) reference exactly.
+  Device d(TitanProfile());
+  uint64_t s = 12345;
+  auto next = [&](uint64_t n) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return (s >> 33) % n;
+  };
+  std::vector<std::pair<double, double>> held[2];
+  double overlap = 0, busy[2] = {0, 0}, free_at[2] = {0, 0};
+  for (int i = 0; i < 2000; ++i) {
+    const int e = static_cast<int>(next(2));
+    const double ready = d.now_us() + 0.5 * static_cast<double>(next(40));
+    const double dur = next(5) == 0 ? 0 : 0.25 * static_cast<double>(next(80));
+    const double start = d.ReserveEngine(static_cast<EngineId>(e), ready, dur);
+    ASSERT_EQ(start, std::max(ready, free_at[e])) << i;
+    for (const auto& [a, b] : held[1 - e])
+      overlap += std::max(0.0, std::min(start + dur, b) - std::max(start, a));
+    if (dur > 0) held[e].emplace_back(start, start + dur);
+    free_at[e] = start + dur;
+    busy[e] += dur;
+    if (next(10) == 0) d.AdvanceUs(0.25 * static_cast<double>(next(200)));
+  }
+  EXPECT_EQ(d.EngineOverlapUs(), overlap);
+  EXPECT_EQ(d.EngineBusyUs(EngineId::kCopy), busy[0]);
+  EXPECT_EQ(d.EngineBusyUs(EngineId::kCompute), busy[1]);
+  EXPECT_GT(overlap, 0.0);
 }
 
-TEST(FiberTest, BarrierSynchronizes) {
-  FiberGroup g(64 * 1024);
-  // Phase counter: all fibers must write phase-1 data before any reads it.
-  std::vector<int> a(16, 0), b(16, 0);
-  Status st = g.Run(16, [&](int i) {
-    a[i] = i * 2;
-    g.Barrier();
-    b[i] = a[15 - i];  // reads sibling data written before the barrier
-    return OkStatus();
-  });
-  ASSERT_TRUE(st.ok());
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(b[i], (15 - i) * 2);
-}
-
-TEST(FiberTest, MultipleBarriers) {
-  FiberGroup g(64 * 1024);
-  int counter = 0;
-  Status st = g.Run(4, [&](int) {
-    for (int round = 0; round < 5; ++round) {
-      ++counter;
-      g.Barrier();
-    }
-    return OkStatus();
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(counter, 20);
-}
-
-TEST(FiberTest, ErrorPropagates) {
-  FiberGroup g(64 * 1024);
-  Status st = g.Run(4, [&](int i) {
-    if (i == 2) return InternalError("boom");
-    return OkStatus();
-  });
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.message(), "boom");
-}
-
-TEST(FiberTest, EarlyExitTolerated) {
-  // Some work-items return before the barrier (guarded kernels).
-  FiberGroup g(64 * 1024);
-  int reached = 0;
-  Status st = g.Run(8, [&](int i) {
-    if (i >= 4) return OkStatus();  // early exit
-    g.Barrier();
-    ++reached;
-    return OkStatus();
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(reached, 4);
+TEST(EngineTimelineTest, HeldIntervalsDoNotGrow) {
+  // A long-lived device: copy then kernel on one in-order queue, synced
+  // every 16 pairs, then kernels alone. The intervals held stay bounded.
+  Device d(TitanProfile());
+  size_t most = 0;
+  double end = 0;
+  for (int i = 0; i < 50000; ++i) {
+    double copied = d.ReserveEngine(EngineId::kCopy, std::max(d.now_us(), end), 3) + 3;
+    end = d.ReserveEngine(EngineId::kCompute, copied, 5) + 5;
+    if (i % 16 == 15) d.AdvanceUs(end - d.now_us());
+    most = std::max({most, d.EngineIntervalsHeld(EngineId::kCopy),
+                     d.EngineIntervalsHeld(EngineId::kCompute)});
+  }
+  for (int i = 0; i < 50000; ++i) {
+    end = d.ReserveEngine(EngineId::kCompute, std::max(d.now_us(), end), 5) + 5;
+    if (i % 16 == 15) d.AdvanceUs(end - d.now_us());
+    most = std::max(most, d.EngineIntervalsHeld(EngineId::kCompute));
+  }
+  EXPECT_LE(most, 17u);
+  EXPECT_EQ(d.EngineBusyUs(EngineId::kCompute), 5.0 * 100000);
 }
 
 TEST(ProfileTest, TableTwoProfiles) {
