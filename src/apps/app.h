@@ -57,10 +57,6 @@ class App {
     (void)checksum;
     return UnimplementedError(name() + " has no CUDA host program");
   }
-
-  virtual std::vector<RegisterOverride> RegisterOverrides() const {
-    return {};
-  }
 };
 
 using AppPtr = std::unique_ptr<App>;

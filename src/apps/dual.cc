@@ -27,9 +27,6 @@ class ClDualDev final : public DualDev {
     simgpu::Dim3 gws = simgpu::GridToNdrange(grid, block);
     return runner_.Launch(kernel, gws, block, args);
   }
-  Status SetRegs(const std::string& kernel, int regs) override {
-    return runner_.SetRegisters(kernel, regs);
-  }
   Arg BufArg(H h) const override { return Arg::Buf(mocl::ClMem{h}); }
 
  private:
@@ -94,9 +91,6 @@ class CudaDualDev final : public DualDev {
       }
     }
     return runner_.api().LaunchKernel(kernel, grid, block, shared, largs);
-  }
-  Status SetRegs(const std::string& kernel, int regs) override {
-    return runner_.api().SetKernelRegisters(kernel, regs);
   }
   Arg BufArg(H h) const override {
     return Arg::Ptr(reinterpret_cast<void*>(h));

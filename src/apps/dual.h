@@ -33,7 +33,6 @@ class DualDev {
   virtual Status Launch(const std::string& kernel, simgpu::Dim3 grid,
                         simgpu::Dim3 block,
                         std::initializer_list<Arg> args) = 0;
-  virtual Status SetRegs(const std::string& kernel, int regs) = 0;
   /// Argument wrapper for a buffer handle (dialect-appropriate).
   virtual Arg BufArg(H h) const = 0;
 
@@ -71,9 +70,6 @@ class DualApp : public App {
   std::string suite() const override { return suite_; }
   std::string OpenClSource() const override { return cl_source_; }
   std::string CudaSource() const override { return cuda_source_; }
-  std::vector<RegisterOverride> RegisterOverrides() const override {
-    return overrides_;
-  }
 
   Status RunCl(mocl::OpenClApi& cl, double* checksum) override;
   Status RunCuda(mcuda::CudaApi& cu, double* checksum) override;

@@ -58,10 +58,6 @@ Status ClRunner::Launch(const std::string& kernel, simgpu::Dim3 gws,
   return cl_.EnqueueNDRangeKernel(k, 3, gws_a, lws_a);
 }
 
-Status ClRunner::SetRegisters(const std::string& kernel, int regs) {
-  return cl_.SetProgramKernelRegisters(program_, kernel, regs);
-}
-
 Status CudaRunner::Launch(const std::string& kernel, simgpu::Dim3 grid,
                           simgpu::Dim3 block, size_t shared_bytes,
                           std::initializer_list<Arg> args) {

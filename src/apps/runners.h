@@ -115,8 +115,6 @@ class ClRunner {
   Status Launch(const std::string& kernel, simgpu::Dim3 gws,
                 simgpu::Dim3 lws, std::initializer_list<Arg> args);
 
-  Status SetRegisters(const std::string& kernel, int regs);
-
   mocl::OpenClApi& api() { return cl_; }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -73,15 +74,6 @@ struct Frame {
   uint64_t private_top = 0;   // the caller's private-stack top
 };
 
-/// An active kTry region; once a failure is caught, the failure it holds
-/// until the fallback code reads it.
-struct Handler {
-  uint32_t pc = 0;
-  uint32_t frames = 0;
-  bool active = true;
-  Status caught;
-};
-
 /// One work-item between its start and its end: plain data, so a barrier
 /// only saves the pc and returns to the block loop. Workers keep their
 /// items, with the capacity of every vector, across blocks and launches.
@@ -92,7 +84,6 @@ struct Item {
   std::vector<Frame> frames;
   std::vector<Value> regs;
   std::vector<LV> lvs;
-  std::vector<Handler> handlers;
   Value ret;  // the last value a call returned
 };
 
@@ -279,6 +270,15 @@ ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
   }
 }
 
+/// Integer `v`'s bits in its own width, and that width.
+std::pair<uint64_t, int> OwnBits(const Value& v) {
+  int width = 8 * static_cast<int>(lang::ScalarByteSize(
+                      v.type() ? v.type()->scalar_kind() : ScalarKind::kInt));
+  uint64_t bits = v.AsU64();
+  if (width < 64) bits &= (uint64_t{1} << width) - 1;
+  return {bits, width};
+}
+
 /// The integer and selection built-ins on scalars; vectors apply them per
 /// lane.
 Value ScalarIntOp(BuiltinOp op, const Value& a, const Value& b,
@@ -298,6 +298,8 @@ Value ScalarIntOp(BuiltinOp op, const Value& a, const Value& b,
       return take_a ? a : b;
     }
     case BuiltinOp::kAbs:
+      if (a.type() && a.type()->is_float())
+        return Value::Float(std::fabs(a.AsF64()), a.type()->scalar_kind());
       return Value::Int(std::llabs(a.AsI64()),
                         a.type() ? a.type()->scalar_kind() : ScalarKind::kInt);
     case BuiltinOp::kClamp: {
@@ -317,10 +319,10 @@ Value ScalarIntOp(BuiltinOp op, const Value& a, const Value& b,
     case BuiltinOp::kMul24:
       return Value::Int((a.AsI64() & 0xFFFFFF) * (b.AsI64() & 0xFFFFFF));
     case BuiltinOp::kPopcount:
-      return Value::Int(__builtin_popcountll(a.AsU64()));
+      return Value::Int(std::popcount(OwnBits(a).first));
     case BuiltinOp::kClz: {
-      uint32_t v = static_cast<uint32_t>(a.AsU64());
-      return Value::Int(v == 0 ? 32 : __builtin_clz(v));
+      auto [bits, width] = OwnBits(a);
+      return Value::Int(std::countl_zero(bits) - (64 - width));
     }
     default:
       return Value::Void();
@@ -401,7 +403,6 @@ class Executor {
                       static_cast<uint64_t>(index) * kPrivateBytesPerItem;
     it.private_top = it.private_base;
     it.cycles = 0;
-    it.handlers.clear();
     it.frames.assign(1, Frame{L_->code, 0, 0, 0, kNoReg, it.private_top});
     Reserve(it, 0, 0, *L_->code);
     const auto& params = L_->kernel->params;
@@ -479,8 +480,12 @@ class Executor {
 
   /// Resolve `va..va+n` as this block sees the address space: its own
   /// shared and private memory, and the device's global and constant.
+  /// Every device access the executor makes resolves here, so each
+  /// fault names the work-item.
   StatusOr<std::byte*> Resolve(uint64_t va, size_t n) {
-    return L_->device->vm().Resolve(va, n, B_->memory);
+    auto p = L_->device->vm().Resolve(va, n, B_->memory);
+    if (!p.ok()) return FaultAt(p.status());
+    return p;
   }
 
   // Every access to global or constant memory, which all blocks share,
@@ -514,21 +519,19 @@ class Executor {
 
   Status LoadMem(uint64_t va, Type::Ptr type, Value& out) {
     size_t n = type->ByteSize();
-    auto p = Resolve(va, n);
-    if (!p.ok()) return FaultAt(p.status());
+    BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, n));
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
-    return DecodeValue(type, Seen(va, *p, n), &out);
+    return DecodeValue(type, Seen(va, p, n), &out);
   }
 
   Status StoreMem(uint64_t va, const Value& v) {
     const Type& t = *v.type();
     size_t n = t.ByteSize();
-    auto p = Resolve(va, n);
-    if (!p.ok()) return FaultAt(p.status());
+    BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, n));
     BRIDGECL_RETURN_IF_ERROR(ChargeAccess(va, n));
     // A 3-component vector store leaves the padding lane untouched.
     if (t.is_vector() && t.vector_width() == 3) n = n / 4 * 3;
-    return Put(va, *p, n, [&](std::byte* dst) { return EncodeValue(v, dst); });
+    return Put(va, p, n, [&](std::byte* dst) { return EncodeValue(v, dst); });
   }
 
   StatusOr<uint64_t> StackAlloc(size_t bytes, size_t align) {
@@ -680,25 +683,10 @@ class Executor {
       }
       case OpCode::kArrowLV:
       case OpCode::kDotLV: {
-        const auto* m = static_cast<const MemberExpr*>(op.p);
-        Type::Ptr agg_t = nullptr;
-        uint64_t base_va = 0;
-        if (op.code == OpCode::kArrowLV) {
-          const Value& p = V(op.a);
-          agg_t = p.type() && p.type()->is_pointer() ? p.type()->pointee()
-                                                     : nullptr;
-          base_va = p.AsVa();
-        } else {
-          const LV& base = lvs[op.a];
-          if (base.kind != LV::Kind::kMem)
-            return Err("struct member write requires memory-backed struct");
-          agg_t = base.type;
-          base_va = base.va;
-        }
-        if (!agg_t || !agg_t->is_struct())
-          return Err("member access on non-struct");
-        const lang::StructField* f = agg_t->struct_decl()->FindField(m->member);
-        if (f == nullptr) return Err("no field '" + m->member + "'");
+        // A struct lives in memory: InReg never holds one.
+        const auto* f = static_cast<const lang::StructField*>(op.p);
+        uint64_t base_va =
+            op.code == OpCode::kArrowLV ? V(op.a).AsVa() : lvs[op.a].va;
         out = LV{LV::Kind::kMem, base_va + f->offset, 0, f->type};
         return OkStatus();
       }
@@ -887,15 +875,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
     return dst == kNoReg ? sink_ : regs[dst];
   };
   enter();
-  Status st;
-#define BRIDGECL_TRY(expr)      \
-  do {                          \
-    Status s_ = (expr);         \
-    if (!s_.ok()) {             \
-      st = std::move(s_);       \
-      goto fail;                \
-    }                           \
-  } while (0)
+  // A failing op ends the item: its status is returned as it stands.
   for (;;) {
     {
       const Op& op = ops[pc++];
@@ -903,7 +883,8 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kTick:
           // Deterministic instruction trap: one interpreted statement is
           // one "instruction" for FaultSite::kInstruction plans.
-          if (inj.armed()) BRIDGECL_TRY(FaultAt(inj.OnInstruction()));
+          if (inj.armed())
+            BRIDGECL_RETURN_IF_ERROR(FaultAt(inj.OnInstruction()));
           break;
         case OpCode::kJump:
           pc = op.n;
@@ -931,21 +912,16 @@ Status Executor::Resume(Item& it, bool* yielded) {
           regs[op.dst] = V(op.a);
           break;
         case OpCode::kFail:
-          st = Err(fn->messages[op.n]);
-          goto fail;
-        case OpCode::kTry:
-          it.handlers.push_back(
-              Handler{static_cast<uint32_t>(op.n),
-                      static_cast<uint32_t>(it.frames.size()), true, {}});
+          return Err(fn->messages[op.n]);
+        case OpCode::kStackSave:
+          regs[op.dst] = Value::UInt(it.private_top, ScalarKind::kULong);
           break;
-        case OpCode::kEndTry:
-          it.handlers.pop_back();
+        case OpCode::kStackRestore:
+          it.private_top = V(op.a).AsU64();
           break;
         case OpCode::kCallCheck:
-          if (it.frames.size() > static_cast<size_t>(kMaxCallDepth)) {
-            st = Err("device call stack overflow (recursion too deep)");
-            goto fail;
-          }
+          if (it.frames.size() > static_cast<size_t>(kMaxCallDepth))
+            return Err("device call stack overflow (recursion too deep)");
           break;
         case OpCode::kCall: {
           const auto* callee = static_cast<const LoweredFunction*>(op.p);
@@ -970,7 +946,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
                 it.regs[base + i] = V(args[i]).ConvertTo(p->type);
                 break;
               case ParamBinding::kDynamic:
-                BRIDGECL_TRY(BindVar(p, i, V(args[i])));
+                BRIDGECL_RETURN_IF_ERROR(BindVar(p, i, V(args[i])));
                 break;
             }
           }
@@ -1028,20 +1004,18 @@ Status Executor::Resume(Item& it, bool* yielded) {
         }
         case OpCode::kTexRef: {
           const auto* r = static_cast<const DeclRefExpr*>(op.p);
-          auto desc_va = L_->module->TextureBinding(r->name);
-          if (!desc_va.ok()) {
-            st = desc_va.status();
-            goto fail;
-          }
-          regs[op.dst] = Value::Pointer(*desc_va, r->type ? r->type : Type::IntTy());
+          BRIDGECL_ASSIGN_OR_RETURN(uint64_t desc_va,
+                                    L_->module->TextureBinding(r->name));
+          regs[op.dst] =
+              Value::Pointer(desc_va, r->type ? r->type : Type::IntTy());
           break;
         }
         case OpCode::kUnary:
           ApplyUnary(static_cast<UnaryOp>(op.sub), V(op.a), regs[op.dst]);
           break;
         case OpCode::kBinary:
-          BRIDGECL_TRY(ApplyBinary(static_cast<BinaryOp>(op.sub), V(op.a),
-                                   V(op.b), regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(ApplyBinary(static_cast<BinaryOp>(op.sub),
+                                               V(op.a), V(op.b), regs[op.dst]));
           break;
         case OpCode::kCast: {
           const auto* c = static_cast<const CastExpr*>(op.p);
@@ -1050,12 +1024,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
           if (c->style == lang::CastStyle::kReinterpret && c->target &&
               !c->target->is_pointer() && v.type() &&
               v.type()->ByteSize() == c->target->ByteSize()) {
-            auto bits = v.BitcastTo(c->target);
-            if (!bits.ok()) {
-              st = bits.status();
-              goto fail;
-            }
-            regs[op.dst] = std::move(*bits);
+            BRIDGECL_ASSIGN_OR_RETURN(regs[op.dst], v.BitcastTo(c->target));
           } else {
             regs[op.dst] = v.ConvertTo(c->target);
           }
@@ -1064,10 +1033,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kSwizzle: {
           const auto* m = static_cast<const MemberExpr*>(op.p);
           const Value& base = V(op.a);
-          if (!base.is_vector()) {
-            st = Err("swizzle on non-vector");
-            goto fail;
-          }
+          if (!base.is_vector()) return Err("swizzle on non-vector");
           if (m->swizzle.size() == 1) {
             regs[op.dst] = base.Component(m->swizzle[0]);
             break;
@@ -1076,10 +1042,8 @@ Status Executor::Resume(Item& it, bool* yielded) {
           out = Value::Vector(Type::Vector(base.type()->scalar_kind(),
                                            static_cast<int>(m->swizzle.size())));
           for (size_t i = 0; i < m->swizzle.size(); ++i) {
-            if (m->swizzle[i] >= static_cast<int>(base.comps().size())) {
-              st = Err("swizzle component out of range");
-              goto fail;
-            }
+            if (m->swizzle[i] >= static_cast<int>(base.comps().size()))
+              return Err("swizzle component out of range");
             out.comps()[i] = base.comps()[m->swizzle[i]];
           }
           break;
@@ -1087,10 +1051,8 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kVecIndex: {
           const Value& base = V(op.a);
           int i = static_cast<int>(V(op.b).AsI64());
-          if (i < 0 || i >= static_cast<int>(base.comps().size())) {
-            st = Err("vector component index out of range");
-            goto fail;
-          }
+          if (i < 0 || i >= static_cast<int>(base.comps().size()))
+            return Err("vector component index out of range");
           regs[op.dst] = base.Component(i);
           break;
         }
@@ -1116,54 +1078,40 @@ Status Executor::Resume(Item& it, bool* yielded) {
                 comps[at++] = ev.ConvertTo(et).scalar();
               }
             }
-            if (at != w) {
-              st = Err("wrong number of vector literal components");
-              goto fail;
-            }
+            if (at != w)
+              return Err("wrong number of vector literal components");
           }
           ChargeOp(prof.cost_alu);
           break;
         }
         case OpCode::kBuiltin:
-          BRIDGECL_TRY(CallBuiltin(*static_cast<const DeclRefExpr*>(op.p),
-                                   fn->lists.data() + op.n, op.c, regs,
-                                   consts, R(op.dst)));
+          BRIDGECL_RETURN_IF_ERROR(
+              CallBuiltin(*static_cast<const DeclRefExpr*>(op.p),
+                          fn->lists.data() + op.n, op.c, regs, consts,
+                          R(op.dst)));
           break;
         case OpCode::kDeref: {
           const Value& p = V(op.a);
           Type::Ptr t = p.type() && p.type()->is_pointer() ? p.type()->pointee()
                                                            : Type::IntTy();
-          BRIDGECL_TRY(LoadMem(p.AsVa(), t, regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(LoadMem(p.AsVa(), t, regs[op.dst]));
           break;
         }
         case OpCode::kAddrOf: {
           const LV& lv = lvs[op.a];
-          if (lv.kind != LV::Kind::kMem) {
-            st = Err("address of non-addressable value");
-            goto fail;
-          }
+          if (lv.kind != LV::Kind::kMem)
+            return Err("address of non-addressable value");
           regs[op.dst] = Value::Pointer(lv.va, static_cast<Type::Ptr>(op.p));
           break;
         }
         case OpCode::kMemberAgg: {
-          // The location failed: read the field from the base's bytes, or
-          // let the location's failure stand.
-          Handler h = std::move(it.handlers.back());
-          it.handlers.pop_back();
-          const auto* m = static_cast<const MemberExpr*>(op.p);
-          const Value& base = V(op.a);
-          if (!base.is_aggregate()) {
-            st = std::move(h.caught);
-            goto fail;
-          }
-          const lang::StructField* f =
-              base.type()->struct_decl()->FindField(m->member);
-          if (f == nullptr) {
-            st = Err("no field '" + m->member + "'");
-            goto fail;
-          }
-          BRIDGECL_TRY(DecodeValue(f->type, base.bytes().data() + f->offset,
-                                   &regs[op.dst]));
+          const auto* f = static_cast<const lang::StructField*>(op.p);
+          std::span<const std::byte> bytes = V(op.a).bytes();
+          if (bytes.size() < f->offset + f->type->ByteSize())
+            return Err("member '" + f->name +
+                       "' of a value that is not its struct");
+          BRIDGECL_RETURN_IF_ERROR(
+              DecodeValue(f->type, bytes.data() + f->offset, &regs[op.dst]));
           break;
         }
 
@@ -1175,8 +1123,8 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kIndexLV:
           if (op.flag & kIndexRead) {
             LV lv;
-            BRIDGECL_TRY(MakeLocation(op, regs, lvs, consts, lv));
-            BRIDGECL_TRY(Read(lv, regs[op.dst]));
+            BRIDGECL_RETURN_IF_ERROR(MakeLocation(op, regs, lvs, consts, lv));
+            BRIDGECL_RETURN_IF_ERROR(Read(lv, regs[op.dst]));
             break;
           }
           [[fallthrough]];
@@ -1186,27 +1134,28 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kSwizzleLV:
         case OpCode::kArrowLV:
         case OpCode::kDotLV:
-          BRIDGECL_TRY(MakeLocation(op, regs, lvs, consts, lvs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(
+              MakeLocation(op, regs, lvs, consts, lvs[op.dst]));
           break;
         case OpCode::kReadLV:
-          BRIDGECL_TRY(Read(lvs[op.a], regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(Read(lvs[op.a], regs[op.dst]));
           break;
         case OpCode::kDecayLV: {
           const LV& lv = lvs[op.a];
           if (lv.kind == LV::Kind::kMem)
             regs[op.dst] = Value::Pointer(lv.va, static_cast<Type::Ptr>(op.p));
           else
-            BRIDGECL_TRY(Read(lv, regs[op.dst]));
+            BRIDGECL_RETURN_IF_ERROR(Read(lv, regs[op.dst]));
           break;
         }
         case OpCode::kIncDec: {
           const LV& lv = lvs[op.a];
           Value old;
-          BRIDGECL_TRY(Read(lv, old));
+          BRIDGECL_RETURN_IF_ERROR(Read(lv, old));
           ChargeOp(prof.cost_alu);
           auto u = static_cast<UnaryOp>(op.sub);
           Value next = Stepped(u, old);
-          BRIDGECL_TRY(Write(lv, next));
+          BRIDGECL_RETURN_IF_ERROR(Write(lv, next));
           bool pre = u == UnaryOp::kPreInc || u == UnaryOp::kPreDec;
           R(op.dst) = pre ? std::move(next) : std::move(old);
           break;
@@ -1227,13 +1176,14 @@ Status Executor::Resume(Item& it, bool* yielded) {
           const LV& lv = lvs[op.b];
           if (op.flag) {
             Value old, r;
-            BRIDGECL_TRY(Read(lv, old));
-            BRIDGECL_TRY(ApplyBinary(static_cast<BinaryOp>(op.sub), old, rhs, r));
-            BRIDGECL_TRY(Write(lv, r));
+            BRIDGECL_RETURN_IF_ERROR(Read(lv, old));
+            BRIDGECL_RETURN_IF_ERROR(
+                ApplyBinary(static_cast<BinaryOp>(op.sub), old, rhs, r));
+            BRIDGECL_RETURN_IF_ERROR(Write(lv, r));
             R(op.dst) = std::move(r);
           } else {
             if (op.dst != kNoReg) regs[op.dst] = rhs;
-            BRIDGECL_TRY(Write(lv, rhs));
+            BRIDGECL_RETURN_IF_ERROR(Write(lv, rhs));
           }
           break;
         }
@@ -1242,7 +1192,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
           auto t = static_cast<Type::Ptr>(op.p);
           if (op.flag) {
             Value r;
-            BRIDGECL_TRY(
+            BRIDGECL_RETURN_IF_ERROR(
                 ApplyBinary(static_cast<BinaryOp>(op.sub), var, V(op.a), r));
             if (r.type() == t) var = r; else var = r.ConvertTo(t);
             R(op.dst) = std::move(r);
@@ -1262,8 +1212,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
           } else if (fn->decl == L_->kernel) {
             va = L_->device->vm().shared_base() + static_cast<uint64_t>(op.a);
           } else {
-            st = Err("unlaid-out shared variable '" + var->name + "'");
-            goto fail;
+            return Err("unlaid-out shared variable '" + var->name + "'");
           }
           lvs[op.n] = LV{LV::Kind::kMem, va, 0, var->type};
           break;
@@ -1272,23 +1221,17 @@ Status Executor::Resume(Item& it, bool* yielded) {
           const auto* var = static_cast<const VarDecl*>(op.p);
           Type::Ptr t = var->type;
           size_t size = t->ByteSize();
-          auto va = StackAlloc(size, t->Alignment());
-          if (!va.ok()) {
-            st = va.status();
-            goto fail;
-          }
-          lvs[op.n] = LV{LV::Kind::kMem, *va, 0, t};
-          auto p = Resolve(*va, size);
-          if (!p.ok()) {
-            st = p.status();
-            goto fail;
-          }
-          std::memset(*p, 0, size);
+          BRIDGECL_ASSIGN_OR_RETURN(uint64_t va,
+                                    StackAlloc(size, t->Alignment()));
+          lvs[op.n] = LV{LV::Kind::kMem, va, 0, t};
+          BRIDGECL_ASSIGN_OR_RETURN(std::byte * p, Resolve(va, size));
+          std::memset(p, 0, size);
           break;
         }
         case OpCode::kStoreVar:
-          BRIDGECL_TRY(StoreMem(lvs[op.n].va + static_cast<uint64_t>(op.b),
-                                V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p))));
+          BRIDGECL_RETURN_IF_ERROR(
+              StoreMem(lvs[op.n].va + static_cast<uint64_t>(op.b),
+                       V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p))));
           break;
         case OpCode::kInitReg:
           regs[op.n] = V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p));
@@ -1312,15 +1255,15 @@ Status Executor::Resume(Item& it, bool* yielded) {
                                : Type::IntTy();
           ++B_->stats->atomics;
           it.cycles += prof.cost_atomic;
-          BRIDGECL_TRY(LoadMem(ptr.AsVa(), elem, regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(LoadMem(ptr.AsVa(), elem, regs[op.dst]));
           break;
         }
         case OpCode::kAtomicStore:
-          BRIDGECL_TRY(AtomicStore(op, regs, consts, regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(AtomicStore(op, regs, consts, regs[op.dst]));
           break;
         case OpCode::kImageDesc: {
           ImageDesc d;
-          BRIDGECL_TRY(LoadImageDesc(V(op.a).AsVa(), &d));
+          BRIDGECL_RETURN_IF_ERROR(LoadImageDesc(V(op.a).AsVa(), &d));
           static_assert(sizeof(d) <= 8 * sizeof(ScalarVal));
           Value& out = regs[op.dst];
           out = Value::Vector(Type::Vector(ScalarKind::kULong, 8));
@@ -1328,13 +1271,14 @@ Status Executor::Resume(Item& it, bool* yielded) {
           break;
         }
         case OpCode::kImageRead:
-          BRIDGECL_TRY(ImageRead(DescOf(V(op.a)),
-                                 op.b == kNoReg ? nullptr : &V(op.b), V(op.c),
-                                 static_cast<ScalarKind>(op.sub),
-                                 regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(
+              ImageRead(DescOf(V(op.a)), op.b == kNoReg ? nullptr : &V(op.b),
+                        V(op.c), static_cast<ScalarKind>(op.sub),
+                        regs[op.dst]));
           break;
         case OpCode::kImageWrite:
-          BRIDGECL_TRY(ImageWrite(DescOf(V(op.a)), V(op.b), V(op.c)));
+          BRIDGECL_RETURN_IF_ERROR(
+              ImageWrite(DescOf(V(op.a)), V(op.b), V(op.c)));
           break;
         case OpCode::kImageSize: {
           ImageDesc d = DescOf(V(op.a));
@@ -1347,10 +1291,9 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kTexFetch: {
           const Value* coords[3] = {};
           for (int i = 0; i < op.c; ++i) coords[i] = &V(fn->lists[op.n + i]);
-          BRIDGECL_TRY(TexFetch(DescOf(V(op.a)),
-                                *static_cast<const CallExpr*>(op.p),
-                                {coords, static_cast<size_t>(op.c)},
-                                regs[op.dst]));
+          BRIDGECL_RETURN_IF_ERROR(
+              TexFetch(DescOf(V(op.a)), *static_cast<const CallExpr*>(op.p),
+                       {coords, static_cast<size_t>(op.c)}, regs[op.dst]));
           break;
         }
       }
@@ -1368,25 +1311,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
     if (done.dst != kNoReg) regs[done.dst] = it.ret;
     continue;
   }
-  fail: {
-    // A failure inside a kTry region resumes at its fallback, in the
-    // frame that entered the region; any other ends the item.
-    while (!it.handlers.empty() && !it.handlers.back().active)
-      it.handlers.pop_back();
-    if (it.handlers.empty()) return st;
-    Handler& h = it.handlers.back();
-    h.active = false;
-    h.caught = std::move(st);
-    st = OkStatus();
-    while (it.frames.size() > h.frames) {
-      it.private_top = it.frames.back().private_top;
-      it.frames.pop_back();
-    }
-    enter();
-    pc = h.pc;
   }
-  }
-#undef BRIDGECL_TRY
 }
 
 Status Executor::LoadImageDesc(uint64_t va, ImageDesc* d) {
@@ -1515,18 +1440,20 @@ Status Executor::TexFetch(const ImageDesc& d, const CallExpr& c,
   ScalarKind out_kind =
       tex_t && tex_t->is_texture() ? tex_t->scalar_kind() : ScalarKind::kFloat;
   int out_width = tex_t && tex_t->is_texture() ? tex_t->vector_width() : 1;
-  double f[3] = {0, 0, 0};
-  for (size_t i = 0; i < coords.size(); ++i) f[i] = coords[i]->AsF64();
-  if (d.sampler_bits & kSamplerNormalizedCoords) {
-    f[0] *= d.width;
-    f[1] *= d.height;
-    f[2] *= d.depth;
+  // Sample with the bound sampler state, the coordinate passed as the
+  // cu2cl translation passes it to read_image: tex1D's and tex1Dfetch's
+  // as it is, tex2D's and tex3D's as a float vector.
+  Value coord = *coords[0];
+  if (coords.size() > 1) {
+    coord = Value::Vector(
+        Type::Vector(ScalarKind::kFloat, static_cast<int>(coords.size())));
+    for (size_t i = 0; i < coords.size(); ++i)
+      coord.comps()[i] = coords[i]->ConvertTo(Type::FloatTy()).scalar();
   }
-  ScalarKind fetch_kind =
-      IsFloatScalar(out_kind) ? ScalarKind::kFloat : out_kind;
-  BRIDGECL_ASSIGN_OR_RETURN(
-      Value texel, ReadTexel(d, static_cast<int>(f[0]), static_cast<int>(f[1]),
-                             static_cast<int>(f[2]), fetch_kind));
+  Value texel;
+  BRIDGECL_RETURN_IF_ERROR(ImageRead(
+      d, nullptr, coord,
+      IsFloatScalar(out_kind) ? ScalarKind::kFloat : out_kind, texel));
   if (out_width == 1) {
     out = texel.Component(0).ConvertTo(Type::Scalar(out_kind));
     return OkStatus();

@@ -6,10 +6,11 @@
 // private-stack top, cycles) is plain data, so one block loop runs a
 // block's items round-robin between barriers: a barrier saves the item's
 // pc and returns to the loop, which releases the barrier once every live
-// item waits (real barrier semantics, no stack per item). Every operation
-// is charged to the device timing model, and per-block costs are reduced
-// in canonical block order, so results are bit-identical for any worker
-// count.
+// item waits (real barrier semantics, no stack per item). A failing op
+// ends its work-item with its status, and every device access it makes
+// that faults names the work-item. Every operation is charged to the
+// device timing model, and per-block costs are reduced in canonical block
+// order, so results are bit-identical for any worker count.
 #pragma once
 
 #include <cstdint>

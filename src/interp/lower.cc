@@ -79,40 +79,75 @@ const Expr& StripParens(const Expr& e) {
   return *p;
 }
 
-/// Every __local/__shared__ variable declared in a statement tree, in the
-/// order the static layout assigns them offsets.
-void CollectSharedVars(const Stmt* s, std::vector<const VarDecl*>* out) {
+/// Calls `fn` on every variable declared in a statement tree, in order.
+template <typename Fn>
+void ForEachLocal(const Stmt* s, const Fn& fn) {
   if (s == nullptr) return;
   switch (s->kind) {
     case StmtKind::kCompound:
       for (const auto& st : s->As<lang::CompoundStmt>()->body)
-        CollectSharedVars(st.get(), out);
+        ForEachLocal(st.get(), fn);
       return;
     case StmtKind::kDecl:
-      for (const auto& v : s->As<lang::DeclStmt>()->vars)
-        if (v->quals.space == AddressSpace::kLocal) out->push_back(v.get());
+      for (const auto& v : s->As<lang::DeclStmt>()->vars) fn(*v);
       return;
     case StmtKind::kIf: {
       const auto* i = s->As<lang::IfStmt>();
-      CollectSharedVars(i->then_stmt.get(), out);
-      CollectSharedVars(i->else_stmt.get(), out);
+      ForEachLocal(i->then_stmt.get(), fn);
+      ForEachLocal(i->else_stmt.get(), fn);
       return;
     }
     case StmtKind::kFor: {
       const auto* f = s->As<lang::ForStmt>();
-      CollectSharedVars(f->init.get(), out);
-      CollectSharedVars(f->body.get(), out);
+      ForEachLocal(f->init.get(), fn);
+      ForEachLocal(f->body.get(), fn);
       return;
     }
     case StmtKind::kWhile:
-      CollectSharedVars(s->As<lang::WhileStmt>()->body.get(), out);
+      ForEachLocal(s->As<lang::WhileStmt>()->body.get(), fn);
       return;
     case StmtKind::kDo:
-      CollectSharedVars(s->As<lang::DoStmt>()->body.get(), out);
+      ForEachLocal(s->As<lang::DoStmt>()->body.get(), fn);
       return;
     default:
       return;
   }
+}
+
+/// A private local that lives in private memory: an array, a struct, or
+/// one whose address is taken.
+bool InPrivateMemory(const VarDecl& v) {
+  const lang::Type* t = v.type;
+  return v.quals.space != AddressSpace::kLocal &&
+         (v.address_taken || (t && (t->is_struct() || t->is_array())));
+}
+
+/// Whether `e` designates an object Lowering::Location can place: a
+/// variable, `*p`, a subscript, `->`, or a member of such an object.
+bool IsLvalue(const Expr& e) {
+  const Expr& s = StripParens(e);
+  switch (s.kind) {
+    case ExprKind::kDeclRef:
+      return s.As<DeclRefExpr>()->var != nullptr;
+    case ExprKind::kUnary:
+      return s.As<lang::UnaryExpr>()->op == UnaryOp::kDeref;
+    case ExprKind::kIndex:
+      return true;
+    case ExprKind::kMember: {
+      const auto* m = s.As<MemberExpr>();
+      return !m->is_swizzle && (m->is_arrow || IsLvalue(*m->base));
+    }
+    default:
+      return false;
+  }
+}
+
+/// The field a struct member names. Sema resolved it: the base of every
+/// non-swizzle `.` is a struct, and of every `->` a pointer to one.
+const lang::StructField* Field(const MemberExpr& m) {
+  const lang::Type* t = m.base->type;
+  if (m.is_arrow) t = t->pointee();
+  return t->struct_decl()->FindField(m.member);
 }
 
 /// Lowers one function body into its LoweredFunction.
@@ -212,7 +247,9 @@ class Lowering {
   void LayOutShared() {
     if (!fn_.quals.is_kernel) return;
     std::vector<const VarDecl*> vars;
-    CollectSharedVars(fn_.body.get(), &vars);
+    ForEachLocal(fn_.body.get(), [&](const VarDecl& v) {
+      if (v.quals.space == AddressSpace::kLocal) vars.push_back(&v);
+    });
     size_t offset = 0;
     for (const VarDecl* v : vars) {
       if (v->quals.is_extern) continue;
@@ -227,6 +264,7 @@ class Lowering {
   // -- statements ------------------------------------------------------------
   struct Loop {
     std::vector<int> breaks, continues;
+    int mark = kNoReg;  // the register holding the saved private-stack top
   };
 
   void Statement(const Stmt& s) {
@@ -259,9 +297,8 @@ class Lowering {
       case StmtKind::kFor: {
         const auto* f = s.As<lang::ForStmt>();
         if (f->init) Statement(*f->init);
-        int32_t top = Here();
+        int32_t top = OpenLoop(*f->body);
         int exit = f->cond ? Branch(*f->cond, false) : -1;
-        loops_.emplace_back();
         Statement(*f->body);
         int32_t next = Here();
         if (f->step) Free(Eval(*f->step, /*discard=*/true));
@@ -272,9 +309,8 @@ class Lowering {
       }
       case StmtKind::kWhile: {
         const auto* w = s.As<lang::WhileStmt>();
-        int32_t top = Here();
+        int32_t top = OpenLoop(*w->body);
         int exit = Branch(*w->cond, false);
-        loops_.emplace_back();
         Statement(*w->body);
         Emit({.code = OpCode::kJump, .n = top});
         out_.ops[exit].n = Here();
@@ -283,8 +319,7 @@ class Lowering {
       }
       case StmtKind::kDo: {
         const auto* d = s.As<lang::DoStmt>();
-        int32_t top = Here();
-        loops_.emplace_back();
+        int32_t top = OpenLoop(*d->body);
         Statement(*d->body);
         int32_t next = Here();
         out_.ops[Branch(*d->cond, true)].n = top;
@@ -328,9 +363,30 @@ class Lowering {
     return at;
   }
 
+  /// Enter a loop; returns where each iteration starts. When `body`
+  /// declares a local in private memory, the private-stack top is saved
+  /// before the first iteration and restored at the start of each, so
+  /// every iteration (a `continue` too) reuses the storage the previous
+  /// one was given.
+  int32_t OpenLoop(const Stmt& body) {
+    bool declares = false;
+    ForEachLocal(&body, [&](const VarDecl& v) {
+      declares = declares || InPrivateMemory(v);
+    });
+    Loop& l = loops_.emplace_back();
+    if (declares) {
+      l.mark = NewReg();
+      Emit({.code = OpCode::kStackSave, .dst = l.mark});
+    }
+    int32_t top = Here();
+    if (declares) Emit({.code = OpCode::kStackRestore, .a = l.mark});
+    return top;
+  }
+
   void CloseLoop(int32_t next) {
     for (int j : loops_.back().breaks) out_.ops[j].n = Here();
     for (int j : loops_.back().continues) out_.ops[j].n = next;
+    Free(loops_.back().mark);
     loops_.pop_back();
   }
 
@@ -351,7 +407,7 @@ class Lowering {
       return;
     }
     const lang::Type* t = v.type;
-    if (v.address_taken || (t && (t->is_struct() || t->is_array()))) {
+    if (InPrivateMemory(v)) {
       Emit({.code = OpCode::kDeclMem, .n = slot, .p = &v});
       if (!v.init) return;
       if (v.init->kind != ExprKind::kInitList) {
@@ -687,27 +743,17 @@ class Lowering {
     return dst;
   }
 
-  /// A struct member or swizzle read. A struct member is read through its
-  /// location; if building that fails, the base is evaluated as an
-  /// aggregate rvalue instead, and only if that is no aggregate does the
-  /// location's failure stand.
+  /// A struct member or swizzle read. A member of an lvalue is read
+  /// through its location; any other base is evaluated once as an
+  /// aggregate and the field read from its bytes.
   Operand Member(const MemberExpr& m) {
     if (m.is_swizzle) return Result(OpCode::kSwizzle, Eval(*m.base), kNoReg, &m);
-    const lang::Type* bt = m.base->type;
-    if (!m.is_arrow && !(bt && bt->is_struct()))
-      return Fail("member access on unsupported base");
-    int guard = Emit({.code = OpCode::kTry});
+    if (!m.is_arrow && !IsLvalue(*m.base))
+      return Result(OpCode::kMemberAgg, Eval(*m.base), kNoReg, Field(m));
     int lv = Location(m);
-    Emit({.code = OpCode::kEndTry});
     int dst = NewReg();
     Emit({.code = OpCode::kReadLV, .dst = dst, .a = lv});
     FreeLV(lv);
-    int to_end = Emit({.code = OpCode::kJump});
-    out_.ops[guard].n = Here();
-    Operand base = Eval(*m.base);
-    Emit({.code = OpCode::kMemberAgg, .dst = dst, .a = base, .p = &m});
-    Free(base);
-    out_.ops[to_end].n = Here();
     return dst;
   }
 
@@ -963,14 +1009,16 @@ class Lowering {
       }
       case ExprKind::kMember: {
         const auto* m = e.As<MemberExpr>();
-        OpCode code = m->is_swizzle ? OpCode::kSwizzleLV
-                      : m->is_arrow ? OpCode::kArrowLV
-                                    : OpCode::kDotLV;
-        const bool base_is_value = code == OpCode::kArrowLV;
-        int base = base_is_value ? Eval(*m->base) : Location(*m->base);
+        const bool arrow = m->is_arrow && !m->is_swizzle;
+        int base = arrow ? Eval(*m->base) : Location(*m->base);
         int lv = NewLV();
-        Emit({.code = code, .dst = lv, .a = base, .p = m});
-        if (base_is_value) Free(base); else FreeLV(base);
+        Emit({.code = m->is_swizzle ? OpCode::kSwizzleLV
+                      : arrow       ? OpCode::kArrowLV
+                                    : OpCode::kDotLV,
+              .dst = lv,
+              .a = base,
+              .p = m->is_swizzle ? static_cast<const void*>(m) : Field(*m)});
+        if (arrow) Free(base); else FreeLV(base);
         return lv;
       }
       default:

@@ -13,7 +13,16 @@
 // the order and number docs/PERFORMANCE.md pins, so every simulated
 // observable is fixed by the kernel, not by the executor. Lowering never
 // fails: a construct that can only fail when reached lowers to a kFail op
-// that fails with its message there.
+// that fails with its message there. Every failing op ends its work-item.
+//
+// A struct member is resolved here to the field sema found: a member of
+// an lvalue (a variable, `*p`, a subscript, `->`, or a member of one) is
+// read through its location, and any other base (a call, `?:`, a cast)
+// is evaluated once as an aggregate and the field read from its bytes.
+// A loop whose body declares a private array, struct or address-taken
+// local saves the private-stack top before its first iteration and
+// restores it at the top of each, so each iteration reuses the storage
+// the previous one was given.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +55,8 @@ enum class OpCode : uint8_t {
   kToBool,   // dst = int(bool(a))
   kMove,     // dst = a
   kFail,     // fail with messages[n]
-  kTry,      // a failure until the matching kEndTry resumes at n
-  kEndTry,
+  kStackSave,     // dst = the private-stack top
+  kStackRestore,  // the private-stack top = a
   kCallCheck,  // the call-depth limit, checked before arguments
   kCall,       // dst = call p with operands lists[n..n+c)
   kReturn,     // return a
@@ -67,7 +76,7 @@ enum class OpCode : uint8_t {
   kBuiltin,     // dst = built-in p(lists[n..n+c))
   kDeref,       // dst = *a
   kAddrOf,      // dst = &location a, of pointer type p
-  kMemberAgg,   // dst = field p of aggregate a: the fallback of a failed kTry
+  kMemberAgg,   // dst = field p (a StructField) of aggregate a
   // Locations (dst and location operands index the location file).
   kGlobalLV,  // module-scope variable p
   kRegLV,     // register n of type p
@@ -75,8 +84,8 @@ enum class OpCode : uint8_t {
   kIndexLV,   // b-th element of type p from base a; flag: kIndex* bits
   kVecIndexLV,  // component b of vector location a of width n
   kSwizzleLV,   // swizzle p of location a
-  kArrowLV,     // a->p
-  kDotLV,       // a.p
+  kArrowLV,     // a->p, p a StructField
+  kDotLV,       // a.p, p a StructField
   kReadLV,      // dst = value at location a
   kDecayLV,     // dst = location a as pointer p if in memory, else its value
   kIncDec,      // dst = sub(location a)

@@ -106,17 +106,16 @@ Status EncodeInit(const VarDecl& v, std::byte* dst, size_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// Content-hashed module cache
+// Module cache
 // ---------------------------------------------------------------------------
-// Compile results keyed by FNV-1a(source, dialect, build options). Entries
-// hold the analyzed TU (shared, immutable after sema) for successful
-// builds, and the failure Status for unsuccessful ones — plus the exact
-// diagnostic list either way, replayed into the caller's engine on a hit
-// so clGetProgramBuildInfo output is byte-identical whether or not the
-// front end actually ran.
+// Compile results keyed by dialect and source text. Entries hold the
+// analyzed TU (shared, immutable after sema) for successful builds, and
+// the failure Status for unsuccessful ones — plus the exact diagnostic
+// list either way, replayed into the caller's engine on a hit so
+// clGetProgramBuildInfo output is byte-identical whether or not the front
+// end actually ran.
 
 struct CacheEntry {
-  std::string full_key;  // composite key, guards against hash collisions
   std::shared_ptr<lang::TranslationUnit> tu;  // null for failed builds
   std::shared_ptr<const Program> program;     // tu, lowered
   Status status;
@@ -124,24 +123,12 @@ struct CacheEntry {
 };
 
 std::mutex g_cache_mu;
-std::unordered_map<uint64_t, CacheEntry>& CacheMap() {
-  static auto* map = new std::unordered_map<uint64_t, CacheEntry>();
+std::unordered_map<std::string, CacheEntry>& CacheMap() {
+  static auto* map = new std::unordered_map<std::string, CacheEntry>();
   return *map;
 }
 std::atomic<uint64_t> g_cache_hits{0};
 std::atomic<uint64_t> g_cache_misses{0};
-
-std::string CompositeKey(const std::string& source, Dialect dialect,
-                         const std::string& build_options) {
-  std::string key;
-  key.reserve(source.size() + build_options.size() + 16);
-  key.append(source);
-  key.push_back('\0');
-  key.append(lang::DialectName(dialect));
-  key.push_back('\0');
-  key.append(build_options);
-  return key;
-}
 
 void ReplayDiags(const std::vector<Diagnostic>& stored,
                  DiagnosticEngine& diags) {
@@ -161,28 +148,17 @@ ModuleCacheStats GetModuleCacheStats() {
                           g_cache_misses.load(std::memory_order_relaxed)};
 }
 
-uint64_t ModuleCacheKey(const std::string& source, Dialect dialect,
-                        const std::string& build_options) {
-  // FNV-1a, 64-bit.
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : CompositeKey(source, dialect, build_options)) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 StatusOr<std::unique_ptr<Module>> Module::Compile(
     const std::string& source, Dialect dialect, DiagnosticEngine& diags,
-    const std::string& build_options, ModuleCacheOutcome* outcome) {
+    ModuleCacheOutcome* outcome) {
   if (outcome != nullptr) *outcome = ModuleCacheOutcome::kMiss;
-  const std::string full_key = CompositeKey(source, dialect, build_options);
-  const uint64_t key = ModuleCacheKey(source, dialect, build_options);
+  const std::string key =
+      std::string(lang::DialectName(dialect)) + '\0' + source;
 
   {
     std::lock_guard<std::mutex> lock(g_cache_mu);
     auto it = CacheMap().find(key);
-    if (it != CacheMap().end() && it->second.full_key == full_key) {
+    if (it != CacheMap().end()) {
       g_cache_hits.fetch_add(1, std::memory_order_relaxed);
       if (outcome != nullptr) *outcome = ModuleCacheOutcome::kHit;
       ReplayDiags(it->second.diags, diags);
@@ -220,7 +196,6 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
 
   {
     CacheEntry entry;
-    entry.full_key = full_key;
     entry.tu = tu;
     entry.program = program;
     entry.status = st;
@@ -228,10 +203,8 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
                        diags.diagnostics().end());
     std::lock_guard<std::mutex> lock(g_cache_mu);
     g_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    auto it = CacheMap().find(key);
-    // Keep the first entry on a (vanishingly unlikely) FNV collision:
-    // colliding sources simply recompile every time.
-    if (it == CacheMap().end()) CacheMap().emplace(key, std::move(entry));
+    // A concurrent miss on the same key may have inserted first; keep it.
+    CacheMap().emplace(key, std::move(entry));
   }
 
   if (!st.ok()) return st;

@@ -41,7 +41,7 @@ class KernelRegisterTable {
   std::unordered_map<std::string, Entry> entries_;
 };
 
-/// What the content-hashed module cache did for one Compile call.
+/// What the module cache did for one Compile call.
 enum class ModuleCacheOutcome {
   kMiss,  // front end ran; result inserted
   kHit,   // front end skipped; diagnostics replayed from the cache
@@ -55,26 +55,19 @@ struct ModuleCacheStats {
 };
 ModuleCacheStats GetModuleCacheStats();
 
-/// Cache keying: FNV-1a over source + dialect + build options. Exposed so
-/// tests can assert two sources collide/differ where expected.
-uint64_t ModuleCacheKey(const std::string& source, lang::Dialect dialect,
-                        const std::string& build_options);
-
 class Module {
  public:
   /// Parse + analyze `source` in the given dialect and lower its device
   /// functions for the executor. Results (including failures and their
-  /// diagnostics) are cached process-wide under
-  /// ModuleCacheKey(source, dialect, build_options); a hit skips the
-  /// front end and lowering, replays the original diagnostics into
-  /// `diags` so build logs are byte-identical, and shares the analyzed
-  /// translation unit and its lowered code.
+  /// diagnostics) are cached process-wide, keyed by dialect and source
+  /// text; a hit skips the front end and lowering, replays the original
+  /// diagnostics into `diags` so build logs are byte-identical, and
+  /// shares the analyzed translation unit and its lowered code.
   /// Simulated build cost is charged by callers identically on hit and
   /// miss — the cache saves wall-clock only, never simulated time.
   static StatusOr<std::unique_ptr<Module>> Compile(
       const std::string& source, lang::Dialect dialect,
-      DiagnosticEngine& diags, const std::string& build_options = "",
-      ModuleCacheOutcome* outcome = nullptr);
+      DiagnosticEngine& diags, ModuleCacheOutcome* outcome = nullptr);
 
   /// Lay out and initialize module-scope memory on `device`:
   ///   * every __constant/__constant__ file-scope variable gets an offset

@@ -59,7 +59,7 @@ class NativeCudaApi final : public CudaApi {
     DiagnosticEngine diags;
     interp::ModuleCacheOutcome cache_outcome;
     auto m = Module::Compile(cuda_source, lang::Dialect::kCUDA, diags,
-                             /*build_options=*/"", &cache_outcome);
+                             &cache_outcome);
     span.SetModuleCache(cache_outcome == interp::ModuleCacheOutcome::kHit);
     if (!m.ok())
       return AsCuda(Status(m.status().code(),

@@ -396,7 +396,7 @@ class NativeClApi final : public OpenClApi {
     DiagnosticEngine diags;
     interp::ModuleCacheOutcome cache_outcome;
     auto m = Module::Compile(it->second.source, lang::Dialect::kOpenCL, diags,
-                             /*build_options=*/"", &cache_outcome);
+                             &cache_outcome);
     span.SetModuleCache(cache_outcome == interp::ModuleCacheOutcome::kHit);
     it->second.build_log = diags.ToString();
     // The simulated build cost is charged identically on cache hit and

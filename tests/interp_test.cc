@@ -1096,14 +1096,14 @@ TEST_F(InterpTest, ConsultOrderIsPinned) {
 }
 
 
-// A struct member read goes through the member's location; when building
-// that location fails, the base is evaluated again as an aggregate rvalue
-// and the field read from its bytes. So `make(...).b`, whose base is a
-// call, is read from the returned aggregate, and an injected fault in the
-// location of `arr[idx[0]].a` (the load of `idx[0]`) is retried through
-// the aggregate and survived. Counts and surviving ordinals recorded from
-// the tree-walking evaluator.
-TEST_F(InterpTest, StructMemberReadRetriesAFailedLocationAsAnAggregate) {
+// A member of an rvalue base is read from the aggregate the base
+// evaluates to, once: `make(3).b` reads the returned struct. A member of
+// an lvalue is read through its location, and a fault there ends the
+// work-item as any access fault does: a kError at every memory-access
+// consult, the load of `idx[0]` in `arr[idx[0]].a` included, fails the
+// launch and names the work-item. The fault-free run is the tree-walking
+// evaluator's: 607, from 7 consults.
+TEST_F(InterpTest, FaultInAStructMemberLocationFailsTheItem) {
   auto m = Compile(
       "typedef struct { int a; int b; } S;"
       "S make(int v) { S s; s.a = v; s.b = 2 * v; return s; }"
@@ -1133,21 +1133,251 @@ TEST_F(InterpTest, StructMemberReadRetriesAFailedLocationAsAnAggregate) {
     auto r = LaunchKernel(device_, *m, "k", cfg, args);
     *consults = device_.faults().count(simgpu::FaultSite::kMemoryAccess);
     device_.faults().set_plan({});
-    return r.ok();
+    return r.ok() ? OkStatus() : r.status();
   };
   uint64_t total = 0;
-  ASSERT_TRUE(launch(~uint64_t{0}, &total));
+  ASSERT_TRUE(launch(~uint64_t{0}, &total).ok());
   EXPECT_EQ(ReadBuf<int>(vo, 1)[0], 607);
   EXPECT_EQ(total, 7u);
-  std::vector<uint64_t> survived;
   for (uint64_t nth = 0; nth < total; ++nth) {
     uint64_t consults = 0;
-    if (!launch(nth, &consults)) continue;
-    survived.push_back(nth);
-    EXPECT_EQ(ReadBuf<int>(vo, 1)[0], 607) << nth;
-    EXPECT_EQ(consults, 5u) << nth;
+    Status st = launch(nth, &consults);
+    EXPECT_FALSE(st.ok()) << nth;
+    EXPECT_NE(st.message().find(
+                  " [work-item global (0,0,0), local (0,0,0), block (0,0,0)]"),
+              std::string::npos)
+        << nth << ": " << st.ToString();
   }
-  EXPECT_EQ(survived, std::vector<uint64_t>{4});
+}
+
+// Struct member reads of lvalue and rvalue bases. An lvalue base (a
+// variable, `*p`, a subscript, `->` or a member of one) is read through
+// the member's location; any other base (a call, `?:`) is evaluated once
+// as an aggregate and the field read from its bytes. Outputs, stats,
+// cycles and consult counts recorded from the tree-walking evaluator.
+TEST_F(InterpTest, StructMembersOfLvalueAndRvalueBases) {
+  auto m = Compile(
+      "typedef struct { int a; int b; } In;"
+      "typedef struct { int a; int b; In in; } S;"
+      "S make(int v) {"
+      "  S s; s.a = v; s.b = 2 * v; s.in.a = 3 * v; s.in.b = 4 * v;"
+      "  return s;"
+      "}"
+      "__kernel void k(__global int* o, __global const int* idx,"
+      "                __global S* arr, int c) {"
+      "  S s = make(5);"
+      "  S t = make(7);"
+      "  __global S* p = arr + idx[1];"
+      "  o[0] = make(3).b;"
+      "  o[1] = make(3).in.a;"
+      "  o[2] = (c ? s : t).a;"
+      "  o[3] = arr[idx[0]].a;"
+      "  o[4] = p->a;"
+      "  o[5] = (*p).a;"
+      "  o[6] = s.in.a;"
+      "  o[7] = p->in.b + (c ? t : s).in.b;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(8 * 4), vidx = Alloc(8), varr = Alloc(2 * 16);
+  WriteBuf(vidx, std::vector<int>{1, 0});
+  WriteBuf(varr, std::vector<int>{10, 11, 12, 13, 20, 21, 22, 23});
+  WriteBuf(vo, std::vector<int>(8, 0));
+  device_.ResetStats();
+  simgpu::FaultPlan plan;  // never fires; arms the consult counters
+  plan.points.push_back(simgpu::FaultPoint{simgpu::FaultSite::kMemoryAccess,
+                                           ~uint64_t{0},
+                                           simgpu::FaultKind::kError, false,
+                                           0});
+  device_.faults().set_plan(plan);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(2);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo),
+                                 KernelArg::Pointer(vidx),
+                                 KernelArg::Pointer(varr),
+                                 KernelArg::Value<int>(1)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  EXPECT_EQ(device_.faults().count(simgpu::FaultSite::kInstruction), 80u);
+  EXPECT_EQ(device_.faults().count(simgpu::FaultSite::kMemoryAccess), 90u);
+  device_.faults().set_plan({});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 8),
+            (std::vector<int>{6, 9, 5, 20, 10, 10, 15, 13 + 28}));
+  const simgpu::DeviceStats& s = device_.stats();
+  EXPECT_EQ(s.ops_executed, 62u);
+  EXPECT_EQ(s.global_accesses, 28u);
+  EXPECT_EQ(s.shared_accesses, 0u);
+  EXPECT_EQ(s.constant_accesses, 0u);
+  EXPECT_EQ(r->total_cycles, 0x1.2dcp+10);
+}
+
+// A declaration in a loop body reuses, on each iteration, the private
+// storage the previous iteration gave it, zeroed again: 5000 iterations
+// of a 16-byte array would otherwise need 80 KB of the 64 KB stack. The
+// second kernel leaves iterations by `break` and `continue`, nests a loop
+// with its own array, and ends with a do-while.
+TEST_F(InterpTest, LoopBodyReusesItsPrivateStorage) {
+  auto m = Compile(
+      "__kernel void simple(__global int* o) {"
+      "  int s = 0;"
+      "  for (int i = 0; i < 5000; ++i) { int t[4]; t[0] = i; s += t[0] & 1; }"
+      "  o[0] = s;"
+      "}"
+      "__kernel void mixed(__global int* o) {"
+      "  int s = 0;"
+      "  int i = 0;"
+      "  while (1) {"
+      "    int t[4];"
+      "    s += t[1];"
+      "    t[1] = 7;"
+      "    t[0] = i;"
+      "    ++i;"
+      "    if (i > 5000) break;"
+      "    if (t[0] & 1) continue;"
+      "    for (int j = 0; j < 3; ++j) { int u[2]; u[0] = j; s += u[0] == 1; }"
+      "  }"
+      "  int k = 0;"
+      "  do { int w[4]; w[3] = k; k = w[3] + 1; } while (k < 5000);"
+      "  o[0] = s;"
+      "  o[1] = k;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(8);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+  auto r = LaunchKernel(device_, *m, "simple", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 1)[0], 2500);
+  r = LaunchKernel(device_, *m, "mixed", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 2), (std::vector<int>{2500, 5000}));
+}
+
+// popcount and clz count in the operand's own width, on scalars and on
+// each vector lane, and abs of a float is |x| (CUDA's abs(float)).
+TEST_F(InterpTest, IntegerBuiltinsUseTheOperandWidth) {
+  auto m = Compile(
+      "__kernel void k(__global int* o, __global uchar4* c,"
+      "                __global int4* v) {"
+      "  int m1 = -1;"
+      "  uchar one = (uchar)1;"
+      "  long lm1 = -1;"
+      "  o[0] = popcount(m1);"
+      "  o[1] = clz(one);"
+      "  o[2] = popcount(lm1);"
+      "  o[3] = clz((long)1);"
+      "  o[4] = clz((uchar)0);"
+      "  o[5] = popcount((uchar)0xff);"
+      "  o[6] = clz(0);"
+      "  c[0] = clz((uchar4)((uchar)1, (uchar)0x80, (uchar)0, (uchar)0x0f));"
+      "  c[1] = popcount((uchar4)((uchar)0xff, (uchar)1, (uchar)0,"
+      "                           (uchar)0x0f));"
+      "  v[0] = popcount((int4)(-1, 1, 0, -2));"
+      "  v[1] = clz((int4)(-1, 1, 0, 0x100));"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  auto cu = Compile(
+      "__global__ void k(float* f, int* o) {"
+      "  f[0] = abs(-2.5f);"
+      "  o[0] = (int)abs(-2.5f);"
+      "  o[1] = abs(-7);"
+      "}",
+      Dialect::kCUDA);
+  ASSERT_NE(cu, nullptr);
+  uint64_t vo = Alloc(7 * 4), vc = Alloc(8), vv = Alloc(32), vf = Alloc(4),
+           vi = Alloc(8);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo), KernelArg::Pointer(vc),
+                                 KernelArg::Pointer(vv)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 7), (std::vector<int>{32, 7, 64, 63, 8, 8, 32}));
+  EXPECT_EQ(ReadBuf<uint8_t>(vc, 8),
+            (std::vector<uint8_t>{7, 0, 8, 4, 8, 1, 0, 4}));
+  EXPECT_EQ(ReadBuf<int>(vv, 8),
+            (std::vector<int>{32, 1, 0, 31, 0, 31, 32, 23}));
+  std::vector<KernelArg> cu_args = {KernelArg::Pointer(vf),
+                                    KernelArg::Pointer(vi)};
+  r = LaunchKernel(device_, *cu, "k", cfg, cu_args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<float>(vf, 1)[0], 2.5f);
+  EXPECT_EQ(ReadBuf<int>(vi, 2), (std::vector<int>{2, 7}));
+}
+
+// Every device access a work-item makes names it when it faults: the
+// zero-fill of a private array, image descriptor loads, texel reads and
+// image writes as much as loads and stores. A kError at each
+// memory-access consult of the kernel fails the launch with the
+// work-item in the message.
+TEST_F(InterpTest, EveryKernelAccessFaultNamesTheWorkItem) {
+  auto image = [&](int w, int h) {
+    ImageDesc d;
+    d.data_va = Alloc(w * h * 4);
+    d.width = w;
+    d.height = h;
+    d.channels = 1;
+    d.elem_kind = static_cast<uint32_t>(lang::ScalarKind::kFloat);
+    d.row_pitch = w * 4;
+    d.slice_pitch = w * h * 4;
+    d.dims = 2;
+    WriteBuf(d.data_va, std::vector<float>(w * h, 3.0f));
+    uint64_t va = Alloc(sizeof(d));
+    auto p = device_.vm().Resolve(va, sizeof(d));
+    EXPECT_TRUE(p.ok());
+    if (p.ok()) std::memcpy(*p, &d, sizeof(d));
+    return va;
+  };
+  uint64_t src = image(4, 2), dst = image(4, 2), vo = Alloc(4);
+  auto m = Compile(
+      "__kernel void k(__read_only image2d_t src, sampler_t s,"
+      "                __write_only image2d_t dst, __global float* o) {"
+      "  float t[4];"
+      "  t[0] = read_imagef(src, s, (int2)(1, 0)).x;"
+      "  write_imagef(dst, (int2)(0, 0), (float4)(t[0], 0.0f, 0.0f, 1.0f));"
+      "  o[0] = t[0] + t[1];"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  auto launch = [&](uint64_t nth, uint64_t* consults) {
+    simgpu::FaultPlan plan;
+    plan.points.push_back(simgpu::FaultPoint{simgpu::FaultSite::kMemoryAccess,
+                                             nth, simgpu::FaultKind::kError,
+                                             false, 0});
+    device_.faults().set_plan(plan);
+    LaunchConfig cfg;
+    cfg.grid = Dim3(1);
+    cfg.block = Dim3(1);
+    std::vector<KernelArg> args = {KernelArg::Pointer(src),
+                                   KernelArg::Value<uint64_t>(0),
+                                   KernelArg::Pointer(dst),
+                                   KernelArg::Pointer(vo)};
+    auto r = LaunchKernel(device_, *m, "k", cfg, args);
+    *consults = device_.faults().count(simgpu::FaultSite::kMemoryAccess);
+    device_.faults().set_plan({});
+    return r.ok() ? OkStatus() : r.status();
+  };
+  uint64_t total = 0;
+  ASSERT_TRUE(launch(~uint64_t{0}, &total).ok());
+  EXPECT_EQ(ReadBuf<float>(vo, 1)[0], 3.0f);
+  // The zero-fill, two descriptor loads, a texel read, an image write,
+  // three private loads, a private store and a global store.
+  EXPECT_EQ(total, 10u);
+  for (uint64_t nth = 0; nth < total; ++nth) {
+    uint64_t consults = 0;
+    Status st = launch(nth, &consults);
+    EXPECT_FALSE(st.ok()) << nth;
+    EXPECT_NE(st.message().find(
+                  " [work-item global (0,0,0), local (0,0,0), block (0,0,0)]"),
+              std::string::npos)
+        << nth << ": " << st.ToString();
+  }
 }
 
 }  // namespace

@@ -671,16 +671,29 @@ TEST(ParallelExecTest, ModuleCacheReplaysFailureDiagnosticsIdentically) {
   EXPECT_EQ(log_miss, log_hit);
 }
 
+// The module cache is keyed by dialect and source text: a one-space
+// change misses, another dialect misses, and a repeat hits.
 TEST(ParallelExecTest, ModuleCacheKeySeparatesInputs) {
-  const std::string src = "__kernel void k(__global int* x) { x[0] = 1; }";
-  uint64_t base = interp::ModuleCacheKey(src, lang::Dialect::kOpenCL, "");
-  EXPECT_NE(base,
-            interp::ModuleCacheKey(src + " ", lang::Dialect::kOpenCL, ""));
-  EXPECT_NE(base, interp::ModuleCacheKey(src, lang::Dialect::kCUDA, ""));
-  EXPECT_NE(base,
-            interp::ModuleCacheKey(src, lang::Dialect::kOpenCL, "-DFOO"));
-  // Deterministic: same inputs, same key, every call.
-  EXPECT_EQ(base, interp::ModuleCacheKey(src, lang::Dialect::kOpenCL, ""));
+  const std::string src =
+      "__kernel void cache_key_probe(__global int* x) { x[0] = 1; }";
+  auto compile = [](const std::string& s, lang::Dialect d) {
+    DiagnosticEngine diags;
+    interp::ModuleCacheOutcome outcome;
+    (void)interp::Module::Compile(s, d, diags, &outcome);
+    return outcome;
+  };
+  const auto before = interp::GetModuleCacheStats();
+  EXPECT_EQ(compile(src, lang::Dialect::kOpenCL),
+            interp::ModuleCacheOutcome::kMiss);
+  EXPECT_EQ(compile(src + " ", lang::Dialect::kOpenCL),
+            interp::ModuleCacheOutcome::kMiss);
+  EXPECT_EQ(compile(src, lang::Dialect::kCUDA),
+            interp::ModuleCacheOutcome::kMiss);
+  EXPECT_EQ(compile(src, lang::Dialect::kOpenCL),
+            interp::ModuleCacheOutcome::kHit);
+  const auto after = interp::GetModuleCacheStats();
+  EXPECT_EQ(after.misses - before.misses, 3u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
 }
 
 }  // namespace

@@ -405,6 +405,48 @@ TEST(Cu2ClTest, TextureBecomesImagePlusSampler) {
   EXPECT_EQ(*r_native, *r_wrapped);
 }
 
+StatusOr<std::vector<float>> RunCuLinearTexture(mcuda::CudaApi& cu) {
+  BRIDGECL_RETURN_IF_ERROR(cu.RegisterModule(
+      "texture<float, 2, cudaReadModeElementType> tex;"
+      "__global__ void k(float* out) {"
+      "  int x = threadIdx.x;"
+      "  out[x] = tex2D(tex, 0.75f + x, 0.5f);"
+      "}"));
+  mcuda::ChannelDesc desc;
+  desc.elem = lang::ScalarKind::kFloat;
+  desc.channels = 1;
+  BRIDGECL_ASSIGN_OR_RETURN(void* arr, cu.MallocArray(desc, 4, 1));
+  std::vector<float> texels = {0, 10, 20, 30};
+  BRIDGECL_RETURN_IF_ERROR(cu.MemcpyToArray(arr, texels.data(), 16));
+  BRIDGECL_RETURN_IF_ERROR(
+      cu.BindTextureToArray("tex", arr, /*filter_linear=*/true));
+  BRIDGECL_ASSIGN_OR_RETURN(void* out, cu.Malloc(12));
+  std::vector<LaunchArg> args = {LaunchArg::Ptr(out)};
+  BRIDGECL_RETURN_IF_ERROR(cu.LaunchKernel("k", Dim3(1), Dim3(3), 0, args));
+  std::vector<float> result(3);
+  BRIDGECL_RETURN_IF_ERROR(
+      cu.Memcpy(result.data(), out, 12, MemcpyKind::kDeviceToHost));
+  return result;
+}
+
+TEST(Cu2ClTest, LinearFilteredTextureMatchesNativeCuda) {
+  // A texture bound with linear filtering interpolates between texel
+  // centres natively as it does through the translated read_imagef.
+  const std::vector<float> want = {2.5f, 12.5f, 22.5f};
+  Device dev_native(TitanProfile());
+  auto native = mcuda::CreateNativeCudaApi(dev_native);
+  auto r_native = RunCuLinearTexture(*native);
+  ASSERT_TRUE(r_native.ok()) << r_native.status().ToString();
+  EXPECT_EQ(*r_native, want);
+
+  Device dev_wrapped(TitanProfile());
+  auto cl = mocl::CreateNativeClApi(dev_wrapped);
+  auto wrapped = cu2cl::CreateCudaOnClApi(*cl);
+  auto r_wrapped = RunCuLinearTexture(*wrapped);
+  ASSERT_TRUE(r_wrapped.ok()) << r_wrapped.status().ToString();
+  EXPECT_EQ(*r_wrapped, want);
+}
+
 TEST(Cu2ClTest, LargeLinearTextureFails) {
   // §5 / Fig 8(a): CUDA 1D linear textures reach 2^27 texels; OpenCL 1D
   // image buffers stop at 65536. kmeans/leukocyte/hybridsort fail here.
