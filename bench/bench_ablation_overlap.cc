@@ -277,12 +277,7 @@ int main(int argc, char** argv) {
     report.Set(cfg.slug, "speedup", speedup);
     report.Set(cfg.slug, "overlap_ratio", piped.overlap_ratio);
   }
-  auto path = report.Write();
-  if (path.ok()) {
-    printf("\nwrote %s\n", path->c_str());
-  } else {
-    fprintf(stderr, "%s\n", path.status().ToString().c_str());
-  }
+  report.WriteAndPrint();
   if (!all_pass) {
     fprintf(stderr, "FAIL: pipelined speedup below the 1.3x bar\n");
     return 1;

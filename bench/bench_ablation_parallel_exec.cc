@@ -194,12 +194,7 @@ int main(int argc, char** argv) {
     report.Set(cfg.slug, "sim_us", serial.sim_us);
     report.Set(cfg.slug, "bar_enforced", bar_applies ? 1.0 : 0.0);
   }
-  auto path = report.Write();
-  if (path.ok()) {
-    printf("\nwrote %s\n", path->c_str());
-  } else {
-    fprintf(stderr, "%s\n", path.status().ToString().c_str());
-  }
+  report.WriteAndPrint();
   if (!all_pass) {
     fprintf(stderr, "FAIL: parallel execution ablation below the bar\n");
     return 1;

@@ -3,7 +3,9 @@
 // version and the translated CUDA version (the cl2cu wrapper binding:
 // clBuildProgram runs the translator + "nvcc" at run time, Fig 2). For
 // Rodinia, also the originally-shipped CUDA version (Fig 7a's third bar).
-// Times are simulated and exclude program build, as in the paper.
+// Times are simulated and exclude program build, as in the paper. Every
+// simulated time printed is also recorded in BENCH_fig7.json (per app and
+// configuration), which tools/check_bench_regression.sh compares exactly.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -29,7 +31,7 @@ double GeoMean(const std::vector<double>& xs) {
 }
 
 void RunSuite(const char* label, std::vector<apps::AppPtr> suite,
-              bool with_orig_cuda) {
+              bool with_orig_cuda, BenchReport& report) {
   printf("\n--- Figure 7 (%s): OpenCL -> CUDA ---\n", label);
   printf("%-22s %12s %14s %8s", "app", "OpenCL(us)", "transCUDA(us)",
          "ratio");
@@ -59,6 +61,8 @@ void RunSuite(const char* label, std::vector<apps::AppPtr> suite,
     }
     row.cl_us = orig.time_us;
     row.trans_cuda_us = trans.time_us;
+    report.SetTime(row.name, Config::kClNativeTitan, row.cl_us);
+    report.SetTime(row.name, Config::kClOnCudaTitan, row.trans_cuda_us);
     double ratio = row.trans_cuda_us / row.cl_us;
     ratios.push_back(ratio);
     printf("%-22s %12.1f %14.1f %8.3f", row.name.c_str(), row.cl_us,
@@ -66,6 +70,7 @@ void RunSuite(const char* label, std::vector<apps::AppPtr> suite,
     if (with_orig_cuda && app->has_cuda()) {
       Measurement oc = RunApp(*app, Config::kCudaNativeTitan);
       if (oc.ok) {
+        report.SetTime(row.name, Config::kCudaNativeTitan, oc.time_us);
         double r2 = oc.time_us / row.cl_us;
         orig_ratios.push_back(r2);
         printf(" %13.1f %8.3f", oc.time_us, r2);
@@ -106,17 +111,20 @@ int main(int argc, char** argv) {
   PrintHeader(
       "Figure 7: execution time of translated CUDA vs original OpenCL "
       "(normalized to OpenCL; build time excluded)");
+  BenchReport report("fig7");
   {
     // Rodinia's OpenCL side includes the apps whose *CUDA* versions are
     // untranslatable (paper: all 20 OpenCL apps translate in Fig 7a).
     auto rodinia = apps::RodiniaApps();
     for (auto& app : apps::RodiniaUntranslatableApps())
       if (app->has_opencl()) rodinia.push_back(std::move(app));
-    RunSuite("a: Rodinia", std::move(rodinia), /*with_orig_cuda=*/true);
+    RunSuite("a: Rodinia", std::move(rodinia), /*with_orig_cuda=*/true,
+             report);
   }
-  RunSuite("b: SNU NPB", apps::NpbApps(), /*with_orig_cuda=*/false);
+  RunSuite("b: SNU NPB", apps::NpbApps(), /*with_orig_cuda=*/false, report);
   RunSuite("c: CUDA Toolkit samples", apps::ToolkitApps(),
-           /*with_orig_cuda=*/false);
+           /*with_orig_cuda=*/false, report);
+  report.WriteAndPrint();
 
   benchmark::RegisterBenchmark("fig7/rodinia_translated",
                                &BM_TranslatedSuite, &apps::RodiniaApps)

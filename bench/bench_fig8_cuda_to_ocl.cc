@@ -6,6 +6,9 @@
 //       reported with their failure reasons, as in the paper.
 //   (b) CUDA Toolkit samples: original CUDA vs translated OpenCL, with the
 //       deviceQuery wrapper-overhead outlier (§6.3).
+// Every simulated time printed is also recorded in BENCH_fig8.json (per app
+// and configuration), which tools/check_bench_regression.sh compares
+// exactly.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -24,7 +27,7 @@ double GeoMean(const std::vector<double>& xs) {
   return std::exp(log_sum / xs.size());
 }
 
-void RunRodinia() {
+void RunRodinia(BenchReport& report) {
   printf("\n--- Figure 8(a): Rodinia, CUDA -> OpenCL ---\n");
   printf("%-16s %11s %12s %12s %12s  %s\n", "app", "CUDA(us)",
          "transCL(us)", "origCL(us)", "transCL-AMD", "trans/CUDA");
@@ -43,6 +46,12 @@ void RunRodinia() {
              (cu.ok ? tcl.error : cu.error).c_str());
       continue;
     }
+    report.SetTime(app->name(), Config::kCudaNativeTitan, cu.time_us);
+    report.SetTime(app->name(), Config::kCudaOnClTitan, tcl.time_us);
+    if (ocl.ok)
+      report.SetTime(app->name(), Config::kClNativeTitan, ocl.time_us);
+    if (amd.ok)
+      report.SetTime(app->name(), Config::kCudaOnClAmd, amd.time_us);
     double r = tcl.time_us / cu.time_us;
     ratios.push_back(r);
     if (ocl.ok) orig_cl_ratios.push_back(ocl.time_us / cu.time_us);
@@ -72,7 +81,7 @@ void RunRodinia() {
   }
 }
 
-void RunToolkit() {
+void RunToolkit(BenchReport& report) {
   printf("\n--- Figure 8(b): CUDA Toolkit samples, CUDA -> OpenCL ---\n");
   printf("%-22s %11s %12s %10s\n", "app", "CUDA(us)", "transCL(us)",
          "ratio");
@@ -89,6 +98,8 @@ void RunToolkit() {
              (cu.ok ? tcl.error : cu.error).c_str());
       continue;
     }
+    report.SetTime(app->name(), Config::kCudaNativeTitan, cu.time_us);
+    report.SetTime(app->name(), Config::kCudaOnClTitan, tcl.time_us);
     double r = tcl.time_us / cu.time_us;
     if (app->name() != "deviceQuery") ratios.push_back(r);
     printf("%-22s %11.1f %12.1f %10.3f%s\n", app->name().c_str(),
@@ -134,8 +145,10 @@ int main(int argc, char** argv) {
   PrintHeader(
       "Figure 8: execution time of translated OpenCL vs original CUDA "
       "(normalized to CUDA; OpenCL build time excluded)");
-  RunRodinia();
-  RunToolkit();
+  BenchReport report("fig8");
+  RunRodinia(report);
+  RunToolkit(report);
+  report.WriteAndPrint();
 
   benchmark::RegisterBenchmark("fig8/rodinia_translated_opencl",
                                &BM_TranslatedRodinia)

@@ -171,6 +171,16 @@ StatusOr<std::string> BenchReport::Write() const {
   return path;
 }
 
+bool BenchReport::WriteAndPrint() const {
+  auto path = Write();
+  if (!path.ok()) {
+    fprintf(stderr, "%s\n", path.status().ToString().c_str());
+    return false;
+  }
+  printf("\nwrote %s\n", path->c_str());
+  return true;
+}
+
 void PrintHeader(const std::string& title) {
   printf("\n%s\n", std::string(76, '=').c_str());
   printf("%s\n", title.c_str());

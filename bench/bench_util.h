@@ -81,11 +81,18 @@ class BenchReport {
            double value) {
     results_[config][metric] = value;
   }
+  /// Records `app`'s simulated time under `config` as "<config slug>_us".
+  void SetTime(const std::string& app, Config config, double us) {
+    Set(app, std::string(ConfigSlug(config)) + "_us", us);
+  }
 
   /// Serializes the report (sorted keys: byte-stable across runs).
   std::string ToJson() const;
   /// Writes `BENCH_<name>.json`; returns the path written.
   StatusOr<std::string> Write() const;
+  /// Write(), then print the path written to stdout or the error to
+  /// stderr; returns whether the write succeeded.
+  bool WriteAndPrint() const;
 
  private:
   std::string name_;

@@ -411,8 +411,8 @@ class Executor {
         it.regs[i] = L_->arg_values[i];
       else
         BRIDGECL_RETURN_IF_ERROR(
-            BindVar(params[i].get(), static_cast<uint32_t>(i),
-                    L_->arg_values[i]));
+            BindMemoryParam(params[i].get(), static_cast<uint32_t>(i),
+                            L_->arg_values[i]));
     }
     return OkStatus();
   }
@@ -542,30 +542,17 @@ class Executor {
     return top;
   }
 
-  /// Bind `v` to the current frame's variable `var` in slot `slot`,
-  /// spilling aggregates and address-taken variables to private memory.
-  Status BindVar(const VarDecl* var, uint32_t slot, const Value& v) {
-    const Frame& f = it_->frames.back();
-    Type::Ptr t = var->type;
-    if (t && t->is_named() && v.type()) t = v.type();  // template params
-    if (var->address_taken || (t && (t->is_struct() || t->is_array()))) {
-      size_t size = t->ByteSize();
-      BRIDGECL_ASSIGN_OR_RETURN(uint64_t va,
-                                StackAlloc(size, t->Alignment()));
-      it_->lvs[f.lbase + slot] = LV{LV::Kind::kMem, va, 0, var->type};
-      Value stored = v.is_aggregate() ? v : v.ConvertTo(t);
-      stored.set_type(t);
-      if (stored.is_aggregate()) stored.PadBytesTo(size);
-      return StoreMem(va, stored);
-    }
-    BindReg(var, f.base + slot, f.lbase + slot, v.ConvertTo(t));
-    return OkStatus();
-  }
-
-  void BindReg(const VarDecl* var, uint32_t reg, uint32_t lv, Value v) {
-    Value& r = it_->regs[reg];
-    r = std::move(v);
-    it_->lvs[lv] = LV{LV::Kind::kReg, 0, reg, r.type() ? r.type() : var->type};
+  /// Store `v` as the current frame's ParamBinding::kMemory parameter
+  /// `param` (slot `slot`), in private memory.
+  Status BindMemoryParam(const VarDecl* param, uint32_t slot, const Value& v) {
+    Type::Ptr t = param->type;
+    size_t size = t->ByteSize();
+    BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, StackAlloc(size, t->Alignment()));
+    it_->lvs[it_->frames.back().lbase + slot] = LV{LV::Kind::kMem, va, 0, t};
+    Value stored = v.is_aggregate() ? v : v.ConvertTo(t);
+    stored.set_type(t);
+    if (stored.is_aggregate()) stored.PadBytesTo(size);
+    return StoreMem(va, stored);
   }
 
   // -- locations -------------------------------------------------------------
@@ -938,17 +925,10 @@ Status Executor::Resume(Item& it, bool* yielded) {
           regs = it.regs.data() + caller.base;
           for (int i = 0; i < op.c; ++i) {
             const VarDecl* p = callee->decl->params[i].get();
-            switch (callee->params[i]) {
-              case ParamBinding::kReference:
-                it.lvs[lbase + i] = it.lvs[caller.lbase + args[i]];
-                break;
-              case ParamBinding::kRegister:
-                it.regs[base + i] = V(args[i]).ConvertTo(p->type);
-                break;
-              case ParamBinding::kDynamic:
-                BRIDGECL_RETURN_IF_ERROR(BindVar(p, i, V(args[i])));
-                break;
-            }
+            if (callee->params[i] == ParamBinding::kRegister)
+              it.regs[base + i] = V(args[i]).ConvertTo(p->type);
+            else
+              BRIDGECL_RETURN_IF_ERROR(BindMemoryParam(p, i, V(args[i])));
           }
           it.ret = Value::Void();
           enter();
@@ -1017,19 +997,13 @@ Status Executor::Resume(Item& it, bool* yielded) {
           BRIDGECL_RETURN_IF_ERROR(ApplyBinary(static_cast<BinaryOp>(op.sub),
                                                V(op.a), V(op.b), regs[op.dst]));
           break;
-        case OpCode::kCast: {
-          const auto* c = static_cast<const CastExpr*>(op.p);
-          const Value& v = V(op.a);
+        case OpCode::kCast:
+          // Every cast style converts the value: sema admits only the
+          // reinterpret_casts that are conversions (pointers and integers).
           ChargeOp(prof.cost_alu * 0.5);
-          if (c->style == lang::CastStyle::kReinterpret && c->target &&
-              !c->target->is_pointer() && v.type() &&
-              v.type()->ByteSize() == c->target->ByteSize()) {
-            BRIDGECL_ASSIGN_OR_RETURN(regs[op.dst], v.BitcastTo(c->target));
-          } else {
-            regs[op.dst] = v.ConvertTo(c->target);
-          }
+          regs[op.dst] =
+              V(op.a).ConvertTo(static_cast<const CastExpr*>(op.p)->target);
           break;
-        }
         case OpCode::kSwizzle: {
           const auto* m = static_cast<const MemberExpr*>(op.p);
           const Value& base = V(op.a);
@@ -1236,17 +1210,6 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kInitReg:
           regs[op.n] = V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p));
           break;
-        case OpCode::kBindReg: {
-          const auto* var = static_cast<const VarDecl*>(op.p);
-          const Value& v = V(op.a);
-          Type::Ptr t = var->type;
-          const Frame& f = it.frames.back();
-          // Template-typed local: adopt the runtime type.
-          BindReg(var, f.base + op.n, f.lbase + op.n,
-                  op.flag && t && t->is_named() && v.type() ? v
-                                                            : v.ConvertTo(t));
-          break;
-        }
 
         case OpCode::kAtomicLoad: {
           const Value& ptr = V(op.a);
@@ -1819,6 +1782,10 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   const FunctionDecl* kernel = module.FindKernel(kernel_name);
   if (kernel == nullptr)
     return NotFoundError("no kernel named '" + kernel_name + "' in module");
+  if (!kernel->template_params.empty())
+    return InvalidArgumentError(
+        "kernel '" + kernel_name +
+        "' is a template: a launch by name cannot give its type arguments");
   if (!module.loaded() || module.loaded_device() != &device)
     return FailedPreconditionError("module is not loaded on this device");
   const auto& prof = device.profile();
@@ -1866,14 +1833,12 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
       L.arg_values[i] = Value::Pointer(va, p->type);
     } else {
       size_t want = p->type->ByteSize();
-      if (p->type->is_named()) want = a.bytes.size();  // template param
       if (a.bytes.size() < want)
         return InvalidArgumentError(StrFormat(
             "argument %zu: %zu bytes provided, parameter '%s' needs %zu",
             i, a.bytes.size(), p->name.c_str(), want));
-      Type::Ptr t = p->type->is_named() ? Type::IntTy() : p->type;
       BRIDGECL_RETURN_IF_ERROR(
-          DecodeValue(t, a.bytes.data(), &L.arg_values[i]));
+          DecodeValue(p->type, a.bytes.data(), &L.arg_values[i]));
     }
     if (L.code->params[i] == ParamBinding::kRegister)
       L.arg_values[i] = L.arg_values[i].ConvertTo(p->type);

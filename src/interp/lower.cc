@@ -23,9 +23,11 @@ using lang::VarDecl;
 
 namespace {
 
-/// Whether evaluating `e` may write a register: an assignment, ++/--, or
-/// a user call (through a reference parameter). An operand read in place
-/// from a variable's register is copied first when a later sibling may.
+/// Whether evaluating `e` may write a register: an assignment or ++/--.
+/// (A call cannot write its caller's registers: a callee reaches the
+/// caller's variables only through pointers, and a variable whose address
+/// is taken lives in memory.) An operand read in place from a variable's
+/// register is copied first when a later sibling may.
 bool Clobbers(const Expr* e) {
   if (e == nullptr) return false;
   switch (e->kind) {
@@ -48,9 +50,8 @@ bool Clobbers(const Expr* e) {
              Clobbers(c->else_expr.get());
     }
     case ExprKind::kCall: {
-      const auto* c = e->As<CallExpr>();
-      if (c->callee->As<DeclRefExpr>()->function != nullptr) return true;
-      return std::any_of(c->args.begin(), c->args.end(),
+      const auto& args = e->As<CallExpr>()->args;
+      return std::any_of(args.begin(), args.end(),
                          [](const auto& a) { return Clobbers(a.get()); });
     }
     case ExprKind::kIndex: {
@@ -79,47 +80,24 @@ const Expr& StripParens(const Expr& e) {
   return *p;
 }
 
-/// Calls `fn` on every variable declared in a statement tree, in order.
-template <typename Fn>
-void ForEachLocal(const Stmt* s, const Fn& fn) {
-  if (s == nullptr) return;
-  switch (s->kind) {
-    case StmtKind::kCompound:
-      for (const auto& st : s->As<lang::CompoundStmt>()->body)
-        ForEachLocal(st.get(), fn);
-      return;
-    case StmtKind::kDecl:
-      for (const auto& v : s->As<lang::DeclStmt>()->vars) fn(*v);
-      return;
-    case StmtKind::kIf: {
-      const auto* i = s->As<lang::IfStmt>();
-      ForEachLocal(i->then_stmt.get(), fn);
-      ForEachLocal(i->else_stmt.get(), fn);
-      return;
-    }
-    case StmtKind::kFor: {
-      const auto* f = s->As<lang::ForStmt>();
-      ForEachLocal(f->init.get(), fn);
-      ForEachLocal(f->body.get(), fn);
-      return;
-    }
-    case StmtKind::kWhile:
-      ForEachLocal(s->As<lang::WhileStmt>()->body.get(), fn);
-      return;
-    case StmtKind::kDo:
-      ForEachLocal(s->As<lang::DoStmt>()->body.get(), fn);
-      return;
-    default:
-      return;
-  }
+/// A __local (CUDA __shared__) variable declared in a body: it lives in
+/// shared memory. A parameter's space is its pointee's (`__local int x[]`).
+bool InShared(const VarDecl& v) {
+  return !v.is_param && v.quals.space == AddressSpace::kLocal;
 }
 
-/// A private local that lives in private memory: an array, a struct, or
-/// one whose address is taken.
+/// A private parameter or local that lives in private memory: an array, a
+/// struct, or one whose address is taken.
 bool InPrivateMemory(const VarDecl& v) {
   const lang::Type* t = v.type;
-  return v.quals.space != AddressSpace::kLocal &&
+  return !InShared(v) &&
          (v.address_taken || (t && (t->is_struct() || t->is_array())));
+}
+
+/// A parameter or local that lives in its own register, typed by its
+/// declaration.
+bool InReg(const VarDecl* v) {
+  return v->slot >= 0 && !InShared(*v) && !InPrivateMemory(*v);
 }
 
 /// Whether `e` designates an object Lowering::Location can place: a
@@ -162,12 +140,9 @@ class Lowering {
 
   void Run() {
     LayOutShared();
-    for (size_t i = 0; i < fn_.params.size(); ++i) {
-      const VarDecl* p = fn_.params[i].get();
-      out_.params.push_back(IsReference(p) ? ParamBinding::kReference
-                            : InReg(p)     ? ParamBinding::kRegister
-                                           : ParamBinding::kDynamic);
-    }
+    for (const auto& p : fn_.params)
+      out_.params.push_back(InReg(p.get()) ? ParamBinding::kRegister
+                                           : ParamBinding::kMemory);
     Statement(*fn_.body);
     Emit({.code = OpCode::kReturnEnd});
     out_.regs = slots_ + max_regs_;
@@ -230,25 +205,11 @@ class Lowering {
   }
 
   // -- variables -------------------------------------------------------------
-  bool IsReference(const VarDecl* v) const {
-    return v->is_param && v->slot >= 0 &&
-           static_cast<size_t>(v->slot) < fn_.param_is_reference.size() &&
-           fn_.param_is_reference[v->slot];
-  }
-  /// A parameter or local that always lives in its own register, typed by
-  /// its declaration.
-  bool InReg(const VarDecl* v) const {
-    const lang::Type* t = v->type;
-    return v->slot >= 0 && !v->address_taken && t != nullptr &&
-           !t->is_struct() && !t->is_array() && !t->is_named() &&
-           v->quals.space != AddressSpace::kLocal && !IsReference(v);
-  }
-
   void LayOutShared() {
     if (!fn_.quals.is_kernel) return;
     std::vector<const VarDecl*> vars;
-    ForEachLocal(fn_.body.get(), [&](const VarDecl& v) {
-      if (v.quals.space == AddressSpace::kLocal) vars.push_back(&v);
+    lang::VisitVarDecls(fn_.body.get(), [&](const VarDecl* v) {
+      if (v->quals.space == AddressSpace::kLocal) vars.push_back(v);
     });
     size_t offset = 0;
     for (const VarDecl* v : vars) {
@@ -370,8 +331,8 @@ class Lowering {
   /// one was given.
   int32_t OpenLoop(const Stmt& body) {
     bool declares = false;
-    ForEachLocal(&body, [&](const VarDecl& v) {
-      declares = declares || InPrivateMemory(v);
+    lang::VisitVarDecls(&body, [&](const VarDecl* v) {
+      declares = declares || InPrivateMemory(*v);
     });
     Loop& l = loops_.emplace_back();
     if (declares) {
@@ -433,14 +394,7 @@ class Lowering {
                        ? interp::Value::Vector(t)
                        : interp::Value::Int(0).ConvertTo(t ? t : Type::IntTy()));
     }
-    if (InReg(&v))
-      Emit({.code = OpCode::kInitReg, .a = init, .n = slot, .p = t});
-    else
-      Emit({.code = OpCode::kBindReg,
-            .flag = v.init != nullptr,
-            .a = init,
-            .n = slot,
-            .p = &v});
+    Emit({.code = OpCode::kInitReg, .a = init, .n = slot, .p = t});
     Free(init);
   }
 
@@ -745,9 +699,13 @@ class Lowering {
 
   /// A struct member or swizzle read. A member of an lvalue is read
   /// through its location; any other base is evaluated once as an
-  /// aggregate and the field read from its bytes.
+  /// aggregate and the field read from its bytes. `v->xy` swizzles `*v`.
   Operand Member(const MemberExpr& m) {
-    if (m.is_swizzle) return Result(OpCode::kSwizzle, Eval(*m.base), kNoReg, &m);
+    if (m.is_swizzle) {
+      Operand base = Eval(*m.base);
+      if (m.is_arrow) base = Result(OpCode::kDeref, base);
+      return Result(OpCode::kSwizzle, base, kNoReg, &m);
+    }
     if (!m.is_arrow && !IsLvalue(*m.base))
       return Result(OpCode::kMemberAgg, Eval(*m.base), kNoReg, Field(m));
     int lv = Location(m);
@@ -766,28 +724,19 @@ class Lowering {
       Emit({.code = OpCode::kCallCheck});
       if (c.args.size() != fn.params.size())
         return Fail("wrong argument count calling '" + fn.name + "'");
-      // Arguments are evaluated in the caller's frame, in order; a
-      // reference parameter takes its argument's location.
+      // Arguments are evaluated in the caller's frame, in order.
       std::vector<Operand> ops;
-      std::vector<bool> is_loc;
-      for (size_t i = 0; i < c.args.size(); ++i) {
-        bool ref_param = i < fn.param_is_reference.size() &&
-                         fn.param_is_reference[i];
-        ops.push_back(
-            ref_param ? Location(*c.args[i])
-                      : Protect(Eval(*c.args[i]),
-                                AnyClobbers({c.args.data() + i + 1,
-                                             c.args.size() - i - 1})));
-        is_loc.push_back(ref_param);
-      }
+      for (size_t i = 0; i < c.args.size(); ++i)
+        ops.push_back(Protect(Eval(*c.args[i]),
+                              AnyClobbers({c.args.data() + i + 1,
+                                           c.args.size() - i - 1})));
       int dst = discard ? kNoReg : NewReg();
       Emit({.code = OpCode::kCall,
             .dst = dst,
             .c = static_cast<Operand>(ops.size()),
             .n = List(ops),
             .p = fns_.at(&fn).get()});
-      for (size_t i = 0; i < ops.size(); ++i)
-        if (is_loc[i]) FreeLV(ops[i]); else Free(ops[i]);
+      for (Operand o : ops) Free(o);
       return dst;
     }
     if (ref.builtin) return Builtin(ref, c, discard);
@@ -984,11 +933,7 @@ class Lowering {
       case ExprKind::kUnary: {
         const auto* u = e.As<lang::UnaryExpr>();
         if (u->op != UnaryOp::kDeref) break;
-        Operand p = Eval(*u->operand);
-        int lv = NewLV();
-        Emit({.code = OpCode::kDerefLV, .dst = lv, .a = p, .p = e.type});
-        Free(p);
-        return lv;
+        return Pointee(*u->operand, e.type);
       }
       case ExprKind::kIndex: {
         const auto* ix = e.As<lang::IndexExpr>();
@@ -1010,7 +955,10 @@ class Lowering {
       case ExprKind::kMember: {
         const auto* m = e.As<MemberExpr>();
         const bool arrow = m->is_arrow && !m->is_swizzle;
-        int base = arrow ? Eval(*m->base) : Location(*m->base);
+        // `v->xy` swizzles the location `*v`.
+        int base = arrow         ? Eval(*m->base)
+                   : m->is_arrow ? Pointee(*m->base, m->base->type->pointee())
+                                 : Location(*m->base);
         int lv = NewLV();
         Emit({.code = m->is_swizzle ? OpCode::kSwizzleLV
                       : arrow       ? OpCode::kArrowLV
@@ -1026,6 +974,15 @@ class Lowering {
     }
     Fail("expression is not assignable");
     return NewLV();
+  }
+
+  /// The location `*ptr`, of type `type`.
+  int Pointee(const Expr& ptr, const lang::Type* type) {
+    Operand p = Eval(ptr);
+    int lv = NewLV();
+    Emit({.code = OpCode::kDerefLV, .dst = lv, .a = p, .p = type});
+    Free(p);
+    return lv;
   }
 
   const lang::TranslationUnit& tu_;
@@ -1046,7 +1003,8 @@ Program::Program(const lang::TranslationUnit& tu) {
   for (const auto& d : tu.decls) {
     if (d->kind != lang::DeclKind::kFunction) continue;
     const auto* fn = d->As<FunctionDecl>();
-    if (!fn->body) continue;
+    // A template is never run; only its instantiations are (cpp_lowering.h).
+    if (!fn->body || !fn->template_params.empty()) continue;
     auto lowered = std::make_unique<LoweredFunction>();
     lowered->decl = fn;
     fns_.emplace(fn, std::move(lowered));

@@ -1,6 +1,9 @@
 // Device functions lowered for the executor (executor.cc). When a module
 // is compiled, every device function with a body is lowered once to flat
-// code: an array of ops over the function's frame. A frame holds
+// code: an array of ops over the function's frame. The functions are C:
+// lang::LowerCppFeatures (lang/cpp_lowering.h) already instantiated CUDA's
+// templates and turned its reference parameters into pointers, and a
+// template itself is never lowered. A frame holds
 // registers (Values) and locations (where an lvalue lives); the first
 // FunctionDecl::frame_slots of each are the parameters and locals that
 // sema numbered, the rest temporaries that each statement reuses.
@@ -19,10 +22,11 @@
 // an lvalue (a variable, `*p`, a subscript, `->`, or a member of one) is
 // read through its location, and any other base (a call, `?:`, a cast)
 // is evaluated once as an aggregate and the field read from its bytes.
-// A loop whose body declares a private array, struct or address-taken
-// local saves the private-stack top before its first iteration and
-// restores it at the top of each, so each iteration reuses the storage
-// the previous one was given.
+// A swizzle through `->` (`v->xy`) swizzles `*v`. A loop whose body
+// declares a private array, struct or address-taken local saves the
+// private-stack top before its first iteration and restores it at the top
+// of each, so each iteration reuses the storage the previous one was
+// given.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +103,6 @@ enum class OpCode : uint8_t {
   kDeclMem,     // location n = zeroed private memory for variable p
   kStoreVar,    // store a, converted to p, at location n plus b bytes
   kInitReg,     // register n = a converted to p
-  kBindReg,     // bind variable p to a in register n (template-typed locals
-                // adopt a's type when flag is set)
   // Atomics, images and textures.
   kAtomicLoad,   // dst = *a, charged as an atomic
   kAtomicStore,  // *a = p(old b, operand c, desired n); dst = old b
@@ -130,9 +132,8 @@ struct Op {
 
 /// How a call binds one parameter.
 enum class ParamBinding : uint8_t {
-  kRegister,   // converted to the parameter's type, into its register
-  kDynamic,    // BindVar: memory-backed, or typed by its argument
-  kReference,  // C++ reference: the argument's location
+  kRegister,  // converted to the parameter's type, into its register
+  kMemory,    // stored in private memory: an aggregate, or address-taken
 };
 
 struct LoweredFunction {

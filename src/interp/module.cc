@@ -6,6 +6,7 @@
 #include "interp/constants.h"
 #include "interp/lower.h"
 #include "interp/value.h"
+#include "lang/cpp_lowering.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
 #include "support/strings.h"
@@ -167,8 +168,7 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
       m->tu_ = it->second.tu;
       m->program_ = it->second.program;
       m->dialect_ = dialect;
-      m->source_ = source;
-      return m;
+          return m;
     }
   }
 
@@ -185,9 +185,10 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
     st = parsed.status();
   } else {
     tu = std::shared_ptr<lang::TranslationUnit>(std::move(*parsed));
+    if (dialect == Dialect::kCUDA) st = lang::LowerCppFeatures(*tu, diags);
     lang::SemaOptions sopts;
     sopts.dialect = dialect;
-    st = lang::Analyze(*tu, sopts, diags);
+    if (st.ok()) st = lang::Analyze(*tu, sopts, diags);
     if (st.ok())
       program = std::make_shared<const Program>(*tu);
     else
@@ -212,7 +213,6 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
   m->tu_ = std::move(tu);
   m->program_ = std::move(program);
   m->dialect_ = dialect;
-  m->source_ = source;
   return m;
 }
 

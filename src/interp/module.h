@@ -78,12 +78,9 @@ class Module {
   /// before launching kernels from this module.
   Status LoadOn(simgpu::Device& device);
 
-  lang::TranslationUnit& tu() { return *tu_; }
-  const lang::TranslationUnit& tu() const { return *tu_; }
   /// The translation unit's device functions, lowered (lower.h).
   const Program& program() const { return *program_; }
   lang::Dialect dialect() const { return dialect_; }
-  const std::string& source() const { return source_; }
 
   const lang::FunctionDecl* FindKernel(const std::string& name) const;
 
@@ -122,7 +119,6 @@ class Module {
   std::shared_ptr<lang::TranslationUnit> tu_;
   std::shared_ptr<const Program> program_;
   lang::Dialect dialect_ = lang::Dialect::kOpenCL;
-  std::string source_;
   simgpu::Device* loaded_device_ = nullptr;
 
   std::unordered_map<std::string, Symbol> symbols_;

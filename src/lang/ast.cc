@@ -311,6 +311,170 @@ StmtPtr CloneStmt(const Stmt& s) {
   return nullptr;
 }
 
+Status MutateExprs(ExprPtr& expr, const ExprMutator& fn) {
+  if (!expr) return OkStatus();
+  switch (expr->kind) {
+    case ExprKind::kIntLit:
+    case ExprKind::kFloatLit:
+    case ExprKind::kStringLit:
+    case ExprKind::kDeclRef:
+      break;
+    case ExprKind::kUnary:
+      BRIDGECL_RETURN_IF_ERROR(
+          MutateExprs(expr->As<UnaryExpr>()->operand, fn));
+      break;
+    case ExprKind::kBinary: {
+      auto* b = expr->As<BinaryExpr>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(b->lhs, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(b->rhs, fn));
+      break;
+    }
+    case ExprKind::kAssign: {
+      auto* a = expr->As<AssignExpr>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(a->lhs, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(a->rhs, fn));
+      break;
+    }
+    case ExprKind::kConditional: {
+      auto* c = expr->As<ConditionalExpr>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(c->cond, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(c->then_expr, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(c->else_expr, fn));
+      break;
+    }
+    case ExprKind::kCall: {
+      auto* c = expr->As<CallExpr>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(c->callee, fn));
+      for (auto& a : c->args) BRIDGECL_RETURN_IF_ERROR(MutateExprs(a, fn));
+      break;
+    }
+    case ExprKind::kIndex: {
+      auto* i = expr->As<IndexExpr>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(i->base, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(i->index, fn));
+      break;
+    }
+    case ExprKind::kMember:
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(expr->As<MemberExpr>()->base, fn));
+      break;
+    case ExprKind::kCast:
+      BRIDGECL_RETURN_IF_ERROR(
+          MutateExprs(expr->As<CastExpr>()->operand, fn));
+      break;
+    case ExprKind::kParen:
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(expr->As<ParenExpr>()->inner, fn));
+      break;
+    case ExprKind::kInitList:
+      for (auto& e : expr->As<InitListExpr>()->elems)
+        BRIDGECL_RETURN_IF_ERROR(MutateExprs(e, fn));
+      break;
+    case ExprKind::kSizeof:
+      BRIDGECL_RETURN_IF_ERROR(
+          MutateExprs(expr->As<SizeofExpr>()->arg_expr, fn));
+      break;
+    case ExprKind::kVectorLit:
+      for (auto& e : expr->As<VectorLitExpr>()->elems)
+        BRIDGECL_RETURN_IF_ERROR(MutateExprs(e, fn));
+      break;
+  }
+  return fn(expr);
+}
+
+Status MutateExprs(Stmt* stmt, const ExprMutator& fn) {
+  if (stmt == nullptr) return OkStatus();
+  switch (stmt->kind) {
+    case StmtKind::kCompound:
+      for (auto& s : stmt->As<CompoundStmt>()->body)
+        BRIDGECL_RETURN_IF_ERROR(MutateExprs(s.get(), fn));
+      return OkStatus();
+    case StmtKind::kDecl:
+      for (auto& v : stmt->As<DeclStmt>()->vars)
+        if (v->init) BRIDGECL_RETURN_IF_ERROR(MutateExprs(v->init, fn));
+      return OkStatus();
+    case StmtKind::kExpr:
+      return MutateExprs(stmt->As<ExprStmt>()->expr, fn);
+    case StmtKind::kIf: {
+      auto* i = stmt->As<IfStmt>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(i->cond, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(i->then_stmt.get(), fn));
+      return MutateExprs(i->else_stmt.get(), fn);
+    }
+    case StmtKind::kFor: {
+      auto* f = stmt->As<ForStmt>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(f->init.get(), fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(f->cond, fn));
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(f->step, fn));
+      return MutateExprs(f->body.get(), fn);
+    }
+    case StmtKind::kWhile: {
+      auto* w = stmt->As<WhileStmt>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(w->cond, fn));
+      return MutateExprs(w->body.get(), fn);
+    }
+    case StmtKind::kDo: {
+      auto* d = stmt->As<DoStmt>();
+      BRIDGECL_RETURN_IF_ERROR(MutateExprs(d->body.get(), fn));
+      return MutateExprs(d->cond, fn);
+    }
+    case StmtKind::kReturn:
+      return MutateExprs(stmt->As<ReturnStmt>()->value, fn);
+    default:
+      return OkStatus();
+  }
+}
+
+void VisitVarDecls(const Stmt* stmt, const VarVisitor& fn) {
+  if (stmt == nullptr) return;
+  switch (stmt->kind) {
+    case StmtKind::kCompound:
+      for (const auto& s : stmt->As<CompoundStmt>()->body)
+        VisitVarDecls(s.get(), fn);
+      return;
+    case StmtKind::kDecl:
+      for (const auto& v : stmt->As<DeclStmt>()->vars) fn(v.get());
+      return;
+    case StmtKind::kIf: {
+      const auto* i = stmt->As<IfStmt>();
+      VisitVarDecls(i->then_stmt.get(), fn);
+      VisitVarDecls(i->else_stmt.get(), fn);
+      return;
+    }
+    case StmtKind::kFor: {
+      const auto* f = stmt->As<ForStmt>();
+      VisitVarDecls(f->init.get(), fn);
+      VisitVarDecls(f->body.get(), fn);
+      return;
+    }
+    case StmtKind::kWhile:
+      VisitVarDecls(stmt->As<WhileStmt>()->body.get(), fn);
+      return;
+    case StmtKind::kDo:
+      VisitVarDecls(stmt->As<DoStmt>()->body.get(), fn);
+      return;
+    default:
+      return;
+  }
+}
+
+Type::Ptr ReplaceType(const Type::Ptr& t, const TypeReplacer& fn) {
+  if (!t) return t;
+  if (Type::Ptr direct = fn(t)) return direct;
+  switch (t->kind()) {
+    case TypeKind::kPointer: {
+      Type::Ptr inner = ReplaceType(t->pointee(), fn);
+      if (inner == t->pointee()) return t;
+      return Type::Pointer(inner, t->pointee_space());
+    }
+    case TypeKind::kArray: {
+      Type::Ptr inner = ReplaceType(t->element(), fn);
+      if (inner == t->element()) return t;
+      return Type::Array(inner, t->array_extent());
+    }
+    default:
+      return t;
+  }
+}
+
 const char* BinaryOpSpelling(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd: return "+";

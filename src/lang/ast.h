@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "lang/builtins.h"
 #include "lang/type.h"
 #include "support/source_location.h"
+#include "support/status.h"
 
 namespace bridgecl::lang {
 
@@ -439,6 +441,23 @@ std::unique_ptr<MemberExpr> MakeMember(ExprPtr base, std::string member);
 ExprPtr CloneExpr(const Expr& e);
 StmtPtr CloneStmt(const Stmt& s);
 std::unique_ptr<VarDecl> CloneVarDecl(const VarDecl& v);
+
+/// Visit every expression in a statement tree bottom-up. The callback may
+/// replace the node by assigning a new expression to the ExprPtr slot it
+/// receives (the slot already holds the visited node). Returning a non-ok
+/// status aborts the walk.
+using ExprMutator = std::function<Status(ExprPtr& slot)>;
+Status MutateExprs(Stmt* stmt, const ExprMutator& fn);
+Status MutateExprs(ExprPtr& expr, const ExprMutator& fn);
+
+/// Calls `fn` on every variable declared in a statement tree, in order.
+using VarVisitor = std::function<void(VarDecl* var)>;
+void VisitVarDecls(const Stmt* stmt, const VarVisitor& fn);
+
+/// Structurally replace types for which `fn` returns a replacement,
+/// recursing through pointers and arrays.
+using TypeReplacer = std::function<Type::Ptr(const Type::Ptr&)>;  // null = keep
+Type::Ptr ReplaceType(const Type::Ptr& t, const TypeReplacer& fn);
 
 const char* BinaryOpSpelling(BinaryOp op);
 const char* UnaryOpSpelling(UnaryOp op);

@@ -505,9 +505,8 @@ StatusOr<std::unique_ptr<VarDecl>> Parser::ParseDeclarator(
       continue;
     }
     BRIDGECL_ASSIGN_OR_RETURN(ExprPtr e, ParseConditional());
-    // Extents must be integer constants; sema folds more complex forms,
-    // here we accept literals directly and constant expressions via a
-    // mini-fold of literal arithmetic.
+    // Extents must be integer literals (after macro expansion); nothing
+    // folds a constant expression here or later.
     size_t extent = 0;
     if (e->kind == ExprKind::kIntLit) {
       extent = e->As<IntLitExpr>()->value;

@@ -520,10 +520,19 @@ void Printer::EmitExpr(const Expr& e) {
       // names but may omit pointer decoration, so fall back carefully.
       spelled = TypeSpelling(c->target, false);
       switch (c->style) {
-        case CastStyle::kCStyle:
-          out_ += "(" + spelled + ")";
+        case CastStyle::kCStyle: {
+          // A C cast binds tighter than a binary operator, so an operand
+          // that came from a C++ cast, `reinterpret_cast<T>(a + b)`, or a
+          // call argument keeps its own parentheses.
+          const ExprKind k = c->operand->kind;
+          const bool paren = k == ExprKind::kBinary ||
+                             k == ExprKind::kAssign ||
+                             k == ExprKind::kConditional;
+          out_ += "(" + spelled + ")" + (paren ? "(" : "");
           EmitExpr(*c->operand);
+          if (paren) out_ += ")";
           return;
+        }
         case CastStyle::kStatic:
           out_ += "static_cast<" + spelled + ">(";
           EmitExpr(*c->operand);

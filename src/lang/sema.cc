@@ -101,6 +101,26 @@ class Sema {
     }
   }
 
+  /// C++ allows reinterpret_cast only between pointers, between a
+  /// pointer and an integer, and to the operand's own type. A template's
+  /// own types are checked in its instantiations.
+  Status CheckReinterpret(const CastExpr& c) {
+    const Type* from = c.operand->type;
+    const Type* to = c.target;
+    auto pointer_or_int = [](const Type* t) {
+      return t->is_pointer() || (t->is_arithmetic() && !t->is_float());
+    };
+    if (from == nullptr || from == to || from->is_named() ||
+        to->is_named() ||
+        (pointer_or_int(from) && pointer_or_int(to) &&
+         (from->is_pointer() || to->is_pointer())))
+      return OkStatus();
+    return Err(c.loc, "reinterpret_cast from '" + from->ToString() +
+                          "' to '" + to->ToString() +
+                          "' is not allowed: it converts only between "
+                          "pointers, or between a pointer and an integer");
+  }
+
   Status LayoutStruct(StructDecl* sd);
   Status AnalyzeFunction(FunctionDecl* fn);
   Status AnalyzeStmt(Stmt* s);
@@ -469,16 +489,7 @@ Status Sema::AnalyzeExpr(Expr* e) {
                            "supported in device code");
       if (FunctionDecl* fn = tu_.FindFunction(name)) {
         c->callee->As<DeclRefExpr>()->function = fn;
-        Type::Ptr ret = fn->return_type;
-        // Template call: the return type may be the template parameter;
-        // substitute from explicit type args or the first argument.
-        if (!fn->template_params.empty() && ret && ret->is_named()) {
-          if (!c->type_args.empty())
-            ret = c->type_args[0];
-          else if (!arg_types.empty() && arg_types[0])
-            ret = arg_types[0];
-        }
-        e->type = ret ? ret : Type::VoidTy();
+        e->type = fn->return_type ? fn->return_type : Type::VoidTy();
         c->callee->type = e->type;
         return OkStatus();
       }
@@ -547,6 +558,8 @@ Status Sema::AnalyzeExpr(Expr* e) {
     case ExprKind::kCast: {
       auto* c = e->As<CastExpr>();
       BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(c->operand.get()));
+      if (c->style == CastStyle::kReinterpret)
+        BRIDGECL_RETURN_IF_ERROR(CheckReinterpret(*c));
       // Propagate pointee space through casts that do not re-qualify.
       Type::Ptr t = c->target;
       if (t && t->is_pointer() &&

@@ -59,7 +59,7 @@ struct TraceEvent {
   bool failed = false;     // the command returned a non-ok Status
   int lane = 0;            // display lane: 0 host, 1 copy engine, 2 compute
   uint64_t stream = 0;     // device spans: owning queue/stream handle
-  // Build spans: content-hashed module-cache outcome (-1 n/a, 0 miss,
+  // Build spans: module-cache outcome (-1 n/a, 0 miss,
   // 1 hit).
   int8_t module_cache = -1;
   simgpu::DeviceStats delta;  // device counters accumulated inside the span

@@ -336,7 +336,9 @@ class ClToCu {
       if (e->kind != ExprKind::kMember) return OkStatus();
       auto* m = e->As<MemberExpr>();
       if (!m->is_swizzle) return OkStatus();
-      if (IsWideVector(m->base->type)) {
+      const Type* vec =
+          m->is_arrow ? m->base->type->pointee() : m->base->type;
+      if (IsWideVector(vec)) {
         if (m->swizzle.size() > 1)
           return Untranslatable(diags_, e->loc,
                                 "lo/hi/even/odd of an 8/16-component "
@@ -354,12 +356,13 @@ class ClToCu {
       if (ContainsCall(*m->base))
         return Untranslatable(diags_, e->loc,
                               "vector swizzle of a call result");
-      ScalarKind ek = m->base->type->scalar_kind();
+      ScalarKind ek = vec->scalar_kind();
       int n = static_cast<int>(m->swizzle.size());
       auto call = std::make_unique<CallExpr>();
       call->callee = MakeRef("make_" + VectorTypeName(ek, n));
       for (int idx : m->swizzle) {
         auto mem = MakeMember(CloneExpr(*m->base), kXyzw[idx]);
+        mem->is_arrow = m->is_arrow;
         mem->is_swizzle = true;
         mem->swizzle = {idx};
         call->args.push_back(std::move(mem));

@@ -2,9 +2,9 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "lang/builtins.h"
+#include "lang/cpp_lowering.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/sema.h"
@@ -50,8 +50,7 @@ class CuToCl {
   StatusOr<TranslationResult> Run() {
     // Record original parameter counts before any pass appends parameters.
     FinalizeKernelInfos();
-    BRIDGECL_RETURN_IF_ERROR(SpecializeTemplates());
-    BRIDGECL_RETURN_IF_ERROR(LowerReferences());
+    BRIDGECL_RETURN_IF_ERROR(DropTemplates());
     BRIDGECL_RETURN_IF_ERROR(CheckKernelParams());
     BRIDGECL_RETURN_IF_ERROR(RewriteBuiltinsAndVars());
     BRIDGECL_RETURN_IF_ERROR(LowerOneComponentVectors());
@@ -98,206 +97,26 @@ class CuToCl {
     return OkStatus();
   }
 
-  // ---- pass 1: template specialization (§3.6: "a template function is
-  // specialized") ----
-  Status SpecializeTemplates() {
-    std::unordered_map<std::string, FunctionDecl*> templates;
-    for (auto& d : tu_.decls) {
-      if (d->kind != DeclKind::kFunction) continue;
-      auto* f = d->As<FunctionDecl>();
-      if (!f->template_params.empty()) {
-        if (f->quals.is_kernel)
-          return Untranslatable(
-              f->loc, "templated __global__ kernel '" + f->name +
-                          "' (OpenCL 1.2 has no templates and the host "
-                          "cannot name a specialization to launch)");
-        templates[f->name] = f;
-      }
-    }
-    if (templates.empty()) return OkStatus();
-
-    std::map<std::pair<std::string, std::string>, std::string> instances;
-    std::vector<DeclPtr> new_decls;
-
-    auto mangle = [](const Type::Ptr& t) {
-      std::string s = t->ToString();
-      for (char& c : s)
-        if (!isalnum(static_cast<unsigned char>(c))) c = '_';
-      return s;
+  // ---- pass 1: templates. LowerCppFeatures instantiated every template
+  // a call names (§3.6: "a template function is specialized"); what is
+  // left is to drop the templates themselves, and a templated kernel is
+  // untranslatable. ----
+  Status DropTemplates() {
+    auto is_template = [](const DeclPtr& d) {
+      return d->kind == DeclKind::kFunction &&
+             !d->As<FunctionDecl>()->template_params.empty();
     };
-
-    auto fix = [&](ExprPtr& e) -> Status {
-      if (e->kind != ExprKind::kCall) return OkStatus();
-      auto* c = e->As<CallExpr>();
-      std::string name = c->callee_name();
-      auto it = templates.find(name);
-      if (it == templates.end()) return OkStatus();
-      if (c->type_args.empty())
-        return Untranslatable(e->loc,
-                              "template call '" + name +
-                                  "' without explicit type arguments");
-      FunctionDecl* tmpl = it->second;
-      if (c->type_args.size() != tmpl->template_params.size())
-        return Untranslatable(e->loc, "template argument count mismatch");
-      std::string key;
-      for (const auto& t : c->type_args) key += "_" + mangle(t);
-      auto ikey = std::make_pair(name, key);
-      auto found = instances.find(ikey);
-      std::string spec_name;
-      if (found != instances.end()) {
-        spec_name = found->second;
-      } else {
-        spec_name = name + key;
-        instances[ikey] = spec_name;
-        // Clone and substitute.
-        auto clone = std::make_unique<FunctionDecl>();
-        clone->loc = tmpl->loc;
-        clone->name = spec_name;
-        clone->quals = tmpl->quals;
-        clone->return_type = tmpl->return_type;
-        clone->return_type_spelling = tmpl->return_type_spelling;
-        for (auto& p : tmpl->params)
-          clone->params.push_back(CloneVarDecl(*p));
-        clone->param_is_reference = tmpl->param_is_reference;
-        clone->body.reset(
-            static_cast<CompoundStmt*>(CloneStmt(*tmpl->body).release()));
-        std::unordered_map<std::string, Type::Ptr> bind;
-        for (size_t i = 0; i < tmpl->template_params.size(); ++i)
-          bind[tmpl->template_params[i].name] = c->type_args[i];
-        auto subst = [&](const Type::Ptr& t) -> Type::Ptr {
-          if (t && t->is_named()) {
-            auto b = bind.find(t->name());
-            if (b != bind.end()) return b->second;
-          }
-          return nullptr;
-        };
-        clone->return_type = ReplaceType(clone->return_type, subst);
-        for (auto& p : clone->params) p->type = ReplaceType(p->type, subst);
-        auto fix_var = [&](VarDecl* v) -> Status {
-          v->type = ReplaceType(v->type, subst);
-          return OkStatus();
-        };
-        BRIDGECL_RETURN_IF_ERROR(VisitVarDecls(clone->body.get(), fix_var));
-        BRIDGECL_RETURN_IF_ERROR(
-            MutateExprs(clone->body.get(), [&](ExprPtr& ex) -> Status {
-              if (ex->kind == ExprKind::kCast) {
-                auto* cast = ex->As<CastExpr>();
-                cast->target = ReplaceType(cast->target, subst);
-              } else if (ex->kind == ExprKind::kSizeof) {
-                auto* sz = ex->As<SizeofExpr>();
-                if (sz->arg_type)
-                  sz->arg_type = ReplaceType(sz->arg_type, subst);
-              }
-              return OkStatus();
-            }));
-        new_decls.push_back(std::move(clone));
-      }
-      c->callee = MakeRef(spec_name);
-      c->type_args.clear();
-      return OkStatus();
-    };
-    BRIDGECL_RETURN_IF_ERROR(ForEachBody([&](FunctionDecl& fn) {
-      if (!fn.template_params.empty()) return OkStatus();
-      return MutateExprs(fn.body.get(), fix);
-    }));
-    // Insert specializations before the first function and drop templates.
-    std::vector<DeclPtr> rebuilt;
-    bool inserted = false;
-    for (auto& d : tu_.decls) {
-      if (d->kind == DeclKind::kFunction) {
-        if (!inserted) {
-          for (auto& nd : new_decls) rebuilt.push_back(std::move(nd));
-          inserted = true;
-        }
-        if (!d->As<FunctionDecl>()->template_params.empty()) continue;
-      }
-      rebuilt.push_back(std::move(d));
-    }
-    if (!inserted)
-      for (auto& nd : new_decls) rebuilt.push_back(std::move(nd));
-    tu_.decls = std::move(rebuilt);
+    for (const auto& d : tu_.decls)
+      if (is_template(d) && d->As<FunctionDecl>()->quals.is_kernel)
+        return Untranslatable(
+            d->loc, "templated __global__ kernel '" + d->name +
+                        "' (OpenCL 1.2 has no templates and the host "
+                        "cannot name a specialization to launch)");
+    std::erase_if(tu_.decls, is_template);
     return OkStatus();
   }
 
-  // ---- pass 2: C++ references → pointers (§3.6) ----
-  Status LowerReferences() {
-    // Collect (function name, param index) with references.
-    std::unordered_map<std::string, std::vector<int>> ref_params;
-    for (auto& d : tu_.decls) {
-      if (d->kind != DeclKind::kFunction) continue;
-      auto* f = d->As<FunctionDecl>();
-      for (size_t i = 0; i < f->param_is_reference.size(); ++i)
-        if (f->param_is_reference[i])
-          ref_params[f->name].push_back(static_cast<int>(i));
-    }
-    if (ref_params.empty()) return OkStatus();
-
-    // Rewrite declarations and bodies.
-    for (auto& d : tu_.decls) {
-      if (d->kind != DeclKind::kFunction) continue;
-      auto* f = d->As<FunctionDecl>();
-      auto it = ref_params.find(f->name);
-      if (it != ref_params.end()) {
-        std::unordered_set<std::string> names;
-        for (int i : it->second) {
-          VarDecl* p = f->params[i].get();
-          p->type = Type::Pointer(p->type, AddressSpace::kPrivate);
-          names.insert(p->name);
-        }
-        std::fill(f->param_is_reference.begin(),
-                  f->param_is_reference.end(), false);
-        // Wrap uses in (*name).
-        BRIDGECL_RETURN_IF_ERROR(
-            MutateExprs(f->body.get(), [&](ExprPtr& e) -> Status {
-              if (e->kind != ExprKind::kDeclRef) return OkStatus();
-              auto* r = e->As<DeclRefExpr>();
-              if (!names.count(r->name) || r->var == nullptr ||
-                  !r->var->is_param)
-                return OkStatus();
-              auto deref = std::make_unique<UnaryExpr>();
-              deref->op = UnaryOp::kDeref;
-              deref->type = e->type;
-              deref->operand = std::move(e);
-              auto paren = std::make_unique<ParenExpr>();
-              paren->type = deref->type;
-              paren->inner = std::move(deref);
-              e = std::move(paren);
-              return OkStatus();
-            }));
-      }
-    }
-    // Rewrite call sites: pass &arg.
-    return ForEachBody([&](FunctionDecl& fn) {
-      return MutateExprs(fn.body.get(), [&](ExprPtr& e) -> Status {
-        if (e->kind != ExprKind::kCall) return OkStatus();
-        auto* c = e->As<CallExpr>();
-        auto it = ref_params.find(c->callee_name());
-        if (it == ref_params.end()) return OkStatus();
-        for (int i : it->second) {
-          if (i >= static_cast<int>(c->args.size())) continue;
-          // The argument was rewritten to (*x) if it itself is a lowered
-          // reference param; &(*x) simplifies to x.
-          if (c->args[i]->kind == ExprKind::kParen &&
-              c->args[i]->As<ParenExpr>()->inner->kind == ExprKind::kUnary &&
-              c->args[i]->As<ParenExpr>()->inner->As<UnaryExpr>()->op ==
-                  UnaryOp::kDeref) {
-            c->args[i] = std::move(c->args[i]
-                                       ->As<ParenExpr>()
-                                       ->inner->As<UnaryExpr>()
-                                       ->operand);
-            continue;
-          }
-          auto addr = std::make_unique<UnaryExpr>();
-          addr->op = UnaryOp::kAddrOf;
-          addr->operand = std::move(c->args[i]);
-          c->args[i] = std::move(addr);
-        }
-        return OkStatus();
-      });
-    });
-  }
-
-  // ---- pass 3: kernel parameter checks (heartwall, §6.3) ----
+  // ---- pass 2: kernel parameter checks (heartwall, §6.3) ----
   Status CheckKernelParams() {
     auto has_pointer_field = [](const StructDecl* sd,
                                 auto&& self) -> bool {
@@ -328,7 +147,7 @@ class CuToCl {
     return OkStatus();
   }
 
-  // ---- pass 4: built-in variables and functions ----
+  // ---- pass 3: built-in variables and functions ----
   Status RewriteBuiltinsAndVars() {
     auto fix = [&](ExprPtr& e) -> Status {
       // threadIdx.x → get_local_id(0) etc.
@@ -438,7 +257,7 @@ class CuToCl {
     });
   }
 
-  // ---- pass 5: one-component vectors → scalars (§3.6) ----
+  // ---- pass 4: one-component vectors → scalars (§3.6) ----
   Status LowerOneComponentVectors() {
     // Remove `.x` on width-1 vector values first.
     BRIDGECL_RETURN_IF_ERROR(ForEachBody([&](FunctionDecl& fn) {
@@ -461,7 +280,7 @@ class CuToCl {
     return ReplaceTypesEverywhere(tu_, replace);
   }
 
-  // ---- pass 6: longlong → long (§3.6: same size on the device) ----
+  // ---- pass 5: longlong → long (§3.6: same size on the device) ----
   Status LowerLongLong() {
     auto replace = [&](const Type::Ptr& t) -> Type::Ptr {
       if (!t) return nullptr;
@@ -479,7 +298,7 @@ class CuToCl {
     return ReplaceTypesEverywhere(tu_, replace);
   }
 
-  // ---- pass 7: extern __shared__ → appended __local param (§4.1) ----
+  // ---- pass 6: extern __shared__ → appended __local param (§4.1) ----
   Status RewriteDynamicShared() {
     for (auto& d : tu_.decls) {
       if (d->kind != DeclKind::kFunction) continue;
@@ -487,16 +306,12 @@ class CuToCl {
       if (fn->body == nullptr) continue;
       // Find extern __shared__ declarations.
       std::vector<std::pair<std::string, Type::Ptr>> dyn;
-      BRIDGECL_RETURN_IF_ERROR(
-          VisitVarDecls(fn->body.get(), [&](VarDecl* v) -> Status {
-            if (v->quals.is_extern &&
-                v->quals.space == AddressSpace::kLocal) {
-              Type::Ptr elem =
-                  v->type->is_array() ? v->type->element() : v->type;
-              dyn.emplace_back(v->name, elem);
-            }
-            return OkStatus();
-          }));
+      VisitVarDecls(fn->body.get(), [&](VarDecl* v) {
+        if (v->quals.is_extern && v->quals.space == AddressSpace::kLocal) {
+          Type::Ptr elem = v->type->is_array() ? v->type->element() : v->type;
+          dyn.emplace_back(v->name, elem);
+        }
+      });
       if (dyn.empty()) continue;
       if (!fn->quals.is_kernel)
         return Untranslatable(fn->loc,
@@ -534,7 +349,7 @@ class CuToCl {
     return OkStatus();
   }
 
-  // ---- pass 8: texture references → image + sampler params (§5) ----
+  // ---- pass 7: texture references → image + sampler params (§5) ----
   Status RewriteTextures() {
     std::unordered_map<std::string, const TextureRefDecl*> texrefs;
     for (auto& d : tu_.decls)
@@ -668,7 +483,7 @@ class CuToCl {
     return OkStatus();
   }
 
-  // ---- pass 9: __device__ globals & runtime-initialized __constant__
+  // ---- pass 8: __device__ globals & runtime-initialized __constant__
   // globals → appended pointer params (§4.2-§4.3) ----
   Status RewriteStaticSymbols() {
     struct SymbolRec {
@@ -757,7 +572,7 @@ class CuToCl {
     return OkStatus();
   }
 
-  // ---- pass 10: per-address-space specialization of device functions ----
+  // ---- pass 9: per-address-space specialization of device functions ----
   // OpenCL pointer parameters carry the pointee's address space; a CUDA
   // helper called with both __global and __local pointers needs one clone
   // per space (the paper's "new pointer variable for each address space").
@@ -863,7 +678,7 @@ class CuToCl {
     return OkStatus();
   }
 
-  // ---- pass 11: multi-space pointers (§3.6). A pointer variable that
+  // ---- pass 10: multi-space pointers (§3.6). A pointer variable that
   // takes addresses from two or more address spaces cannot be typed in
   // OpenCL 1.2. Following the paper ("our translator generates a new
   // pointer variable for each address space"), the common straight-line
@@ -895,15 +710,13 @@ class CuToCl {
             }
             return OkStatus();
           }));
-      BRIDGECL_RETURN_IF_ERROR(
-          VisitVarDecls(fn->body.get(), [&](VarDecl* v) -> Status {
-            if (v->init && v->type && v->type->is_pointer() &&
-                v->init->type && v->init->type->is_pointer()) {
-              int sp = static_cast<int>(v->init->type->pointee_space());
-              if (sp != 0) spaces[v->name].insert(sp);
-            }
-            return OkStatus();
-          }));
+      VisitVarDecls(fn->body.get(), [&](VarDecl* v) {
+        if (v->init && v->type && v->type->is_pointer() && v->init->type &&
+            v->init->type->is_pointer()) {
+          int sp = static_cast<int>(v->init->type->pointee_space());
+          if (sp != 0) spaces[v->name].insert(sp);
+        }
+      });
       for (const auto& [name, sps] : spaces) {
         if (sps.size() < 2) continue;
         BRIDGECL_RETURN_IF_ERROR(SplitOnePointer(*fn, name));
@@ -1072,6 +885,7 @@ StatusOr<TranslationResult> TranslateCudaToOpenCl(
   popts.dialect = Dialect::kCUDA;
   BRIDGECL_ASSIGN_OR_RETURN(auto tu,
                             ParseTranslationUnit(source, popts, diags));
+  BRIDGECL_RETURN_IF_ERROR(LowerCppFeatures(*tu, diags));
   SemaOptions sopts;
   sopts.dialect = Dialect::kCUDA;
   BRIDGECL_RETURN_IF_ERROR(Analyze(*tu, sopts, diags));

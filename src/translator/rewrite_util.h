@@ -1,6 +1,7 @@
-// Shared AST-rewriting machinery for both translation directions:
-// generic expression/statement walkers with node replacement, type
-// substitution, and component extraction for swizzle expansion.
+// Shared AST-rewriting machinery for both translation directions, beside
+// lang's expression, declaration and type walkers (lang/ast.h): statement
+// replacement, whole-unit type substitution, and component extraction for
+// swizzle expansion.
 #pragma once
 
 #include <functional>
@@ -10,34 +11,15 @@
 
 namespace bridgecl::translator {
 
-/// Visit every expression in a statement tree bottom-up. The callback may
-/// replace the node by assigning a new expression to the ExprPtr slot it
-/// receives (the slot already holds the visited node). Returning a non-ok
-/// status aborts the walk.
-using ExprMutator = std::function<Status(lang::ExprPtr& slot)>;
-
-Status MutateExprs(lang::Stmt* stmt, const ExprMutator& fn);
-Status MutateExprs(lang::ExprPtr& expr, const ExprMutator& fn);
-
 /// Visit every statement slot in a tree bottom-up (compound bodies, loop
 /// bodies, branches). The callback may replace the statement.
 using StmtMutator = std::function<Status(lang::StmtPtr& slot)>;
 Status MutateStmts(lang::StmtPtr& stmt, const StmtMutator& fn);
 
-/// Walk every VarDecl in a statement tree (declarations only).
-using VarVisitor = std::function<Status(lang::VarDecl* var)>;
-Status VisitVarDecls(lang::Stmt* stmt, const VarVisitor& fn);
-
-/// Structurally replace types for which `match` returns a replacement,
-/// recursing through pointers and arrays.
-using TypeReplacer =
-    std::function<lang::Type::Ptr(const lang::Type::Ptr&)>;  // null = keep
-lang::Type::Ptr ReplaceType(const lang::Type::Ptr& t, const TypeReplacer& fn);
-
 /// Apply `fn` to the declared type of every VarDecl/param/field/cast/sizeof
 /// in the translation unit.
 Status ReplaceTypesEverywhere(lang::TranslationUnit& tu,
-                              const TypeReplacer& fn);
+                              const lang::TypeReplacer& fn);
 
 /// Extract component `i` of a vector-typed expression as a scalar
 /// expression, duplicating subtrees as needed. Handles DeclRef, Member

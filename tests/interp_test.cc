@@ -477,6 +477,98 @@ TEST_F(InterpTest, StructAccess) {
   EXPECT_EQ(back[1].w, 1);
 }
 
+TEST_F(InterpTest, AtomicsReturnTheOldValueAndStoreTheResult) {
+  auto m = Compile(
+      "__kernel void k(__global int* o) {"
+      "  int a = atomic_min(&o[0], 3);"
+      "  int b = atomic_max(&o[1], 20);"
+      "  atomic_and(&o[2], 6);"
+      "  atomic_or(&o[3], 1);"
+      "  int c = atomic_xchg(&o[4], 42);"
+      "  atomic_sub(&o[5], 2);"
+      "  atomic_dec(&o[6]);"
+      "  atomic_xor(&o[7], 5);"
+      "  o[8] = a; o[9] = b; o[10] = c;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(11 * 4);
+  WriteBuf(vo, std::vector<int>{5, 9, -3, 12, 0, 0, 0, 0, 0, 0, 0});
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 11),
+            (std::vector<int>{3, 20, 4, 13, 42, -2, -1, 5, 5, 9, 0}));
+}
+
+TEST_F(InterpTest, VectorMathBuiltinsWorkPerLane) {
+  auto m = Compile(
+      "__kernel void k(__global float* o) {"
+      "  float4 s = sqrt((float4)(4.0f, 25.0f, 64.0f, 81.0f));"
+      "  float2 p = pow((float2)(2.0f, 3.0f), (float2)(3.0f, 2.0f));"
+      "  float2 f = fma((float2)(2.0f, 3.0f), (float2)(4.0f, 5.0f),"
+      "                 (float2)(1.0f, 1.0f));"
+      "  int4 sel = select((int4)(1, 2, 3, 4), (int4)(5, 6, 7, 8),"
+      "                    (int4)(0, -1, 0, -1));"
+      "  int4 mn = min((int4)(1, 7, 3, 9), (int4)(4, 2, 8, 5));"
+      "  o[0] = s.x; o[1] = s.y; o[2] = s.z; o[3] = s.w;"
+      "  o[4] = p.x; o[5] = p.y; o[6] = f.x; o[7] = f.y;"
+      "  o[8] = sel.x; o[9] = sel.y; o[10] = sel.z; o[11] = sel.w;"
+      "  o[12] = mn.x; o[13] = mn.y; o[14] = mn.z; o[15] = mn.w;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(16 * 4);
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<float>(vo, 16),
+            (std::vector<float>{2, 5, 8, 9, 8, 9, 9, 16, 1, 6, 3, 8, 1, 2, 3,
+                                5}));
+}
+
+TEST_F(InterpTest, IntegerAndVectorOperatorPaths) {
+  auto m = Compile(
+      "__kernel void k(__global int* o) {"
+      "  o[0]++;"
+      "  --o[1];"
+      "  int i = o[4] + 1;"
+      "  int4 v = (int4)(1, 2, 3, 4);"
+      "  v[i] = 30;"
+      "  o[4] = v[i];"
+      "  v.xy += (int2)(10, 20);"
+      "  int4 n = -v;"
+      "  int4 b = ~v;"
+      "  o[5] = v.x; o[6] = v.y; o[7] = n.y; o[8] = b.x;"
+      "  o[9] = !o[2];"
+      "  o[10] = (o[2], 7);"
+      "  o[11] = sizeof(int4);"
+      "  int t[3] = {4, 5, 6};"
+      "  o[12] = t[i] + t[2];"
+      "  v.x++;"
+      "  o[13] = v.x;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(14 * 4);
+  WriteBuf(vo, std::vector<int>{5, 9, -3, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 14),
+            (std::vector<int>{6, 8, -3, 12, 30, 11, 50, -50, -12, 0, 7, 16,
+                              11, 12}));
+}
+
 TEST_F(InterpTest, UserFunctionsAndTemplates) {
   auto m = Compile(
       "template <typename T> __device__ T tmax(T a, T b) {"

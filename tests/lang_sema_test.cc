@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lang/builtins.h"
+#include "lang/cpp_lowering.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
 
@@ -466,6 +467,62 @@ TEST(TypeTest, ConcurrentFactoriesReturnOnePointer) {
     EXPECT_NE(seen[0][4 * i + 2], seen[0][2]);
   }
   EXPECT_EQ(seen[0][3]->pointee(), seen[0][2]);
+}
+
+/// Parse CUDA `src` and run LowerCppFeatures; returns its status.
+Status LowerCuda(const std::string& src) {
+  DiagnosticEngine diags;
+  ParseOptions popts;
+  popts.dialect = Dialect::kCUDA;
+  auto tu = ParseTranslationUnit(src, popts, diags);
+  if (!tu.ok()) return tu.status();
+  return LowerCppFeatures(**tu, diags);
+}
+
+TEST(CppLoweringTest, RejectsWhatItCannotLower) {
+  const char* kBump = "__device__ void bump(int& x) { x = x + 1; }";
+  struct Case {
+    std::string src, message;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"__global__ void k(int& x) { x = 1; }",
+            "kernel 'k' takes parameter 'x' by reference"},
+           {std::string(kBump) +
+                "__global__ void k(int* o) { bump(o[0] + 1); }",
+            "argument 1 of the call to 'bump' binds a reference parameter"},
+           {"__device__ void f(int& x) { { int x = 2; } x = 1; }",
+            "local 'x' shadows a reference parameter of 'f'"},
+           {"template <typename T> __device__ T id(T a) { return a; }"
+            "__global__ void k(int* o) { o[0] = id<int, float>(1); }",
+            "call to template 'id' names 2 type arguments; it takes 1"},
+       }) {
+    Status st = LowerCuda(c.src);
+    ASSERT_FALSE(st.ok()) << c.src;
+    EXPECT_NE(st.message().find(c.message), std::string::npos)
+        << st.message();
+  }
+}
+
+TEST(CppLoweringTest, InstantiatesCallsInsideInstantiationsOnce) {
+  DiagnosticEngine diags;
+  ParseOptions popts;
+  popts.dialect = Dialect::kCUDA;
+  auto tu = ParseTranslationUnit(
+      "template <typename T> __device__ T twice(T a) { return a + a; }"
+      "template <typename T> __device__ T quad(T a) {"
+      "  return twice<T>(twice<T>(a));"
+      "}"
+      "__global__ void k(float* o) { o[0] = quad<float>(o[0]); }",
+      popts, diags);
+  ASSERT_TRUE(tu.ok()) << diags.ToString();
+  ASSERT_TRUE(LowerCppFeatures(**tu, diags).ok()) << diags.ToString();
+  // quad_float, then the twice_float it calls, before the first function.
+  ASSERT_GE((*tu)->decls.size(), 2u);
+  EXPECT_EQ((*tu)->decls[0]->name, "quad_float");
+  EXPECT_EQ((*tu)->decls[1]->name, "twice_float");
+  SemaOptions sopts;
+  sopts.dialect = Dialect::kCUDA;
+  EXPECT_TRUE(Analyze(**tu, sopts, diags).ok()) << diags.ToString();
 }
 
 }  // namespace

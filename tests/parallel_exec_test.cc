@@ -8,10 +8,10 @@
 // the logged execution path: blocks that write the same word, read each
 // other's output, or share an atomic counter must leave memory exactly as
 // the serial engine does, and every block sees the serial engine's shared
-// and private addresses. The content-hashed module cache rides along:
-// hits skip the front end (surfaced on build trace spans), replay
-// diagnostics byte-identically, and charge the same simulated build
-// cost.
+// and private addresses. The module cache (keyed by dialect and source
+// text) rides along: hits skip the front end (surfaced on build trace
+// spans), replay diagnostics byte-identically, and charge the same
+// simulated build cost.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

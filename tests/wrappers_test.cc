@@ -811,5 +811,223 @@ TEST(Cu2ClTest, WrapperOverheadIsSmall) {
       << "native=" << native_time << " wrapped=" << wrapped_time;
 }
 
+// ---------------------------------------------------------------------------
+// One-work-item snippets, each run natively and through the other model's
+// wrapper: the two must agree, or both must reject the snippet.
+// ---------------------------------------------------------------------------
+
+struct BothRuns {
+  StatusOr<std::vector<float>> native, wrapped;
+};
+
+/// Registers `src` and runs its kernel `k(float* out, float* in)` on one
+/// work-item, with `in` holding `in` (4 floats); returns out[0..3].
+StatusOr<std::vector<float>> RunCuItem(mcuda::CudaApi& cu,
+                                       const std::string& src,
+                                       std::vector<float> in) {
+  BRIDGECL_RETURN_IF_ERROR(cu.RegisterModule(src));
+  in.resize(4);
+  BRIDGECL_ASSIGN_OR_RETURN(void* dout, cu.Malloc(16));
+  BRIDGECL_ASSIGN_OR_RETURN(void* din, cu.Malloc(16));
+  BRIDGECL_RETURN_IF_ERROR(
+      cu.Memcpy(din, in.data(), 16, MemcpyKind::kHostToDevice));
+  std::vector<LaunchArg> args = {LaunchArg::Ptr(dout), LaunchArg::Ptr(din)};
+  BRIDGECL_RETURN_IF_ERROR(cu.LaunchKernel("k", Dim3(1), Dim3(1), 0, args));
+  std::vector<float> out(4);
+  BRIDGECL_RETURN_IF_ERROR(
+      cu.Memcpy(out.data(), dout, 16, MemcpyKind::kDeviceToHost));
+  return out;
+}
+
+/// RunCuItem natively (mcuda) and through cu2cl over mocl.
+BothRuns RunCuBoth(const std::string& src, const std::vector<float>& in) {
+  Device dev_native(TitanProfile());
+  auto native = mcuda::CreateNativeCudaApi(dev_native);
+  Device dev_wrapped(TitanProfile());
+  auto cl = mocl::CreateNativeClApi(dev_wrapped);
+  auto wrapped = cu2cl::CreateCudaOnClApi(*cl);
+  return {RunCuItem(*native, src, in), RunCuItem(*wrapped, src, in)};
+}
+
+/// The OpenCL counterpart of RunCuItem: `k(__global float* out,
+/// __global float* in)`.
+StatusOr<std::vector<float>> RunClItem(mocl::OpenClApi& cl,
+                                       const std::string& src,
+                                       std::vector<float> in) {
+  in.resize(4);
+  BRIDGECL_ASSIGN_OR_RETURN(auto prog, cl.CreateProgramWithSource(src));
+  BRIDGECL_RETURN_IF_ERROR(cl.BuildProgram(prog));
+  BRIDGECL_ASSIGN_OR_RETURN(auto kernel, cl.CreateKernel(prog, "k"));
+  BRIDGECL_ASSIGN_OR_RETURN(
+      ClMem mout, cl.CreateBuffer(MemFlags::kReadWrite, 16, nullptr));
+  BRIDGECL_ASSIGN_OR_RETURN(
+      ClMem min, cl.CreateBuffer(MemFlags::kReadWrite, 16, in.data()));
+  BRIDGECL_RETURN_IF_ERROR(cl.SetKernelArg(kernel, 0, sizeof(ClMem), &mout));
+  BRIDGECL_RETURN_IF_ERROR(cl.SetKernelArg(kernel, 1, sizeof(ClMem), &min));
+  size_t one = 1;
+  BRIDGECL_RETURN_IF_ERROR(cl.EnqueueNDRangeKernel(kernel, 1, &one, &one));
+  std::vector<float> out(4);
+  BRIDGECL_RETURN_IF_ERROR(cl.EnqueueReadBuffer(mout, 0, 16, out.data()));
+  return out;
+}
+
+/// RunClItem natively (mocl) and through cl2cu over mcuda.
+BothRuns RunClBoth(const std::string& src, const std::vector<float>& in) {
+  Device dev_native(TitanProfile());
+  auto native = mocl::CreateNativeClApi(dev_native);
+  Device dev_wrapped(TitanProfile());
+  auto cuda = mcuda::CreateNativeCudaApi(dev_wrapped);
+  auto wrapped = cl2cu::CreateClOnCudaApi(*cuda);
+  return {RunClItem(*native, src, in), RunClItem(*wrapped, src, in)};
+}
+
+std::string Msg(const StatusOr<std::vector<float>>& r) {
+  return r.ok() ? "ok" : r.status().ToString();
+}
+
+// CUDA's C++ device features have one meaning, lang::LowerCppFeatures, in
+// both paths (lang/cpp_lowering.h).
+
+const char kTmax[] =
+    "template <typename T> __device__ T tmax(T a, T b) {"
+    "  return a > b ? a : b;"
+    "}";
+
+TEST(CppLoweringTest, TemplateCallConvertsItsArgumentsInBothPaths) {
+  BothRuns r = RunCuBoth(std::string(kTmax) +
+                             "__global__ void k(float* out, float* in) {"
+                             "  int i = in[0];"
+                             "  int j = in[1];"
+                             "  out[0] = tmax<float>(i, j) / 2;"
+                             "}",
+                         {3, 1});
+  ASSERT_TRUE(r.native.ok()) << Msg(r.native);
+  ASSERT_TRUE(r.wrapped.ok()) << Msg(r.wrapped);
+  EXPECT_EQ((*r.native)[0], 1.5f);
+  EXPECT_EQ(*r.native, *r.wrapped);
+}
+
+TEST(CppLoweringTest, ReferenceParameterWritesTheCallersVariableInBothPaths) {
+  BothRuns r = RunCuBoth(
+      "__device__ void bump(int& x, int d) { x = x + d; }"
+      "__global__ void k(float* out, float* in) {"
+      "  int v = 5;"
+      "  bump(v, 3);"
+      "  out[0] = v;"
+      "}",
+      {});
+  ASSERT_TRUE(r.native.ok()) << Msg(r.native);
+  ASSERT_TRUE(r.wrapped.ok()) << Msg(r.wrapped);
+  EXPECT_EQ((*r.native)[0], 8.0f);
+  EXPECT_EQ(*r.native, *r.wrapped);
+}
+
+TEST(CppLoweringTest, TemplateCallWithoutTypeArgumentsFailsToBuildInBoth) {
+  BothRuns r = RunCuBoth(std::string(kTmax) +
+                             "__global__ void k(float* out, float* in) {"
+                             "  out[0] = tmax(4, 9);"
+                             "}",
+                         {});
+  for (const auto* run : {&r.native, &r.wrapped}) {
+    ASSERT_FALSE(run->ok());
+    EXPECT_NE(run->status().message().find(
+                  "call to template 'tmax' names no type arguments"),
+              std::string::npos)
+        << Msg(*run);
+  }
+}
+
+TEST(CppLoweringTest, TemplatedKernelIsUntranslatableAndCannotBeLaunched) {
+  BothRuns r = RunCuBoth(
+      "template <typename T> __global__ void k(float* out, T* in) {"
+      "  out[0] = in[0];"
+      "}",
+      {});
+  ASSERT_FALSE(r.wrapped.ok());
+  EXPECT_EQ(r.wrapped.status().code(), StatusCode::kUntranslatable);
+  // Natively the module builds, and each launch names the template.
+  ASSERT_FALSE(r.native.ok());
+  EXPECT_NE(r.native.status().code(), StatusCode::kInternal);
+  EXPECT_NE(r.native.status().message().find("kernel 'k' is a template"),
+            std::string::npos)
+      << Msg(r.native);
+}
+
+TEST(CppLoweringTest, ReinterpretCastOfAValueIsRejectedInBothPaths) {
+  BothRuns r = RunCuBoth(
+      "__global__ void k(float* out, float* in) {"
+      "  int i = in[0];"
+      "  float f = i;"
+      "  out[0] = reinterpret_cast<int>(f);"
+      "}",
+      {3});
+  for (const auto* run : {&r.native, &r.wrapped}) {
+    ASSERT_FALSE(run->ok());
+    EXPECT_NE(run->status().message().find(
+                  "reinterpret_cast from 'float' to 'int' is not allowed"),
+              std::string::npos)
+        << Msg(*run);
+  }
+}
+
+TEST(CppLoweringTest, PointerReinterpretCastsAgreeInBothPaths) {
+  BothRuns r = RunCuBoth(
+      "__global__ void k(float* out, float* in) {"
+      "  int* bits = reinterpret_cast<int*>(in);"
+      "  out[0] = bits[0];"
+      "  size_t a = reinterpret_cast<size_t>(in + 2);"
+      "  out[1] = a - reinterpret_cast<size_t>(in);"
+      "}",
+      {3});
+  ASSERT_TRUE(r.native.ok()) << Msg(r.native);
+  ASSERT_TRUE(r.wrapped.ok()) << Msg(r.wrapped);
+  EXPECT_EQ((*r.native)[0], 1077936128.0f);  // the bits of 3.0f
+  EXPECT_EQ((*r.native)[1], 8.0f);
+  EXPECT_EQ(*r.native, *r.wrapped);
+}
+
+// `->` on a pointer to a vector swizzles the vector it points to.
+
+TEST(VectorArrowTest, OpenClArrowSwizzlesEqualTheirDerefForm) {
+  struct Case {
+    std::string arrow, deref;
+    std::vector<float> want;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"o[0] = v->y;", "o[0] = (*v).y;", {2, 0, 0, 0}},
+           {"float2 t = v->xy; o[0] = t.x; o[1] = t.y;",
+            "float2 t = (*v).xy; o[0] = t.x; o[1] = t.y;",
+            {1, 2, 0, 0}},
+           {"v->y = 7.0f; o[0] = (*v).y;", "(*v).y = 7.0f; o[0] = (*v).y;",
+            {7, 0, 0, 0}},
+       }) {
+    auto src = [](const std::string& body) {
+      return "__kernel void k(__global float* o, __global float4* v) {" +
+             body + "}";
+    };
+    BothRuns a = RunClBoth(src(c.arrow), {1, 2, 3, 4});
+    BothRuns d = RunClBoth(src(c.deref), {1, 2, 3, 4});
+    for (const auto* run : {&a.native, &a.wrapped, &d.native, &d.wrapped})
+      ASSERT_TRUE(run->ok()) << c.arrow << ": " << Msg(*run);
+    EXPECT_EQ(*a.native, c.want) << c.arrow;
+    EXPECT_EQ(*d.native, c.want) << c.deref;
+    EXPECT_EQ(*a.wrapped, c.want) << c.arrow;
+    EXPECT_EQ(*d.wrapped, c.want) << c.deref;
+  }
+}
+
+TEST(VectorArrowTest, CudaArrowOnAFloat4PointerEqualsItsDerefForm) {
+  auto src = [](const std::string& read) {
+    return "__global__ void k(float* o, float4* v) { o[0] = " + read + "; }";
+  };
+  BothRuns a = RunCuBoth(src("v->y"), {1, 2, 3, 4});
+  BothRuns d = RunCuBoth(src("(*v).y"), {1, 2, 3, 4});
+  for (const auto* run : {&a.native, &a.wrapped, &d.native, &d.wrapped})
+    ASSERT_TRUE(run->ok()) << Msg(*run);
+  EXPECT_EQ((*a.native)[0], 2.0f);
+  EXPECT_EQ(*a.native, *d.native);
+  EXPECT_EQ(*a.wrapped, *d.wrapped);
+}
+
 }  // namespace
 }  // namespace bridgecl

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Bench regression guard: rerun the ablation benches that have canonical
-# baselines checked in at the repo root (BENCH_overlap.json,
-# BENCH_parallel_exec.json) and compare the simulated metrics against
-# them within a relative tolerance. Registered as CI's bench_regression
-# job.
+# Bench regression guard: rerun the benches that have canonical baselines
+# checked in at the repo root and compare their simulated metrics against
+# them. Registered as CI's bench_regression job.
+#   BENCH_fig7.json, BENCH_fig8.json   the paper's Figures 7 and 8: every
+#                                      simulated time, per app and
+#                                      configuration; compared exactly
+#   BENCH_overlap.json,                ablations; compared within a
+#   BENCH_parallel_exec.json           relative tolerance
 #
 # Host wall-clock metrics are skipped: anything whose name contains
 # "wall", plus a config's "speedup" when that config also reports
@@ -12,6 +15,7 @@
 # which is deterministic — the tolerance only absorbs float formatting.
 #
 # Usage: check_bench_regression.sh [build_dir] [tolerance_pct]
+# (tolerance_pct, default 2, applies to the ablations only)
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,9 +31,12 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 fail=0
-for name in overlap parallel_exec; do
+for spec in fig7:bench_fig7_ocl_to_cuda:0 fig8:bench_fig8_cuda_to_ocl:0 \
+            overlap:bench_ablation_overlap:"$tol" \
+            parallel_exec:bench_ablation_parallel_exec:"$tol"; do
+  IFS=: read -r name binname tol_pct <<<"$spec"
   base="$root/BENCH_$name.json"
-  bin="$build/bench/bench_ablation_$name"
+  bin="$build/bench/$binname"
   if [ ! -f "$base" ]; then
     echo "bench_regression: FAIL — missing baseline $base"
     fail=1
@@ -45,7 +52,7 @@ for name in overlap parallel_exec; do
     fail=1
     continue
   fi
-  python3 - "$base" "$tmp/BENCH_$name.json" "$tol" <<'PYEOF' || fail=1
+  python3 - "$base" "$tmp/BENCH_$name.json" "$tol_pct" <<'PYEOF' || fail=1
 import json
 import sys
 
@@ -80,7 +87,8 @@ for config, metrics in base["results"].items():
             bad = True
 if bad:
     sys.exit(1)
-print(f"bench_regression: OK — {name} matches baseline within {tol_pct}%")
+within = f"within {tol_pct}%" if tol_pct else "exactly"
+print(f"bench_regression: OK — {name} matches baseline {within}")
 PYEOF
 done
 

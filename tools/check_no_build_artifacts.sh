@@ -35,12 +35,14 @@ fi
 # root (tools/check_bench_regression.sh); stray reports from local runs
 # must stay untracked.
 stray=$(git ls-files 'BENCH_*.json' '*/BENCH_*.json' |
-  grep -v -e '^BENCH_overlap\.json$' -e '^BENCH_parallel_exec\.json$' |
+  grep -v -e '^BENCH_fig7\.json$' -e '^BENCH_fig8\.json$' \
+    -e '^BENCH_overlap\.json$' -e '^BENCH_parallel_exec\.json$' |
   head -20)
 if [ -n "$stray" ]; then
   echo "repo_hygiene: FAIL — non-baseline bench reports are tracked:"
   echo "$stray"
-  echo "(only /BENCH_overlap.json and /BENCH_parallel_exec.json belong in git)"
+  echo "(only the baselines /BENCH_{fig7,fig8,overlap,parallel_exec}.json" \
+    "belong in git)"
   exit 1
 fi
 
