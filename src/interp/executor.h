@@ -88,7 +88,8 @@ struct LaunchResult {
 /// Execute `kernel_name` from `module` on `device`. The module must be
 /// loaded on that device. Argument count/kinds must match the kernel
 /// signature (dynamic-local args only where the param is a __local
-/// pointer).
+/// pointer). A CUDA kernel that is a template cannot be launched: only
+/// its instantiations are code (lang/cpp_lowering.h).
 StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
                                     const std::string& kernel_name,
                                     const LaunchConfig& config,

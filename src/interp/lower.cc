@@ -74,12 +74,6 @@ bool Clobbers(const Expr* e) {
   }
 }
 
-const Expr& StripParens(const Expr& e) {
-  const Expr* p = &e;
-  while (p->kind == ExprKind::kParen) p = p->As<lang::ParenExpr>()->inner.get();
-  return *p;
-}
-
 /// A __local (CUDA __shared__) variable declared in a body: it lives in
 /// shared memory. A parameter's space is its pointee's (`__local int x[]`).
 bool InShared(const VarDecl& v) {
@@ -98,26 +92,6 @@ bool InPrivateMemory(const VarDecl& v) {
 /// declaration.
 bool InReg(const VarDecl* v) {
   return v->slot >= 0 && !InShared(*v) && !InPrivateMemory(*v);
-}
-
-/// Whether `e` designates an object Lowering::Location can place: a
-/// variable, `*p`, a subscript, `->`, or a member of such an object.
-bool IsLvalue(const Expr& e) {
-  const Expr& s = StripParens(e);
-  switch (s.kind) {
-    case ExprKind::kDeclRef:
-      return s.As<DeclRefExpr>()->var != nullptr;
-    case ExprKind::kUnary:
-      return s.As<lang::UnaryExpr>()->op == UnaryOp::kDeref;
-    case ExprKind::kIndex:
-      return true;
-    case ExprKind::kMember: {
-      const auto* m = s.As<MemberExpr>();
-      return !m->is_swizzle && (m->is_arrow || IsLvalue(*m->base));
-    }
-    default:
-      return false;
-  }
 }
 
 /// The field a struct member names. Sema resolved it: the base of every
@@ -606,7 +580,7 @@ class Lowering {
 
   /// The register variable `e` names, if it names one.
   const VarDecl* RegVar(const Expr& e) const {
-    const Expr& s = StripParens(e);
+    const Expr& s = lang::StripParens(e);
     if (s.kind != ExprKind::kDeclRef) return nullptr;
     const VarDecl* v = s.As<DeclRefExpr>()->var;
     return v && InReg(v) ? v : nullptr;
@@ -706,7 +680,7 @@ class Lowering {
       if (m.is_arrow) base = Result(OpCode::kDeref, base);
       return Result(OpCode::kSwizzle, base, kNoReg, &m);
     }
-    if (!m.is_arrow && !IsLvalue(*m.base))
+    if (!m.is_arrow && !lang::IsAddressable(*m.base))
       return Result(OpCode::kMemberAgg, Eval(*m.base), kNoReg, Field(m));
     int lv = Location(m);
     int dst = NewReg();

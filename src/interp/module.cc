@@ -168,7 +168,7 @@ StatusOr<std::unique_ptr<Module>> Module::Compile(
       m->tu_ = it->second.tu;
       m->program_ = it->second.program;
       m->dialect_ = dialect;
-          return m;
+      return m;
     }
   }
 

@@ -311,6 +311,32 @@ StmtPtr CloneStmt(const Stmt& s) {
   return nullptr;
 }
 
+const Expr& StripParens(const Expr& e) {
+  const Expr* p = &e;
+  while (p->kind == ExprKind::kParen) p = p->As<ParenExpr>()->inner.get();
+  return *p;
+}
+
+bool IsAddressable(const Expr& e) {
+  const Expr& s = StripParens(e);
+  switch (s.kind) {
+    case ExprKind::kDeclRef:
+      return s.As<DeclRefExpr>()->var != nullptr;
+    case ExprKind::kUnary:
+      return s.As<UnaryExpr>()->op == UnaryOp::kDeref;
+    case ExprKind::kIndex: {
+      const Type* t = s.As<IndexExpr>()->base->type;
+      return !(t && t->is_vector());
+    }
+    case ExprKind::kMember: {
+      const auto* m = s.As<MemberExpr>();
+      return !m->is_swizzle && (m->is_arrow || IsAddressable(*m->base));
+    }
+    default:
+      return false;
+  }
+}
+
 Status MutateExprs(ExprPtr& expr, const ExprMutator& fn) {
   if (!expr) return OkStatus();
   switch (expr->kind) {

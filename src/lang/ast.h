@@ -403,7 +403,7 @@ struct FunctionDecl : Decl {
   std::string return_type_spelling;
   std::vector<std::unique_ptr<VarDecl>> params;
   std::unique_ptr<CompoundStmt> body;  // null for prototypes
-  /// CUDA C++ only; empty otherwise. The CU→CL rewriter specializes.
+  /// CUDA C++ only; empty otherwise. lang::LowerCppFeatures instantiates.
   std::vector<TemplateParam> template_params;
   /// Params passed by C++ reference (CUDA only): parallel to `params`.
   std::vector<bool> param_is_reference;
@@ -441,6 +441,14 @@ std::unique_ptr<MemberExpr> MakeMember(ExprPtr base, std::string member);
 ExprPtr CloneExpr(const Expr& e);
 StmtPtr CloneStmt(const Stmt& s);
 std::unique_ptr<VarDecl> CloneVarDecl(const VarDecl& v);
+
+/// `e` without its enclosing parentheses.
+const Expr& StripParens(const Expr& e);
+
+/// Whether the analyzed `e` designates an object that has an address: a
+/// variable, `*p`, a subscript of a pointer or an array, `->`, or a member
+/// of such an object. A vector component has none.
+bool IsAddressable(const Expr& e);
 
 /// Visit every expression in a statement tree bottom-up. The callback may
 /// replace the node by assigning a new expression to the ExprPtr slot it

@@ -12,263 +12,206 @@
 namespace bridgecl::lang {
 namespace {
 
-/// Whether `e` designates an object: a variable, `*p`, a subscript or a
-/// member. Sema has not run, so this reads only the syntax.
-bool IsLvalue(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kParen:
-      return IsLvalue(*e.As<ParenExpr>()->inner);
-    case ExprKind::kDeclRef:
-    case ExprKind::kIndex:
-    case ExprKind::kMember:
-      return true;
-    case ExprKind::kUnary:
-      return e.As<UnaryExpr>()->op == UnaryOp::kDeref;
-    default:
-      return false;
-  }
+using Templates = std::unordered_map<std::string, const FunctionDecl*>;
+
+Status Err(DiagnosticEngine& diags, SourceLoc loc, std::string msg) {
+  diags.Error(loc, msg);
+  return InvalidArgumentError(std::move(msg));
 }
 
-ExprPtr Unary(UnaryOp op, ExprPtr operand) {
-  auto u = std::make_unique<UnaryExpr>();
-  u->loc = operand->loc;
-  u->op = op;
-  u->operand = std::move(operand);
-  return u;
+bool IsTemplate(const Decl& d) {
+  return d.kind == DeclKind::kFunction &&
+         !d.As<FunctionDecl>()->template_params.empty();
 }
 
-/// `(*x)`: a use of the rewritten reference parameter `x`.
-ExprPtr Deref(ExprPtr x) {
-  auto paren = std::make_unique<ParenExpr>();
-  paren->loc = x->loc;
-  paren->inner = Unary(UnaryOp::kDeref, std::move(x));
-  return paren;
-}
-
-/// The `x` of an argument `(*x)`, or null.
-ExprPtr* DerefOperand(Expr& arg) {
-  if (arg.kind != ExprKind::kParen) return nullptr;
-  Expr& inner = *arg.As<ParenExpr>()->inner;
-  if (inner.kind != ExprKind::kUnary ||
-      inner.As<UnaryExpr>()->op != UnaryOp::kDeref)
+/// `tmpl`, named `name`, with `args` substituted for its type parameters
+/// wherever it names a type.
+std::unique_ptr<FunctionDecl> Clone(const FunctionDecl& tmpl,
+                                    const std::vector<Type::Ptr>& args,
+                                    const std::string& name) {
+  auto subst = [&](const Type::Ptr& t) -> Type::Ptr {
+    if (!t->is_named()) return nullptr;
+    for (size_t i = 0; i < args.size(); ++i)
+      if (tmpl.template_params[i].name == t->name()) return args[i];
     return nullptr;
-  return &inner.As<UnaryExpr>()->operand;
-}
-
-/// `d` if it is a function that is not a template.
-FunctionDecl* NonTemplate(Decl& d) {
-  if (d.kind != DeclKind::kFunction) return nullptr;
-  auto* f = d.As<FunctionDecl>();
-  return f->template_params.empty() ? f : nullptr;
-}
-
-class CppLowering {
- public:
-  CppLowering(TranslationUnit& tu, DiagnosticEngine& diags)
-      : tu_(tu), diags_(diags) {}
-
-  Status Run() {
-    bool references = false;
-    for (const auto& d : tu_.decls) {
-      if (d->kind != DeclKind::kFunction) continue;
-      auto* f = d->As<FunctionDecl>();
-      if (!f->template_params.empty()) templates_[f->name] = f;
-      references = references || std::find(f->param_is_reference.begin(),
-                                           f->param_is_reference.end(),
-                                           true) !=
-                                     f->param_is_reference.end();
+  };
+  auto fn = std::make_unique<FunctionDecl>();
+  fn->loc = tmpl.loc;
+  fn->name = name;
+  fn->quals = tmpl.quals;
+  fn->return_type = ReplaceType(tmpl.return_type, subst);
+  fn->return_type_spelling = tmpl.return_type_spelling;
+  for (const auto& p : tmpl.params) {
+    fn->params.push_back(CloneVarDecl(*p));
+    fn->params.back()->type = ReplaceType(p->type, subst);
+  }
+  fn->param_is_reference = tmpl.param_is_reference;
+  if (!tmpl.body) return fn;
+  fn->body.reset(static_cast<CompoundStmt*>(CloneStmt(*tmpl.body).release()));
+  VisitVarDecls(fn->body.get(),
+                [&](VarDecl* v) { v->type = ReplaceType(v->type, subst); });
+  // The callback cannot fail, so neither can the walk.
+  (void)MutateExprs(fn->body.get(), [&](ExprPtr& e) {
+    if (e->kind == ExprKind::kCast) {
+      auto* c = e->As<CastExpr>();
+      c->target = ReplaceType(c->target, subst);
+    } else if (e->kind == ExprKind::kSizeof) {
+      auto* s = e->As<SizeofExpr>();
+      if (s->arg_type) s->arg_type = ReplaceType(s->arg_type, subst);
+    } else if (e->kind == ExprKind::kCall) {
+      for (auto& t : e->As<CallExpr>()->type_args) t = ReplaceType(t, subst);
     }
-    if (!templates_.empty()) BRIDGECL_RETURN_IF_ERROR(Instantiate());
-    if (references) BRIDGECL_RETURN_IF_ERROR(LowerReferences());
     return OkStatus();
-  }
+  });
+  return fn;
+}
 
- private:
-  Status Err(SourceLoc loc, std::string msg) {
-    diags_.Error(loc, msg);
-    return InvalidArgumentError(std::move(msg));
-  }
-
-  // -- templates ------------------------------------------------------------
-  /// Retarget every template call of a function that is not a template,
-  /// instantiations included, to its instantiation; then place the
-  /// instantiations, in the order they were made, before the first
-  /// function.
-  Status Instantiate() {
-    std::vector<FunctionDecl*> work;
-    for (const auto& d : tu_.decls)
-      if (FunctionDecl* f = NonTemplate(*d)) work.push_back(f);
-    std::vector<DeclPtr> made;
-    auto retarget = [&](ExprPtr& e) -> Status {
-      if (e->kind != ExprKind::kCall) return OkStatus();
-      auto* c = e->As<CallExpr>();
-      auto it = templates_.find(c->callee_name());
-      if (it == templates_.end()) return OkStatus();
-      BRIDGECL_ASSIGN_OR_RETURN(std::string name,
-                                InstanceName(*c, *it->second));
-      if (instances_.insert(name).second) {
-        made.push_back(Clone(*it->second, c->type_args, name));
-        work.push_back(made.back()->As<FunctionDecl>());
-      }
-      c->callee->As<DeclRefExpr>()->name = std::move(name);
-      c->type_args.clear();
-      return OkStatus();
-    };
-    for (size_t i = 0; i < work.size(); ++i)
-      BRIDGECL_RETURN_IF_ERROR(MutateExprs(work[i]->body.get(), retarget));
-    auto first = std::find_if(
-        tu_.decls.begin(), tu_.decls.end(),
-        [](const DeclPtr& d) { return d->kind == DeclKind::kFunction; });
-    tu_.decls.insert(first, std::make_move_iterator(made.begin()),
-                     std::make_move_iterator(made.end()));
-    return OkStatus();
-  }
-
-  /// `f_float_int` for the call `f<float, int>(...)` of template `f`.
-  StatusOr<std::string> InstanceName(const CallExpr& c,
-                                     const FunctionDecl& tmpl) {
+/// Retarget each template call in `body`, `f<float, int>(...)`, to its
+/// instantiation `f_float_int`. An instantiation is made on first use and
+/// appended to `made` after the instantiations its own body calls, so a
+/// callee always precedes its callers.
+Status Instantiate(Stmt* body, const Templates& templates,
+                   std::unordered_set<std::string>& names,
+                   std::vector<DeclPtr>& made, DiagnosticEngine& diags) {
+  return MutateExprs(body, [&](ExprPtr& e) -> Status {
+    if (e->kind != ExprKind::kCall) return OkStatus();
+    auto* c = e->As<CallExpr>();
+    auto it = templates.find(c->callee_name());
+    if (it == templates.end()) return OkStatus();
+    const FunctionDecl& tmpl = *it->second;
     const std::string& f = tmpl.name;
-    if (c.type_args.empty())
-      return Err(c.loc, "call to template '" + f +
-                            "' names no type arguments; write '" + f +
-                            "<T>(...)': template arguments are not deduced");
-    if (c.type_args.size() != tmpl.template_params.size())
-      return Err(c.loc,
+    if (c->type_args.empty())
+      return Err(diags, c->loc,
+                 "call to template '" + f + "' names no type arguments; "
+                 "write '" + f + "<T>(...)': template arguments are not "
+                 "deduced");
+    if (c->type_args.size() != tmpl.template_params.size())
+      return Err(diags, c->loc,
                  StrFormat("call to template '%s' names %zu type arguments; "
                            "it takes %zu",
-                           f.c_str(), c.type_args.size(),
+                           f.c_str(), c->type_args.size(),
                            tmpl.template_params.size()));
     std::string name = f;
-    for (const auto& t : c.type_args) {
+    for (const auto& t : c->type_args) {
       std::string s = t->ToString();
       for (char& ch : s)
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       name += "_" + s;
     }
-    return name;
-  }
-
-  /// `tmpl`, named `name`, with `args` substituted for its type
-  /// parameters wherever it names a type.
-  static std::unique_ptr<FunctionDecl> Clone(
-      const FunctionDecl& tmpl, const std::vector<Type::Ptr>& args,
-      const std::string& name) {
-    auto subst = [&](const Type::Ptr& t) -> Type::Ptr {
-      if (!t->is_named()) return nullptr;
-      for (size_t i = 0; i < args.size(); ++i)
-        if (tmpl.template_params[i].name == t->name()) return args[i];
-      return nullptr;
-    };
-    auto fn = std::make_unique<FunctionDecl>();
-    fn->loc = tmpl.loc;
-    fn->name = name;
-    fn->quals = tmpl.quals;
-    fn->return_type = ReplaceType(tmpl.return_type, subst);
-    fn->return_type_spelling = tmpl.return_type_spelling;
-    for (const auto& p : tmpl.params) {
-      fn->params.push_back(CloneVarDecl(*p));
-      fn->params.back()->type = ReplaceType(p->type, subst);
-    }
-    fn->param_is_reference = tmpl.param_is_reference;
-    if (!tmpl.body) return fn;
-    fn->body.reset(static_cast<CompoundStmt*>(CloneStmt(*tmpl.body).release()));
-    VisitVarDecls(fn->body.get(),
-                  [&](VarDecl* v) { v->type = ReplaceType(v->type, subst); });
-    // The callback cannot fail, so neither can the walk.
-    (void)MutateExprs(fn->body.get(), [&](ExprPtr& e) {
-      if (e->kind == ExprKind::kCast) {
-        auto* c = e->As<CastExpr>();
-        c->target = ReplaceType(c->target, subst);
-      } else if (e->kind == ExprKind::kSizeof) {
-        auto* s = e->As<SizeofExpr>();
-        if (s->arg_type) s->arg_type = ReplaceType(s->arg_type, subst);
-      } else if (e->kind == ExprKind::kCall) {
-        for (auto& t : e->As<CallExpr>()->type_args)
-          t = ReplaceType(t, subst);
-      }
-      return OkStatus();
-    });
-    return fn;
-  }
-
-  // -- references -----------------------------------------------------------
-  /// Turn each reference parameter of a function that is not a template
-  /// into a pointer, and each argument bound to one into its address.
-  Status LowerReferences() {
-    // Callee name -> which of its parameters were references.
-    std::unordered_map<std::string, std::vector<bool>> by_callee;
-    for (const auto& d : tu_.decls) {
-      FunctionDecl* f = NonTemplate(*d);
-      if (f == nullptr) continue;
-      std::unordered_set<std::string> names;
-      for (size_t i = 0; i < f->params.size(); ++i) {
-        if (!f->param_is_reference[i]) continue;
-        VarDecl& p = *f->params[i];
-        if (f->quals.is_kernel)
-          return Err(p.loc, "kernel '" + f->name + "' takes parameter '" +
-                                p.name +
-                                "' by reference; kernel arguments are "
-                                "passed by value");
-        p.type = Type::Pointer(p.type, AddressSpace::kPrivate);
-        names.insert(p.name);
-      }
-      if (names.empty()) continue;
-      by_callee[f->name] = std::exchange(
-          f->param_is_reference, std::vector<bool>(f->params.size(), false));
-      const VarDecl* shadow = nullptr;
-      VisitVarDecls(f->body.get(), [&](VarDecl* v) {
-        if (shadow == nullptr && names.count(v->name)) shadow = v;
-      });
-      if (shadow != nullptr)
-        return Err(shadow->loc, "local '" + shadow->name +
-                                    "' shadows a reference parameter of '" +
-                                    f->name + "'");
+    if (names.insert(name).second) {
+      auto fn = Clone(tmpl, c->type_args, name);
       BRIDGECL_RETURN_IF_ERROR(
-          MutateExprs(f->body.get(), [&](ExprPtr& e) -> Status {
-            if (e->kind == ExprKind::kDeclRef &&
-                names.count(e->As<DeclRefExpr>()->name))
-              e = Deref(std::move(e));
-            return OkStatus();
-          }));
+          Instantiate(fn->body.get(), templates, names, made, diags));
+      made.push_back(std::move(fn));
     }
-    auto pass_address = [&](ExprPtr& e) -> Status {
-      if (e->kind != ExprKind::kCall) return OkStatus();
-      auto* c = e->As<CallExpr>();
-      auto it = by_callee.find(c->callee_name());
-      if (it == by_callee.end()) return OkStatus();
-      const std::vector<bool>& refs = it->second;
-      for (size_t i = 0; i < std::min(c->args.size(), refs.size()); ++i) {
-        if (!refs[i]) continue;
-        ExprPtr& a = c->args[i];
-        if (ExprPtr* x = DerefOperand(*a)) {
-          a = std::move(*x);  // &(*x) is x
-        } else if (IsLvalue(*a)) {
-          a = Unary(UnaryOp::kAddrOf, std::move(a));
-        } else {
-          return Err(a->loc,
-                     StrFormat("argument %zu of the call to '%s' binds a "
-                               "reference parameter, so it must be an lvalue",
-                               i + 1, it->first.c_str()));
-        }
-      }
-      return OkStatus();
-    };
-    for (const auto& d : tu_.decls)
-      if (FunctionDecl* f = NonTemplate(*d))
-        BRIDGECL_RETURN_IF_ERROR(MutateExprs(f->body.get(), pass_address));
+    c->callee->As<DeclRefExpr>()->name = std::move(name);
+    c->type_args.clear();
     return OkStatus();
-  }
+  });
+}
 
-  TranslationUnit& tu_;
-  DiagnosticEngine& diags_;
-  std::unordered_map<std::string, FunctionDecl*> templates_;
-  std::unordered_set<std::string> instances_;
-};
+/// Turn each reference parameter `x` of a function that is not a template
+/// into a pointer and its uses into `(*x)`; turn each argument bound to one
+/// into its address, `&a`, or into `x` when it forwards a rewritten `(*x)`.
+/// Sema rejects an argument whose address cannot be taken.
+Status LowerReferences(TranslationUnit& tu, DiagnosticEngine& diags) {
+  // Callee name -> which of its parameters were references.
+  std::unordered_map<std::string, std::vector<bool>> by_callee;
+  for (const auto& d : tu.decls) {
+    if (d->kind != DeclKind::kFunction || IsTemplate(*d)) continue;
+    auto* f = d->As<FunctionDecl>();
+    std::unordered_set<std::string> names;
+    for (size_t i = 0; i < f->params.size(); ++i) {
+      if (!f->param_is_reference[i]) continue;
+      VarDecl& p = *f->params[i];
+      if (f->quals.is_kernel)
+        return Err(diags, p.loc,
+                   "kernel '" + f->name + "' takes parameter '" + p.name +
+                       "' by reference; kernel arguments are passed by "
+                       "value");
+      p.type = Type::Pointer(p.type, AddressSpace::kPrivate);
+      names.insert(p.name);
+    }
+    if (names.empty()) continue;
+    by_callee[f->name] = std::exchange(
+        f->param_is_reference, std::vector<bool>(f->params.size(), false));
+    const VarDecl* shadow = nullptr;
+    VisitVarDecls(f->body.get(), [&](VarDecl* v) {
+      if (shadow == nullptr && names.count(v->name)) shadow = v;
+    });
+    if (shadow != nullptr)
+      return Err(diags, shadow->loc,
+                 "local '" + shadow->name +
+                     "' shadows a reference parameter of '" + f->name + "'");
+    BRIDGECL_RETURN_IF_ERROR(
+        MutateExprs(f->body.get(), [&](ExprPtr& e) -> Status {
+          if (e->kind != ExprKind::kDeclRef ||
+              !names.count(e->As<DeclRefExpr>()->name))
+            return OkStatus();
+          auto deref = std::make_unique<UnaryExpr>();
+          auto paren = std::make_unique<ParenExpr>();
+          deref->loc = paren->loc = e->loc;
+          deref->op = UnaryOp::kDeref;
+          deref->operand = std::move(e);
+          paren->inner = std::move(deref);
+          e = std::move(paren);
+          return OkStatus();
+        }));
+  }
+  auto pass_address = [&](ExprPtr& e) -> Status {
+    if (e->kind != ExprKind::kCall) return OkStatus();
+    auto* c = e->As<CallExpr>();
+    auto it = by_callee.find(c->callee_name());
+    if (it == by_callee.end()) return OkStatus();
+    for (size_t i = 0; i < std::min(c->args.size(), it->second.size()); ++i) {
+      if (!it->second[i]) continue;
+      ExprPtr& a = c->args[i];
+      Expr* in = a->kind == ExprKind::kParen ? a->As<ParenExpr>()->inner.get()
+                                             : nullptr;
+      if (in && in->kind == ExprKind::kUnary &&
+          in->As<UnaryExpr>()->op == UnaryOp::kDeref) {
+        a = std::move(in->As<UnaryExpr>()->operand);  // &(*x) is x
+        continue;
+      }
+      auto addr = std::make_unique<UnaryExpr>();
+      addr->loc = a->loc;
+      addr->op = UnaryOp::kAddrOf;
+      addr->operand = std::move(a);
+      a = std::move(addr);
+    }
+    return OkStatus();
+  };
+  for (const auto& d : tu.decls)
+    if (d->kind == DeclKind::kFunction && !IsTemplate(*d))
+      BRIDGECL_RETURN_IF_ERROR(
+          MutateExprs(d->As<FunctionDecl>()->body.get(), pass_address));
+  return OkStatus();
+}
 
 }  // namespace
 
 Status LowerCppFeatures(TranslationUnit& tu, DiagnosticEngine& diags) {
-  return CppLowering(tu, diags).Run();
+  Templates templates;
+  bool references = false;
+  for (const auto& d : tu.decls) {
+    if (d->kind != DeclKind::kFunction) continue;
+    auto* f = d->As<FunctionDecl>();
+    if (IsTemplate(*f)) templates[f->name] = f;
+    for (bool r : f->param_is_reference) references = references || r;
+  }
+  if (!templates.empty()) {
+    std::unordered_set<std::string> names;
+    std::vector<DeclPtr> made;
+    for (const auto& d : tu.decls)
+      if (d->kind == DeclKind::kFunction && !IsTemplate(*d))
+        BRIDGECL_RETURN_IF_ERROR(Instantiate(
+            d->As<FunctionDecl>()->body.get(), templates, names, made, diags));
+    auto first = std::ranges::find(tu.decls, DeclKind::kFunction,
+                                   [](const DeclPtr& d) { return d->kind; });
+    tu.decls.insert(first, std::make_move_iterator(made.begin()),
+                    std::make_move_iterator(made.end()));
+  }
+  return references ? LowerReferences(tu, diags) : OkStatus();
 }
 
 }  // namespace bridgecl::lang

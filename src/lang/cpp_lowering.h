@@ -1,22 +1,18 @@
-// Lowering of CUDA's C++ device features to C (§3.6). It runs on a parsed
-// CUDA translation unit before sema, and it is the only meaning BridgeCL
-// gives these features: native CUDA (interp::Module::Compile) and its
-// OpenCL translation (translator::TranslateCudaToOpenCl) both run it, so
-// both execute one lowered program.
+// Lowering of CUDA's C++ device features to C (§3.6), run on a parsed
+// CUDA unit before sema by interp::Module::Compile and by
+// translator::TranslateCudaToOpenCl, so native CUDA and its OpenCL
+// translation execute one program.
 //
-//  * Templates. A call that names its type arguments, `f<float>(x)`,
-//    calls the instantiation `f_float`: a clone of the template with each
-//    argument substituted for its parameter, placed before the first
-//    function. Instantiations are made once per argument list, and their
-//    own calls are instantiated in turn. A call that names no type
-//    arguments is an error: nothing deduces them. The templates stay in
-//    the unit; the executor never lowers one and the translator never
-//    prints one.
-//  * References. A parameter `T& x` becomes `T* x`. Its uses become
-//    `(*x)`; an argument `a` becomes `&a`, or `x` when it forwards a
-//    rewritten reference `(*x)`. A reference parameter on a kernel, an
-//    argument to one that is not an lvalue, and a local that shadows one
-//    are errors.
+//  * Templates. `f<float>(x)` calls the instantiation `f_float`: a clone
+//    of `f` with `float` substituted for its type parameter, made once and
+//    placed before the first function, after the instantiations it calls.
+//    A call that names no type arguments is an error: nothing deduces
+//    them. Templates stay in the unit, but nothing lowers, runs or prints
+//    one.
+//  * References. A parameter `T& x` becomes `T* x` and its uses `(*x)`;
+//    an argument `a` becomes `&a` (sema rejects an `a` that has no
+//    address), or `x` when it forwards `(*x)`. A reference parameter on a
+//    kernel and a local that shadows one are errors.
 #pragma once
 
 #include "lang/ast.h"

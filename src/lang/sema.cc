@@ -101,26 +101,6 @@ class Sema {
     }
   }
 
-  /// C++ allows reinterpret_cast only between pointers, between a
-  /// pointer and an integer, and to the operand's own type. A template's
-  /// own types are checked in its instantiations.
-  Status CheckReinterpret(const CastExpr& c) {
-    const Type* from = c.operand->type;
-    const Type* to = c.target;
-    auto pointer_or_int = [](const Type* t) {
-      return t->is_pointer() || (t->is_arithmetic() && !t->is_float());
-    };
-    if (from == nullptr || from == to || from->is_named() ||
-        to->is_named() ||
-        (pointer_or_int(from) && pointer_or_int(to) &&
-         (from->is_pointer() || to->is_pointer())))
-      return OkStatus();
-    return Err(c.loc, "reinterpret_cast from '" + from->ToString() +
-                          "' to '" + to->ToString() +
-                          "' is not allowed: it converts only between "
-                          "pointers, or between a pointer and an integer");
-  }
-
   Status LayoutStruct(StructDecl* sd);
   Status AnalyzeFunction(FunctionDecl* fn);
   Status AnalyzeStmt(Stmt* s);
@@ -406,10 +386,15 @@ Status Sema::AnalyzeExpr(Expr* e) {
             return Err(e->loc, "cannot dereference non-pointer");
           break;
         case UnaryOp::kAddrOf: {
+          if (!IsAddressable(*u->operand))
+            return Err(e->loc,
+                       "cannot take the address of a vector component or "
+                       "a value; '&' needs a variable, '*p', a subscript or "
+                       "a struct member");
           AddressSpace sp = AddressSpace::kPrivate;
-          if (u->operand->kind == ExprKind::kDeclRef &&
-              u->operand->As<DeclRefExpr>()->var) {
-            VarDecl* v = u->operand->As<DeclRefExpr>()->var;
+          const Expr& target = StripParens(*u->operand);
+          if (target.kind == ExprKind::kDeclRef) {
+            VarDecl* v = target.As<DeclRefExpr>()->var;
             sp = v->quals.space;
             v->address_taken = true;
           }
@@ -558,8 +543,22 @@ Status Sema::AnalyzeExpr(Expr* e) {
     case ExprKind::kCast: {
       auto* c = e->As<CastExpr>();
       BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(c->operand.get()));
-      if (c->style == CastStyle::kReinterpret)
-        BRIDGECL_RETURN_IF_ERROR(CheckReinterpret(*c));
+      // C++ allows reinterpret_cast only between pointers, between a
+      // pointer and an integer, and to the operand's own type. A
+      // template's own types are checked in its instantiations.
+      const Type *from = c->operand->type, *to = c->target;
+      auto ptr_or_int = [](const Type* t) {
+        return t->is_pointer() || (t->is_arithmetic() && !t->is_float());
+      };
+      if (c->style == CastStyle::kReinterpret && from && from != to &&
+          !from->is_named() && !to->is_named() &&
+          !(ptr_or_int(from) && ptr_or_int(to) &&
+            (from->is_pointer() || to->is_pointer())))
+        return Err(c->loc, "reinterpret_cast from '" + from->ToString() +
+                               "' to '" + to->ToString() +
+                               "' is not allowed: it converts only between "
+                               "pointers, or between a pointer and an "
+                               "integer");
       // Propagate pointee space through casts that do not re-qualify.
       Type::Ptr t = c->target;
       if (t && t->is_pointer() &&

@@ -7,26 +7,6 @@
 
 namespace bridgecl::lang {
 
-bool IsIntegerScalar(ScalarKind k) {
-  switch (k) {
-    case ScalarKind::kBool:
-    case ScalarKind::kChar:
-    case ScalarKind::kUChar:
-    case ScalarKind::kShort:
-    case ScalarKind::kUShort:
-    case ScalarKind::kInt:
-    case ScalarKind::kUInt:
-    case ScalarKind::kLong:
-    case ScalarKind::kULong:
-    case ScalarKind::kLongLong:
-    case ScalarKind::kULongLong:
-    case ScalarKind::kSizeT:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsSignedScalar(ScalarKind k) {
   switch (k) {
     case ScalarKind::kChar:

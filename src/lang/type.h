@@ -35,7 +35,6 @@ enum class ScalarKind : uint8_t {
   kSizeT,
 };
 
-bool IsIntegerScalar(ScalarKind k);
 bool IsSignedScalar(ScalarKind k);
 bool IsFloatScalar(ScalarKind k);
 /// Size in bytes on the (LP64) device ABI both models share.
@@ -123,9 +122,6 @@ class Type {
   bool is_sampler() const { return kind_ == TypeKind::kSampler; }
   bool is_texture() const { return kind_ == TypeKind::kTexture; }
   bool is_named() const { return kind_ == TypeKind::kNamed; }
-  bool is_void() const {
-    return is_scalar() && scalar_ == ScalarKind::kVoid;
-  }
   bool is_float() const { return is_scalar() && IsFloatScalar(scalar_); }
   bool is_arithmetic() const {
     return is_scalar() && scalar_ != ScalarKind::kVoid;

@@ -477,33 +477,6 @@ TEST_F(InterpTest, StructAccess) {
   EXPECT_EQ(back[1].w, 1);
 }
 
-TEST_F(InterpTest, AtomicsReturnTheOldValueAndStoreTheResult) {
-  auto m = Compile(
-      "__kernel void k(__global int* o) {"
-      "  int a = atomic_min(&o[0], 3);"
-      "  int b = atomic_max(&o[1], 20);"
-      "  atomic_and(&o[2], 6);"
-      "  atomic_or(&o[3], 1);"
-      "  int c = atomic_xchg(&o[4], 42);"
-      "  atomic_sub(&o[5], 2);"
-      "  atomic_dec(&o[6]);"
-      "  atomic_xor(&o[7], 5);"
-      "  o[8] = a; o[9] = b; o[10] = c;"
-      "}",
-      Dialect::kOpenCL);
-  ASSERT_NE(m, nullptr);
-  uint64_t vo = Alloc(11 * 4);
-  WriteBuf(vo, std::vector<int>{5, 9, -3, 12, 0, 0, 0, 0, 0, 0, 0});
-  LaunchConfig cfg;
-  cfg.grid = Dim3(1);
-  cfg.block = Dim3(1);
-  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
-  auto r = LaunchKernel(device_, *m, "k", cfg, args);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(ReadBuf<int>(vo, 11),
-            (std::vector<int>{3, 20, 4, 13, 42, -2, -1, 5, 5, 9, 0}));
-}
-
 TEST_F(InterpTest, VectorMathBuiltinsWorkPerLane) {
   auto m = Compile(
       "__kernel void k(__global float* o) {"
@@ -567,6 +540,82 @@ TEST_F(InterpTest, IntegerAndVectorOperatorPaths) {
   EXPECT_EQ(ReadBuf<int>(vo, 14),
             (std::vector<int>{6, 8, -3, 12, 30, 11, 50, -50, -12, 0, 7, 16,
                               11, 12}));
+}
+
+TEST_F(InterpTest, CallPointerAndUnsignedPaths) {
+  auto m = Compile(
+      "typedef struct { int a; int b; } P;"
+      "int sum(P p) { return p.a + p.b; }"
+      "int twice(int x) { int* q = &x; *q = *q * 2; return x; }"
+      "__kernel void k(__global int* o, __global uint* u, P s) {"
+      "  o[0] = sum(s);"
+      "  o[1] = twice(21);"
+      "  o[2] = &o[5] - &o[1];"
+      "  o[3] = *(1 + o);"
+      "  __global int* p = o;"
+      "  ++p;"
+      "  o[4] = *p;"
+      "  float f = 1.5f;"
+      "  f++;"
+      "  o[5] = f * 2.0f;"
+      "  o[6] = min(3u, 5u) * 10 + max(3u, 5u);"
+      "  o[7] = clamp(o[1], 0, 5);"
+      "  int4 v = (int4)((int2)(1, 2), (int2)(3, 4));"
+      "  o[8] = v.w;"
+      "  o[9] = atomic_min(&u[0], 2u) * 10 + atomic_max(&u[1], 9u);"
+      "  int4 c = v > (int4)(2, 2, 2, 2);"
+      "  o[10] = c.y * 10 + c.z;"
+      "  float2 n = -(float2)(1.5f, 2.0f);"
+      "  o[11] = n.x * 2.0f;"
+      "  o[12] = ~o[1];"
+      "  int x = 1;"
+      "  o[13] = x + (x = 5);"  // left to right: x is read before it is set
+      "  o[14] = sizeof(o[0]) + +o[1];"
+      "  o[15] = get_num_groups(0);"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  struct P {
+    int a, b;
+  };
+  uint64_t vo = Alloc(16 * 4), vu = Alloc(8);
+  WriteBuf(vu, std::vector<uint32_t>{4, 7});
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo),
+                                 KernelArg::Pointer(vu),
+                                 KernelArg::Value(P{30, 12})};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 16),
+            (std::vector<int>{42, 42, 4, 42, 42, 5, 35, 5, 4, 47, -1, -3,
+                              -43, 6, 46, 1}));
+  EXPECT_EQ(ReadBuf<uint32_t>(vu, 2), (std::vector<uint32_t>{2, 9}));
+}
+
+TEST_F(InterpTest, CudaHardwareBuiltinsRunOnOneThread) {
+  auto m = Compile(
+      "__global__ void k(int* o) {"
+      "  o[0] = printf(\"%d\\n\", 7);"
+      "  o[1] = __ballot(1);"
+      "  o[2] = clock64() > 0;"
+      "  o[3] = warpSize;"
+      "}",
+      Dialect::kCUDA);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(4 * 4);
+  WriteBuf(vo, std::vector<int>{9, 9, 9, 9});
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // printf is not interpreted and returns 0; one thread's ballot is its
+  // own predicate; the cycle counter has advanced.
+  EXPECT_EQ(ReadBuf<int>(vo, 4),
+            (std::vector<int>{0, 1, 1, device_.profile().warp_size}));
 }
 
 TEST_F(InterpTest, UserFunctionsAndTemplates) {

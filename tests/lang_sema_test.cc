@@ -380,6 +380,21 @@ TEST(SemaTest, NumbersParamsAndLocalsIntoFrameSlots) {
 // ---------------------------------------------------------------------------
 // Hash-consed types: one pointer per distinct type, for the whole process.
 
+TEST(SemaTest, AddressOfNeedsAnObjectThatHasOne) {
+  for (const char* operand : {"v.y", "v[1]", "(a[0] + 1)"})
+    Analyzed(std::string("__kernel void k(__global int* a) {"
+                         "  int4 v = (int4)(1, 2, 3, 4);"
+                         "  int* p = &") +
+                 operand + ";}",
+             Dialect::kOpenCL, /*expect_ok=*/false);
+  auto tu = Analyzed(
+      "__kernel void k(__global int* a) { int x = 1; int* p = &(x); }",
+      Dialect::kOpenCL);
+  ASSERT_NE(tu, nullptr);
+  const Stmt& decl = *tu->FindFunction("k")->body->body[0];
+  EXPECT_TRUE(decl.As<DeclStmt>()->vars[0]->address_taken);
+}
+
 TEST(TypeTest, FactoriesReturnOnePointerPerType) {
   using AS = AddressSpace;
   using SK = ScalarKind;
@@ -480,16 +495,12 @@ Status LowerCuda(const std::string& src) {
 }
 
 TEST(CppLoweringTest, RejectsWhatItCannotLower) {
-  const char* kBump = "__device__ void bump(int& x) { x = x + 1; }";
   struct Case {
     std::string src, message;
   };
   for (const Case& c : std::vector<Case>{
            {"__global__ void k(int& x) { x = 1; }",
             "kernel 'k' takes parameter 'x' by reference"},
-           {std::string(kBump) +
-                "__global__ void k(int* o) { bump(o[0] + 1); }",
-            "argument 1 of the call to 'bump' binds a reference parameter"},
            {"__device__ void f(int& x) { { int x = 2; } x = 1; }",
             "local 'x' shadows a reference parameter of 'f'"},
            {"template <typename T> __device__ T id(T a) { return a; }"
@@ -516,10 +527,11 @@ TEST(CppLoweringTest, InstantiatesCallsInsideInstantiationsOnce) {
       popts, diags);
   ASSERT_TRUE(tu.ok()) << diags.ToString();
   ASSERT_TRUE(LowerCppFeatures(**tu, diags).ok()) << diags.ToString();
-  // quad_float, then the twice_float it calls, before the first function.
+  // Before the first function: twice_float, then quad_float, which calls
+  // it.
   ASSERT_GE((*tu)->decls.size(), 2u);
-  EXPECT_EQ((*tu)->decls[0]->name, "quad_float");
-  EXPECT_EQ((*tu)->decls[1]->name, "twice_float");
+  EXPECT_EQ((*tu)->decls[0]->name, "twice_float");
+  EXPECT_EQ((*tu)->decls[1]->name, "quad_float");
   SemaOptions sopts;
   sopts.dialect = Dialect::kCUDA;
   EXPECT_TRUE(Analyze(**tu, sopts, diags).ok()) << diags.ToString();

@@ -3,6 +3,7 @@
 // binding, and results must agree bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <numeric>
 
@@ -850,24 +851,26 @@ BothRuns RunCuBoth(const std::string& src, const std::vector<float>& in) {
 }
 
 /// The OpenCL counterpart of RunCuItem: `k(__global float* out,
-/// __global float* in)`.
+/// __global float* in)`, where `out` has as many floats as `in`, and at
+/// least 4.
 StatusOr<std::vector<float>> RunClItem(mocl::OpenClApi& cl,
                                        const std::string& src,
                                        std::vector<float> in) {
-  in.resize(4);
+  in.resize(std::max<size_t>(in.size(), 4));
+  const size_t bytes = in.size() * sizeof(float);
   BRIDGECL_ASSIGN_OR_RETURN(auto prog, cl.CreateProgramWithSource(src));
   BRIDGECL_RETURN_IF_ERROR(cl.BuildProgram(prog));
   BRIDGECL_ASSIGN_OR_RETURN(auto kernel, cl.CreateKernel(prog, "k"));
   BRIDGECL_ASSIGN_OR_RETURN(
-      ClMem mout, cl.CreateBuffer(MemFlags::kReadWrite, 16, nullptr));
+      ClMem mout, cl.CreateBuffer(MemFlags::kReadWrite, bytes, nullptr));
   BRIDGECL_ASSIGN_OR_RETURN(
-      ClMem min, cl.CreateBuffer(MemFlags::kReadWrite, 16, in.data()));
+      ClMem min, cl.CreateBuffer(MemFlags::kReadWrite, bytes, in.data()));
   BRIDGECL_RETURN_IF_ERROR(cl.SetKernelArg(kernel, 0, sizeof(ClMem), &mout));
   BRIDGECL_RETURN_IF_ERROR(cl.SetKernelArg(kernel, 1, sizeof(ClMem), &min));
   size_t one = 1;
   BRIDGECL_RETURN_IF_ERROR(cl.EnqueueNDRangeKernel(kernel, 1, &one, &one));
-  std::vector<float> out(4);
-  BRIDGECL_RETURN_IF_ERROR(cl.EnqueueReadBuffer(mout, 0, 16, out.data()));
+  std::vector<float> out(in.size());
+  BRIDGECL_RETURN_IF_ERROR(cl.EnqueueReadBuffer(mout, 0, bytes, out.data()));
   return out;
 }
 
@@ -885,6 +888,30 @@ std::string Msg(const StatusOr<std::vector<float>>& r) {
   return r.ok() ? "ok" : r.status().ToString();
 }
 
+TEST(Cl2CuTest, AtomicsReturnTheOldValueInBothPaths) {
+  BothRuns r = RunClBoth(
+      "__kernel void k(__global float* out, __global float* in) {"
+      "  __global int* o = (__global int*)in;"
+      "  for (int j = 0; j < 8; ++j) o[j] = (int)in[j];"
+      "  int a = atomic_min(&o[0], 3);"
+      "  int b = atomic_max(&o[1], 20);"
+      "  atomic_and(&o[2], 6);"
+      "  atomic_or(&o[3], 1);"
+      "  int c = atomic_xchg(&o[4], 42);"
+      "  atomic_sub(&o[5], 2);"
+      "  atomic_dec(&o[6]);"
+      "  atomic_xor(&o[7], 5);"
+      "  for (int j = 0; j < 8; ++j) out[j] = o[j];"
+      "  out[8] = a; out[9] = b; out[10] = c;"
+      "}",
+      {5, 9, -3, 12, 0, 0, 0, 0, 0, 0, 0});
+  ASSERT_TRUE(r.native.ok()) << Msg(r.native);
+  ASSERT_TRUE(r.wrapped.ok()) << Msg(r.wrapped);
+  EXPECT_EQ(*r.native,
+            (std::vector<float>{3, 20, 4, 13, 42, -2, -1, 5, 5, 9, 0}));
+  EXPECT_EQ(*r.native, *r.wrapped);
+}
+
 // CUDA's C++ device features have one meaning, lang::LowerCppFeatures, in
 // both paths (lang/cpp_lowering.h).
 
@@ -895,31 +922,60 @@ const char kTmax[] =
 
 TEST(CppLoweringTest, TemplateCallConvertsItsArgumentsInBothPaths) {
   BothRuns r = RunCuBoth(std::string(kTmax) +
+                             "template <typename T> __device__ float"
+                             "    bytes(float a) { return (T)a * sizeof(T); }"
                              "__global__ void k(float* out, float* in) {"
                              "  int i = in[0];"
                              "  int j = in[1];"
                              "  out[0] = tmax<float>(i, j) / 2;"
+                             "  out[1] = bytes<int>(in[2]);"
                              "}",
-                         {3, 1});
+                         {3, 1, 3.7f});
   ASSERT_TRUE(r.native.ok()) << Msg(r.native);
   ASSERT_TRUE(r.wrapped.ok()) << Msg(r.wrapped);
   EXPECT_EQ((*r.native)[0], 1.5f);
+  EXPECT_EQ((*r.native)[1], 12.0f);  // (int)3.7f * sizeof(int)
   EXPECT_EQ(*r.native, *r.wrapped);
 }
 
 TEST(CppLoweringTest, ReferenceParameterWritesTheCallersVariableInBothPaths) {
-  BothRuns r = RunCuBoth(
-      "__device__ void bump(int& x, int d) { x = x + d; }"
-      "__global__ void k(float* out, float* in) {"
-      "  int v = 5;"
-      "  bump(v, 3);"
-      "  out[0] = v;"
-      "}",
-      {});
-  ASSERT_TRUE(r.native.ok()) << Msg(r.native);
-  ASSERT_TRUE(r.wrapped.ok()) << Msg(r.wrapped);
-  EXPECT_EQ((*r.native)[0], 8.0f);
-  EXPECT_EQ(*r.native, *r.wrapped);
+  // bump3 forwards its reference to bump.
+  for (const char* call : {"bump(v, 3);", "bump((v), 3);", "bump3(v);"}) {
+    BothRuns r = RunCuBoth(
+        "__device__ void bump(int& x, int d) { x = x + d; }"
+        "__device__ void bump3(int& x) { bump(x, 1); bump(x, 2); }"
+        "__global__ void k(float* out, float* in) {"
+        "  int v = 5;" +
+            std::string(call) +
+            "  out[0] = v;"
+            "}",
+        {});
+    ASSERT_TRUE(r.native.ok()) << call << ": " << Msg(r.native);
+    ASSERT_TRUE(r.wrapped.ok()) << call << ": " << Msg(r.wrapped);
+    EXPECT_EQ((*r.native)[0], 8.0f) << call;
+    EXPECT_EQ(*r.native, *r.wrapped) << call;
+  }
+}
+
+TEST(CppLoweringTest, ReferenceToAComponentOrAValueFailsToBuildInBoth) {
+  for (const char* body : {
+           "float4 v = make_float4(1, 2, 3, 4); bump(v.y, 3);",
+           "float4 vs[1]; vs[0] = make_float4(1, 2, 3, 4); bump(vs[0].y, 3);",
+           "float4* vs = (float4*)in; bump(vs[0].y, 3);",
+           "bump(in[0] + 1, 3);",
+       }) {
+    BothRuns r = RunCuBoth(
+        "__device__ void bump(float& x, float d) { x = x + d; }"
+        "__global__ void k(float* out, float* in) {" +
+            std::string(body) + "}",
+        {});
+    for (const auto* run : {&r.native, &r.wrapped}) {
+      ASSERT_FALSE(run->ok()) << body;
+      EXPECT_NE(run->status().message().find("cannot take the address of"),
+                std::string::npos)
+          << body << ": " << Msg(*run);
+    }
+  }
 }
 
 TEST(CppLoweringTest, TemplateCallWithoutTypeArgumentsFailsToBuildInBoth) {
