@@ -193,13 +193,15 @@ struct BlockState {
   BlockLog* log = nullptr;  // multi-worker launches: the block's log
 };
 
+/// `a op b` on two payloads of kind `k`. A failure sets `*error` to its
+/// message, so the caller builds a Status only when the op fails.
 ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
-                        Status* err) {
+                        const char** error) {
   ScalarVal out{};
   bool flt = IsFloatScalar(k);
   bool sgn = IsSignedScalar(k);
   auto div0 = [&] {
-    *err = InternalError("division by zero in kernel");
+    *error = "division by zero in kernel";
     return out;
   };
   // Integer +, - and * wrap: computed on the unsigned lanes, they give
@@ -265,9 +267,19 @@ ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
       out.i = flt ? (a.f >= b.f) : sgn ? (a.i >= b.i) : (a.u >= b.u);
       return out;
     default:
-      *err = InternalError("unhandled scalar binary op");
+      *error = "unhandled scalar binary op";
       return out;
   }
+}
+
+/// Whether `a` and `b` are scalars of one type that the usual arithmetic
+/// conversions keep: a kind from kInt on. Types are interned, so one
+/// pointer compare tells; ArithmeticResultType would return that type and
+/// convert neither operand.
+bool SameKeptScalar(const Value& a, const Value& b) {
+  Type::Ptr t = a.type();
+  return t == b.type() && t != nullptr && t->is_scalar() &&
+         t->scalar_kind() >= ScalarKind::kInt;
 }
 
 /// Integer `v`'s bits in its own width, and that width.
@@ -556,12 +568,10 @@ class Executor {
   }
 
   // -- locations -------------------------------------------------------------
+  // A register location always selects components: lowering makes one
+  // (kRegLV) only as the base of a swizzle or a run-time vector subscript.
   Status Read(const LV& lv, Value& out) {
-    if (lv.lanes == 0) {
-      if (lv.kind == LV::Kind::kMem) return LoadMem(lv.va, lv.type, out);
-      out = it_->regs[lv.slot];
-      return OkStatus();
-    }
+    if (lv.lanes == 0) return LoadMem(lv.va, lv.type, out);
     Value whole;
     if (lv.kind == LV::Kind::kMem) {
       BRIDGECL_RETURN_IF_ERROR(LoadMem(lv.va, lv.type, whole));
@@ -580,11 +590,9 @@ class Executor {
   }
 
   Status Write(const LV& lv, const Value& v) {
-    if (lv.lanes == 0) {
-      if (lv.kind == LV::Kind::kMem) return StoreMem(lv.va, v.ConvertTo(lv.type));
-      it_->regs[lv.slot] = v.ConvertTo(lv.type);
-      return OkStatus();
-    }
+    if (lv.lanes == 0)
+      return v.type() == lv.type ? StoreMem(lv.va, v)
+                                 : StoreMem(lv.va, v.ConvertTo(lv.type));
     // Swizzled store: read-modify-write the base vector.
     Value whole;
     if (lv.kind == LV::Kind::kMem) {
@@ -683,15 +691,24 @@ class Executor {
   }
 
   // -- operators -------------------------------------------------------------
-  Status ApplyBinary(BinaryOp op, const Value& a, const Value& b, Value& out) {
+  static bool IsComparison(BinaryOp op) {
+    return op == BinaryOp::kEQ || op == BinaryOp::kNE || op == BinaryOp::kLT ||
+           op == BinaryOp::kGT || op == BinaryOp::kLE || op == BinaryOp::kGE;
+  }
+
+  double CostOf(BinaryOp op) const {
     const auto& prof = L_->device->profile();
-    double c = (op == BinaryOp::kDiv || op == BinaryOp::kRem)
-                   ? prof.cost_div
-                   : prof.cost_alu;
+    return op == BinaryOp::kDiv || op == BinaryOp::kRem ? prof.cost_div
+                                                        : prof.cost_alu;
+  }
+
+  /// `a op b` into `out`: pointer arithmetic, vectors elementwise, and
+  /// scalars under the usual arithmetic conversions. The op loop computes
+  /// two scalars of one kept type (SameKeptScalar) itself.
+  Status ApplyBinary(BinaryOp op, const Value& a, const Value& b, Value& out) {
+    double c = CostOf(op);
+    bool cmp = IsComparison(op);
     // Pointer arithmetic.
-    bool cmp = op == BinaryOp::kEQ || op == BinaryOp::kNE ||
-               op == BinaryOp::kLT || op == BinaryOp::kGT ||
-               op == BinaryOp::kLE || op == BinaryOp::kGE;
     if (a.type() && a.type()->is_pointer() && !cmp) {
       ChargeOp(c);
       size_t esz = a.type()->pointee()->ByteSize();
@@ -709,7 +726,6 @@ class Executor {
     }
     if (b.type() && b.type()->is_pointer() && op == BinaryOp::kAdd)
       return ApplyBinary(op, b, a, out);
-    Status err;
     // Vector / scalar elementwise.
     if (a.is_vector() || b.is_vector()) {
       const Value& vec = a.is_vector() ? a : b;
@@ -719,9 +735,10 @@ class Executor {
       Value bv = b.ConvertTo(Type::Vector(ek, w));
       out = Value::Vector(Type::Vector(cmp ? ScalarKind::kInt : ek, w));
       std::span<ScalarVal> comps = out.comps();
+      const char* error = nullptr;
       for (int i = 0; i < w; ++i) {
-        comps[i] = ApplyScalarOp(op, av.comps()[i], bv.comps()[i], ek, &err);
-        if (!err.ok()) return err;
+        comps[i] = ApplyScalarOp(op, av.comps()[i], bv.comps()[i], ek, &error);
+        if (error) return Err(error);
       }
       ChargeOp(c * w);
       // Vector comparisons produce an int vector of 0/-1 per OpenCL.
@@ -731,19 +748,17 @@ class Executor {
     }
     // Scalars: usual conversions; comparisons compute in the common type
     // but return int.
-    ScalarKind k = ArithmeticResultType(a.type(), b.type())->scalar_kind();
-    Type::Ptr kt = Type::Scalar(k);
+    Type::Ptr kt = SameKeptScalar(a, b)
+                       ? a.type()
+                       : Type::Scalar(ArithmeticResultType(a.type(), b.type())
+                                          ->scalar_kind());
+    const char* error = nullptr;
     ScalarVal r = ApplyScalarOp(op, a.ConvertTo(kt).scalar(),
-                                b.ConvertTo(kt).scalar(), k, &err);
-    if (!err.ok()) return err;
+                                b.ConvertTo(kt).scalar(), kt->scalar_kind(),
+                                &error);
+    if (error) return Err(error);
     ChargeOp(c);
-    if (cmp) {
-      out = Value::Int(r.i);
-    } else {
-      out = Value();
-      out.set_type(kt);
-      out.set_scalar(r);
-    }
+    out.SetScalar(cmp ? Type::IntTy() : kt, r);
     return OkStatus();
   }
 
@@ -887,13 +902,14 @@ Status Executor::Resume(Item& it, bool* yielded) {
           ChargeOp(prof.cost_alu);
           bool l = V(op.a).AsBool();
           if (op.sub ? !l : l) {
-            regs[op.dst] = Value::Int(op.sub ? 0 : 1);
+            regs[op.dst].SetScalar(Type::IntTy(), {.i = op.sub ? 0 : 1});
             pc = op.n;
           }
           break;
         }
         case OpCode::kToBool:
-          regs[op.dst] = Value::Int(V(op.a).AsBool() ? 1 : 0);
+          regs[op.dst].SetScalar(Type::IntTy(),
+                                 {.i = V(op.a).AsBool() ? 1 : 0});
           break;
         case OpCode::kMove:
           regs[op.dst] = V(op.a);
@@ -925,10 +941,13 @@ Status Executor::Resume(Item& it, bool* yielded) {
           regs = it.regs.data() + caller.base;
           for (int i = 0; i < op.c; ++i) {
             const VarDecl* p = callee->decl->params[i].get();
-            if (callee->params[i] == ParamBinding::kRegister)
-              it.regs[base + i] = V(args[i]).ConvertTo(p->type);
+            const Value& arg = V(args[i]);
+            if (callee->params[i] != ParamBinding::kRegister)
+              BRIDGECL_RETURN_IF_ERROR(BindMemoryParam(p, i, arg));
+            else if (arg.type() == p->type)
+              it.regs[base + i] = arg;
             else
-              BRIDGECL_RETURN_IF_ERROR(BindMemoryParam(p, i, V(args[i])));
+              it.regs[base + i] = arg.ConvertTo(p->type);
           }
           it.ret = Value::Void();
           enter();
@@ -979,7 +998,7 @@ Status Executor::Resume(Item& it, bool* yielded) {
                            ? static_cast<uint64_t>(grid[d]) * block[d]
                        : b == BuiltinOp::kLocalSize ? block[d]
                                                     : grid[d];
-          regs[op.dst] = Value::UInt(v, ScalarKind::kSizeT);
+          regs[op.dst].SetScalar(Type::SizeTy(), {.u = v});
           break;
         }
         case OpCode::kTexRef: {
@@ -993,10 +1012,25 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kUnary:
           ApplyUnary(static_cast<UnaryOp>(op.sub), V(op.a), regs[op.dst]);
           break;
-        case OpCode::kBinary:
-          BRIDGECL_RETURN_IF_ERROR(ApplyBinary(static_cast<BinaryOp>(op.sub),
-                                               V(op.a), V(op.b), regs[op.dst]));
+        case OpCode::kBinary: {
+          // Nearly every binary op is on two scalars of one kept type:
+          // ApplyBinary's scalar case with no conversion, done in place.
+          const Value& a = V(op.a);
+          const Value& b = V(op.b);
+          auto bop = static_cast<BinaryOp>(op.sub);
+          if (!SameKeptScalar(a, b)) {
+            BRIDGECL_RETURN_IF_ERROR(ApplyBinary(bop, a, b, regs[op.dst]));
+            break;
+          }
+          const char* error = nullptr;
+          ScalarVal r = ApplyScalarOp(bop, a.scalar(), b.scalar(),
+                                      a.type()->scalar_kind(), &error);
+          if (error) return Err(error);
+          ChargeOp(CostOf(bop));
+          regs[op.dst].SetScalar(IsComparison(bop) ? Type::IntTy() : a.type(),
+                                 r);
           break;
+        }
         case OpCode::kCast:
           // Every cast style converts the value: sema admits only the
           // reinterpret_casts that are conversions (pointers and integers).
@@ -1009,7 +1043,8 @@ Status Executor::Resume(Item& it, bool* yielded) {
           const Value& base = V(op.a);
           if (!base.is_vector()) return Err("swizzle on non-vector");
           if (m->swizzle.size() == 1) {
-            regs[op.dst] = base.Component(m->swizzle[0]);
+            regs[op.dst].SetScalar(Type::Scalar(base.type()->scalar_kind()),
+                                   base.comps()[m->swizzle[0]]);
             break;
           }
           Value& out = regs[op.dst];
@@ -1114,14 +1149,11 @@ Status Executor::Resume(Item& it, bool* yielded) {
         case OpCode::kReadLV:
           BRIDGECL_RETURN_IF_ERROR(Read(lvs[op.a], regs[op.dst]));
           break;
-        case OpCode::kDecayLV: {
-          const LV& lv = lvs[op.a];
-          if (lv.kind == LV::Kind::kMem)
-            regs[op.dst] = Value::Pointer(lv.va, static_cast<Type::Ptr>(op.p));
-          else
-            BRIDGECL_RETURN_IF_ERROR(Read(lv, regs[op.dst]));
+        case OpCode::kDecayLV:
+          // Arrays live in memory, never in registers.
+          regs[op.dst] =
+              Value::Pointer(lvs[op.a].va, static_cast<Type::Ptr>(op.p));
           break;
-        }
         case OpCode::kIncDec: {
           const LV& lv = lvs[op.a];
           Value old;
@@ -1202,14 +1234,20 @@ Status Executor::Resume(Item& it, bool* yielded) {
           std::memset(p, 0, size);
           break;
         }
-        case OpCode::kStoreVar:
+        case OpCode::kStoreVar: {
+          const Value& v = V(op.a);
+          auto t = static_cast<Type::Ptr>(op.p);
+          uint64_t va = lvs[op.n].va + static_cast<uint64_t>(op.b);
           BRIDGECL_RETURN_IF_ERROR(
-              StoreMem(lvs[op.n].va + static_cast<uint64_t>(op.b),
-                       V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p))));
+              v.type() == t ? StoreMem(va, v) : StoreMem(va, v.ConvertTo(t)));
           break;
-        case OpCode::kInitReg:
-          regs[op.n] = V(op.a).ConvertTo(static_cast<Type::Ptr>(op.p));
+        }
+        case OpCode::kInitReg: {
+          const Value& v = V(op.a);
+          auto t = static_cast<Type::Ptr>(op.p);
+          if (v.type() == t) regs[op.n] = v; else regs[op.n] = v.ConvertTo(t);
           break;
+        }
 
         case OpCode::kAtomicLoad: {
           const Value& ptr = V(op.a);

@@ -91,7 +91,7 @@ enum class OpCode : uint8_t {
   kArrowLV,     // a->p, p a StructField
   kDotLV,       // a.p, p a StructField
   kReadLV,      // dst = value at location a
-  kDecayLV,     // dst = location a as pointer p if in memory, else its value
+  kDecayLV,     // dst = location a (an array, in memory) as pointer p
   kIncDec,      // dst = sub(location a)
   kIncDecReg,   // dst = sub(register n of type p)
   kAssign,      // location b (sub)= a; dst = the value assigned

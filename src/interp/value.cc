@@ -73,18 +73,6 @@ Value Value::Void() {
   return out;
 }
 
-int64_t Value::AsI64() const {
-  if (type_ && type_->is_scalar() && IsFloatScalar(type_->scalar_kind()))
-    return static_cast<int64_t>(s_.f);
-  return s_.i;
-}
-
-uint64_t Value::AsU64() const {
-  if (type_ && type_->is_scalar() && IsFloatScalar(type_->scalar_kind()))
-    return static_cast<uint64_t>(s_.f);
-  return s_.u;
-}
-
 double Value::AsF64() const {
   if (!type_) return 0;
   if (type_->is_scalar()) {
@@ -94,12 +82,6 @@ double Value::AsF64() const {
     return static_cast<double>(s_.u);
   }
   return static_cast<double>(s_.u);
-}
-
-bool Value::AsBool() const {
-  if (type_ && type_->is_scalar() && IsFloatScalar(type_->scalar_kind()))
-    return s_.f != 0.0;
-  return s_.u != 0;
 }
 
 Value Value::Component(int i) const {
@@ -336,9 +318,7 @@ Status DecodeValue(Type::Ptr type, const std::byte* src, Value* out) {
   if (!type) return InternalError("decode of untyped location");
   switch (type->kind()) {
     case lang::TypeKind::kScalar:
-      *out = Value();
-      out->set_type(type);
-      out->set_scalar(DecodeScalar(type->scalar_kind(), src));
+      out->SetScalar(type, DecodeScalar(type->scalar_kind(), src));
       return OkStatus();
     case lang::TypeKind::kVector: {
       size_t esz = ScalarByteSize(type->scalar_kind());
@@ -352,9 +332,9 @@ Status DecodeValue(Type::Ptr type, const std::byte* src, Value* out) {
     case lang::TypeKind::kImage:
     case lang::TypeKind::kSampler:
     case lang::TypeKind::kTexture: {
-      uint64_t va;
-      std::memcpy(&va, src, 8);
-      *out = Value::Pointer(va, type);
+      ScalarVal va;
+      std::memcpy(&va.u, src, 8);
+      out->SetScalar(type, va);
       return OkStatus();
     }
     case lang::TypeKind::kStruct:

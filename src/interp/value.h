@@ -88,10 +88,14 @@ class Value {
   uint64_t AsVa() const { return s_.u; }
 
   /// Numeric views with conversion from the stored kind.
-  int64_t AsI64() const;
-  uint64_t AsU64() const;
+  int64_t AsI64() const {
+    return IsFloat() ? static_cast<int64_t>(s_.f) : s_.i;
+  }
+  uint64_t AsU64() const {
+    return IsFloat() ? static_cast<uint64_t>(s_.f) : s_.u;
+  }
   double AsF64() const;
-  bool AsBool() const;
+  bool AsBool() const { return IsFloat() ? s_.f != 0.0 : s_.u != 0; }
 
   /// The vector lanes: one per component of a vector type, none otherwise.
   std::span<const ScalarVal> comps() const { return {lanes_, LaneCount()}; }
@@ -117,9 +121,16 @@ class Value {
   std::string ToString() const;  // debugging / test failures
 
   void set_type(Type::Ptr t) { type_ = t; }
-  void set_scalar(ScalarVal s) { s_ = s; }
+  /// Make this a scalar, pointer or handle of `type` holding `payload`,
+  /// in place.
+  void SetScalar(Type::Ptr type, ScalarVal payload) {
+    type_ = type;
+    s_ = payload;
+    if (agg_) agg_.reset();
+  }
 
  private:
+  bool IsFloat() const { return type_ && type_->is_float(); }
   size_t LaneCount() const {
     return is_vector() ? static_cast<size_t>(type_->vector_width()) : 0;
   }

@@ -494,6 +494,12 @@ StatusOr<std::unique_ptr<VarDecl>> Parser::ParseDeclarator(
   } else {
     var->name = take().text;
   }
+  // LowerCppFeatures turns reference parameters into pointers; nothing
+  // lowers any other reference, so it is refused rather than copied.
+  if (is_ref && !is_param)
+    return Err(var->loc, "reference variable '" + var->name +
+                             "' is not supported; only parameters may be "
+                             "references, so use a pointer");
 
   // Array suffixes.
   std::vector<size_t> extents;

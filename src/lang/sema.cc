@@ -31,6 +31,23 @@ int ScalarRank(ScalarKind k) {
   }
 }
 
+/// Whether `e` is a location an assignment or `++`/`--` can write: an
+/// addressable object, a swizzle or run-time subscript of an assignable
+/// vector, or a swizzle through `->`.
+bool IsAssignable(const Expr& e) {
+  if (IsAddressable(e)) return true;
+  const Expr& s = StripParens(e);
+  if (s.kind == ExprKind::kMember) {
+    const auto* m = s.As<MemberExpr>();
+    return m->is_swizzle && (m->is_arrow || IsAssignable(*m->base));
+  }
+  if (s.kind == ExprKind::kIndex) {
+    const Expr& base = *s.As<IndexExpr>()->base;
+    return base.type && base.type->is_vector() && IsAssignable(base);
+  }
+  return false;
+}
+
 class Sema {
  public:
   Sema(TranslationUnit& tu, Dialect dialect, DiagnosticEngine& diags)
@@ -404,6 +421,14 @@ Status Sema::AnalyzeExpr(Expr* e) {
         case UnaryOp::kNot:
           e->type = Type::IntTy();
           break;
+        case UnaryOp::kPreInc:
+        case UnaryOp::kPreDec:
+        case UnaryOp::kPostInc:
+        case UnaryOp::kPostDec:
+          if (!IsAssignable(*u->operand))
+            return Err(u->operand->loc, "expression is not assignable");
+          e->type = t;
+          break;
         default:
           e->type = t;
           break;
@@ -450,6 +475,8 @@ Status Sema::AnalyzeExpr(Expr* e) {
       auto* a = e->As<AssignExpr>();
       BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(a->lhs.get()));
       BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(a->rhs.get()));
+      if (!IsAssignable(*a->lhs))
+        return Err(a->lhs->loc, "expression is not assignable");
       e->type = a->lhs->type;
       return OkStatus();
     }

@@ -7,44 +7,6 @@
 
 namespace bridgecl::lang {
 
-bool IsSignedScalar(ScalarKind k) {
-  switch (k) {
-    case ScalarKind::kChar:
-    case ScalarKind::kShort:
-    case ScalarKind::kInt:
-    case ScalarKind::kLong:
-    case ScalarKind::kLongLong:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsFloatScalar(ScalarKind k) {
-  return k == ScalarKind::kFloat || k == ScalarKind::kDouble;
-}
-
-size_t ScalarByteSize(ScalarKind k) {
-  switch (k) {
-    case ScalarKind::kVoid: return 0;
-    case ScalarKind::kBool: return 1;
-    case ScalarKind::kChar:
-    case ScalarKind::kUChar: return 1;
-    case ScalarKind::kShort:
-    case ScalarKind::kUShort: return 2;
-    case ScalarKind::kInt:
-    case ScalarKind::kUInt:
-    case ScalarKind::kFloat: return 4;
-    case ScalarKind::kLong:
-    case ScalarKind::kULong:
-    case ScalarKind::kLongLong:
-    case ScalarKind::kULongLong:
-    case ScalarKind::kDouble:
-    case ScalarKind::kSizeT: return 8;
-  }
-  return 0;
-}
-
 const char* ScalarName(ScalarKind k) {
   switch (k) {
     case ScalarKind::kVoid: return "void";

@@ -16,7 +16,9 @@ struct StructDecl;  // ast.h
 
 /// Scalar element kinds. `kLongLong` is CUDA-only (the paper maps CUDA
 /// longlong vectors onto OpenCL long vectors, §3.6); `kSizeT` is kept
-/// distinct so printers can round-trip `size_t`.
+/// distinct so printers can round-trip `size_t`. The kinds from `kInt` on
+/// are those the usual arithmetic conversions never promote; the
+/// interpreter relies on that order.
 enum class ScalarKind : uint8_t {
   kVoid,
   kBool,
@@ -35,10 +37,43 @@ enum class ScalarKind : uint8_t {
   kSizeT,
 };
 
-bool IsSignedScalar(ScalarKind k);
-bool IsFloatScalar(ScalarKind k);
+// The interpreter asks these on nearly every op, so they are inline.
+inline bool IsSignedScalar(ScalarKind k) {
+  switch (k) {
+    case ScalarKind::kChar:
+    case ScalarKind::kShort:
+    case ScalarKind::kInt:
+    case ScalarKind::kLong:
+    case ScalarKind::kLongLong:
+      return true;
+    default:
+      return false;
+  }
+}
+inline bool IsFloatScalar(ScalarKind k) {
+  return k == ScalarKind::kFloat || k == ScalarKind::kDouble;
+}
 /// Size in bytes on the (LP64) device ABI both models share.
-size_t ScalarByteSize(ScalarKind k);
+inline size_t ScalarByteSize(ScalarKind k) {
+  switch (k) {
+    case ScalarKind::kVoid: return 0;
+    case ScalarKind::kBool: return 1;
+    case ScalarKind::kChar:
+    case ScalarKind::kUChar: return 1;
+    case ScalarKind::kShort:
+    case ScalarKind::kUShort: return 2;
+    case ScalarKind::kInt:
+    case ScalarKind::kUInt:
+    case ScalarKind::kFloat: return 4;
+    case ScalarKind::kLong:
+    case ScalarKind::kULong:
+    case ScalarKind::kLongLong:
+    case ScalarKind::kULongLong:
+    case ScalarKind::kDouble:
+    case ScalarKind::kSizeT: return 8;
+  }
+  return 0;
+}
 /// Canonical dialect-neutral name ("uint", "longlong", ...).
 const char* ScalarName(ScalarKind k);
 

@@ -395,6 +395,45 @@ TEST(SemaTest, AddressOfNeedsAnObjectThatHasOne) {
   EXPECT_TRUE(decl.As<DeclStmt>()->vars[0]->address_taken);
 }
 
+TEST(SemaTest, AssignmentAndIncrementNeedAnAssignableTarget) {
+  struct Dialected {
+    Dialect d;
+    const char* head;  // a kernel taking `o`, an int pointer
+  };
+  for (const Dialected& k :
+       {Dialected{Dialect::kOpenCL, "__kernel void k(__global int* o) {"},
+        Dialected{Dialect::kCUDA, "__global__ void k(int* o) {"}}) {
+    for (const char* stmt : {"(o[0] + 1) = 3;", "(o[0] + 1) += 3;",
+                             "(o[0] + 1)++;", "--(o[0] * 2);"}) {
+      DiagnosticEngine diags;
+      ParseOptions popts;
+      popts.dialect = k.d;
+      auto tu = ParseTranslationUnit(std::string(k.head) + stmt + "}", popts,
+                                     diags);
+      ASSERT_TRUE(tu.ok()) << diags.ToString();
+      SemaOptions sopts;
+      sopts.dialect = k.d;
+      EXPECT_FALSE(Analyze(**tu, sopts, diags).ok()) << stmt;
+      EXPECT_NE(diags.ToString().find("expression is not assignable"),
+                std::string::npos)
+          << stmt << ": " << diags.ToString();
+    }
+  }
+  Analyzed(
+      "__kernel void k(__global int* o, __global float4* vs) {"
+      "  int4 v = (int4)(1, 2, 3, 4);"
+      "  int i = o[1];"
+      "  v.xy += (int2)(10, 20);"
+      "  v[i] = 30;"
+      "  (v).z = 4;"
+      "  vs[0].y += 2.0f;"
+      "  vs->y = 7.0f;"
+      "  o[0]++;"
+      "  --(*o);"
+      "}",
+      Dialect::kOpenCL);
+}
+
 TEST(TypeTest, FactoriesReturnOnePointerPerType) {
   using AS = AddressSpace;
   using SK = ScalarKind;

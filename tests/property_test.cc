@@ -67,8 +67,7 @@ TEST_P(ValueRoundTripTest, EncodeDecode) {
   }
   Value v;
   if (width == 1) {
-    v.set_type(t);
-    v.set_scalar(comps[0]);
+    v.SetScalar(t, comps[0]);
   } else {
     v = Value::Vector(t, comps);
   }

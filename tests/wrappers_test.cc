@@ -978,6 +978,21 @@ TEST(CppLoweringTest, ReferenceToAComponentOrAValueFailsToBuildInBoth) {
   }
 }
 
+TEST(CppLoweringTest, LocalReferenceFailsToBuildInBoth) {
+  BothRuns r = RunCuBoth(
+      "__global__ void k(float* out, float* in) {"
+      "  int a = 1; int& r = a; r = 5; out[0] = a;"
+      "}",
+      {});
+  for (const auto* run : {&r.native, &r.wrapped}) {
+    ASSERT_FALSE(run->ok());
+    EXPECT_NE(run->status().message().find(
+                  "reference variable 'r' is not supported"),
+              std::string::npos)
+        << Msg(*run);
+  }
+}
+
 TEST(CppLoweringTest, TemplateCallWithoutTypeArgumentsFailsToBuildInBoth) {
   BothRuns r = RunCuBoth(std::string(kTmax) +
                              "__global__ void k(float* out, float* in) {"
@@ -1040,6 +1055,37 @@ TEST(CppLoweringTest, PointerReinterpretCastsAgreeInBothPaths) {
   EXPECT_EQ((*r.native)[0], 1077936128.0f);  // the bits of 3.0f
   EXPECT_EQ((*r.native)[1], 8.0f);
   EXPECT_EQ(*r.native, *r.wrapped);
+}
+
+// A compound assignment or `++` on a component of a vector in memory reads
+// the whole vector through its location and writes the lanes back.
+TEST(VectorComponentTest, CompoundAssignmentToALaneOfAMemoryVector) {
+  auto src = [](const std::string& body) {
+    return "__kernel void k(__global float* o, __global float4* vs) {" +
+           body +
+           "  for (int i = 0; i < 3; ++i) {"
+           "    o[4 * i] = vs[i].x; o[4 * i + 1] = vs[i].y;"
+           "    o[4 * i + 2] = vs[i].z; o[4 * i + 3] = vs[i].w;"
+           "  }"
+           "}";
+  };
+  const std::vector<float> in = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  BothRuns all = RunClBoth(
+      src("vs[0].y += 2.0f; vs[1].xy += (float2)(1.0f, 2.0f); vs[2].w++;"),
+      in);
+  ASSERT_TRUE(all.native.ok()) << Msg(all.native);
+  EXPECT_EQ(*all.native,
+            (std::vector<float>{1, 4, 3, 4, 6, 8, 7, 8, 9, 10, 11, 13}));
+  // CL->CU refuses a compound assignment to a multi-component swizzle.
+  ASSERT_FALSE(all.wrapped.ok());
+  EXPECT_EQ(all.wrapped.status().code(), StatusCode::kUntranslatable)
+      << Msg(all.wrapped);
+  BothRuns lanes = RunClBoth(src("vs[0].y += 2.0f; vs[2].w++;"), in);
+  for (const auto* run : {&lanes.native, &lanes.wrapped})
+    ASSERT_TRUE(run->ok()) << Msg(*run);
+  EXPECT_EQ(*lanes.native,
+            (std::vector<float>{1, 4, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13}));
+  EXPECT_EQ(*lanes.wrapped, *lanes.native);
 }
 
 // `->` on a pointer to a vector swizzles the vector it points to.
