@@ -206,6 +206,9 @@ ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
   };
   // Integer +, - and * wrap: computed on the unsigned lanes, they give
   // the two's-complement result signed overflow would leave undefined.
+  // The one signed quotient that overflows, the most negative value over
+  // -1, wraps the same way (and its remainder is 0) instead of trapping
+  // the host.
   switch (op) {
     case BinaryOp::kAdd:
       if (flt) out.f = a.f + b.f; else out.u = a.u + b.u;
@@ -221,7 +224,7 @@ ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
         out.f = a.f / b.f;
       } else if (sgn) {
         if (b.i == 0) return div0();
-        out.i = a.i / b.i;
+        if (b.i == -1) out.u = 0 - a.u; else out.i = a.i / b.i;
       } else {
         if (b.u == 0) return div0();
         out.u = a.u / b.u;
@@ -232,7 +235,7 @@ ScalarVal ApplyScalarOp(BinaryOp op, ScalarVal a, ScalarVal b, ScalarKind k,
         out.f = std::fmod(a.f, b.f);
       } else if (sgn) {
         if (b.i == 0) return div0();
-        out.i = a.i % b.i;
+        out.i = b.i == -1 ? 0 : a.i % b.i;
       } else {
         if (b.u == 0) return div0();
         out.u = a.u % b.u;

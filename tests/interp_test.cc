@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <numeric>
 #include <string>
@@ -690,6 +691,35 @@ TEST_F(InterpTest, IntegerDivisionByZeroFailsOnEveryPath) {
               std::string::npos)
         << body << ": " << r.status().ToString();
   }
+}
+
+// The one signed quotient that overflows, the most negative long over -1,
+// wraps to itself with remainder 0 (as +, - and * wrap) instead of
+// trapping the host: as scalars, a compound assignment and vector lanes.
+TEST_F(InterpTest, MostNegativeLongOverMinusOneWraps) {
+  auto m = Compile(
+      "__kernel void k(__global long* o, __global long* in) {"
+      "  long a = in[0], b = in[1], c = in[2];"
+      "  o[0] = a / b; o[1] = a % b;"
+      "  long x = a; x /= b; o[2] = x;"
+      "  long2 v = (long2)(a, c), d = (long2)(b, b);"
+      "  o[3] = (v / d).x; o[4] = (v % d).x; o[5] = (v / d).y;"
+      "  o[6] = c / b; o[7] = c % b;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(8 * 8), vin = Alloc(3 * 8);
+  const int64_t lmin = std::numeric_limits<int64_t>::min();
+  WriteBuf(vin, std::vector<int64_t>{lmin, -1, 5});
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1);
+  cfg.block = Dim3(1);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo),
+                                 KernelArg::Pointer(vin)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int64_t>(vo, 8),
+            (std::vector<int64_t>{lmin, 0, lmin, lmin, 0, -5, -5, 0}));
 }
 
 TEST_F(InterpTest, CallPointerAndUnsignedPaths) {

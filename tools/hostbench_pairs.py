@@ -33,6 +33,7 @@ state even if a run is killed.
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,10 +54,14 @@ def extract(rev, dest):
 
 def run(checkout, workload, seed, seconds):
     """One hostbench run in `checkout`; its final JSON object, or None."""
+    # run.py builds under $CARGO_TARGET_DIR when it is set, which would put
+    # both sides in one build tree; without it each side builds in its own
+    # checkout's .bench_build/.
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     p = subprocess.run(
         [sys.executable, "hostbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, env=env, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
